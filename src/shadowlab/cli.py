@@ -12,7 +12,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .exact import ExactOverflowError, Seq, binom, decompose
 from .families import (
@@ -256,6 +255,9 @@ def _cmd_verify(args) -> int:
     if args.what == "lemma-abc":
         tasks = [(k, args.amax) for k in range(2, args.kmax + 1)]
         if args.threads > 1:
+            # imported here: the pool machinery would add to every request
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=args.threads) as pool:
                 results = list(pool.map(_lemma_worker, tasks))
         else:

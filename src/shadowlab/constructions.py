@@ -55,6 +55,13 @@ class ForbiddenPairSpec:
         )
 
 
+def _check_size(family: KFamily, expected: int) -> None:
+    # a construction whose sets collide is a fault in this module, not in
+    # its input
+    if len(family) != expected:
+        raise RuntimeError(f"construction built {len(family)} sets, expected {expected}")
+
+
 def regular_family(ground_size: int, k: int, r: int) -> KFamily:
     """r cyclic-shift block partitions of the ground cycle; r-regular k-sets."""
     if ground_size % k:
@@ -69,7 +76,7 @@ def regular_family(ground_size: int, k: int, r: int) -> KFamily:
                 [((block * k + s + shift) % ground_size) + 1 for s in range(k)]
             )
     family = KFamily.from_sets(ground_size, k, sets)
-    assert len(family) == t * r
+    _check_size(family, t * r)
     return family
 
 
@@ -223,7 +230,7 @@ def example_32_family(n: int, k: int, variant: str) -> KFamily:
             k,
             tuple(sorted(set(lower.masks) | set(block.masks) | set(tail.masks))),
         )
-        assert len(family) == binom(n, k)
+        _check_size(family, binom(n, k))
         return compact_support(family)
     if variant == "c":
         m1 = binom(n - 1, k) + binom(n - 2, k - 1)
@@ -234,7 +241,7 @@ def example_32_family(n: int, k: int, variant: str) -> KFamily:
             k,
             tuple(sorted(set(segment.masks) | set(block.masks))),
         )
-        assert len(family) == binom(n, k)
+        _check_size(family, binom(n, k))
         return family
     raise ValueError("variant must be 'b' or 'c'")
 
@@ -282,7 +289,7 @@ def example_33_family(n: int, k: int) -> KFamily:
     family = KFamily(
         2 * n + 1, k, tuple(sorted(set(segment.masks) | set(block.masks)))
     )
-    assert len(family) == binom(n, k)
+    _check_size(family, binom(n, k))
     return compact_support(family)
 
 
@@ -351,7 +358,8 @@ def perturbed_colex(n: int, k: int, m: int) -> PerturbationResult:
     added_elem = alpha + 1
     x_new = tuple(sorted(set(x_set) - {removed_elem} | {added_elem}))
     segment = initial_segment(n, k, m)
-    assert colex_rank(x_set) == m - 1
+    if colex_rank(x_set) != m - 1:
+        raise RuntimeError(f"{x_set} is not the last set of the segment")
     if colex_rank(x_new) < m:
         return PerturbationResult(
             segment=segment, removed=x_set, added=x_new, kind="in_segment"
@@ -360,7 +368,7 @@ def perturbed_colex(n: int, k: int, m: int) -> PerturbationResult:
     masks.remove(sum(1 << (e - 1) for e in x_set))
     masks.add(sum(1 << (e - 1) for e in x_new))
     family = KFamily(n, k, tuple(sorted(masks)))
-    assert len(family) == m
+    _check_size(family, m)
     if shadow(family).masks != shadow(segment).masks:
         raise RuntimeError("perturbation changed the shadow")
     isomorphic: bool | None = None

@@ -166,5 +166,6 @@ def decompose(m: int, k: int) -> Seq:
         rem -= binom(lo, j)
         j -= 1
     seq = Seq(tuple(terms), k)
-    assert seq.is_k_binomial(k) and seq_value(seq, k) == m
+    if not (seq.is_k_binomial(k) and seq_value(seq, k) == m):
+        raise RuntimeError(f"greedy decomposition of {m} at level {k} is not a cascade")
     return seq

@@ -339,13 +339,24 @@ def to_dict(family: KFamily) -> dict:
     return {"n": family.n, "k": family.k, "sets": [list(s) for s in family.sets()]}
 
 
+def _is_int(value) -> bool:
+    # JSON true and false decode to bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def from_dict(data: dict) -> KFamily:
     try:
         n, k, sets = data["n"], data["k"], data["sets"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed family object: {exc}") from None
-    if not (isinstance(n, int) and isinstance(k, int) and 1 <= k <= n <= MAX_GROUND):
+    if not (_is_int(n) and _is_int(k) and 1 <= k <= n <= MAX_GROUND):
         raise ValueError("need integers 1 <= k <= n <= 64")
+    if not (isinstance(sets, list) and all(isinstance(x, list) for x in sets)):
+        raise ValueError("sets must be a list of lists")
+    for x in sets:
+        for e in x:
+            if not _is_int(e):
+                raise ValueError(f"set elements must be integers, got {e!r}")
     fam = KFamily.from_sets(n, k, sets)
     if len(fam) != len(sets):
         raise ValueError("duplicate sets in family")

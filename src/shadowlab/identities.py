@@ -25,6 +25,12 @@ GRID_HI = 8
 Point = tuple[int, int]
 
 
+class NotReducibleError(ValueError):
+    """The pair passes the entry checks of ``recursive_reduce`` but the
+    reduction reaches a collision it cannot resolve; only weakly dominated
+    inputs do."""
+
+
 class BinomialSum:
     """Sparse integer-coefficient sum of binomial coefficients C(upper, lower)."""
 
@@ -328,7 +334,8 @@ def recursive_reduce(wall: Wall, b: Seq, c: Seq, k: int) -> ReductionOutcome:
     fragments pushed into column 0 become rubble, sequence fragments pushed
     below diagonal 0 become pavement.  Stops once the wall or both sequences
     are exhausted.  The two defining identities are verified before
-    returning.
+    returning.  A weakly dominated input whose reduction reaches an
+    unresolvable collision raises ``NotReducibleError``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -377,9 +384,9 @@ def recursive_reduce(wall: Wall, b: Seq, c: Seq, k: int) -> ReductionOutcome:
                 col = k - s
                 p = bb[s]
                 if p > upper:
-                    raise RuntimeError("domination lost during cascade")
+                    raise NotReducibleError("domination lost during cascade")
                 if p == upper and s < t:
-                    raise RuntimeError(
+                    raise NotReducibleError(
                         "boundary collision with a longer tail is not reducible"
                     )
                 shared[(p, col)] += 1
@@ -405,11 +412,11 @@ def recursive_reduce(wall: Wall, b: Seq, c: Seq, k: int) -> ReductionOutcome:
                     raise RuntimeError("diagonal misalignment in wall consumption")
                 dist = cur_col - tl
                 if dist < 0:
-                    raise RuntimeError("domination lost during wall consumption")
+                    raise NotReducibleError("domination lost during wall consumption")
                 shared[(tu, tl)] += 1
                 if dist == 0:
                     if pos != len(tail) - 1:
-                        raise RuntimeError(
+                        raise NotReducibleError(
                             "boundary collision inside the wall tail is not reducible"
                         )
                     bb = bb[:-1]

@@ -129,29 +129,32 @@ def check_abck(a: Seq, b: Seq, c: Seq, k: int, k1: int, k2: int) -> AbcReport:
     return report
 
 
-def _decreasing_sequences(min_at, value_of, cap: int, max_len: int):
-    """Strictly decreasing nonnegative tuples with term bounds and a value cap.
+def _admissible(level: int, cap: int) -> list[tuple[tuple[int, ...], int]]:
+    """Every sequence admissible at ``level`` whose value there is at most cap.
 
-    ``min_at(j)`` is the least admissible value at index j; ``value_of``
-    maps (term, index) to its contribution, assumed nondecreasing in the
-    term.  ``max_len`` cuts the enumeration where further terms can only
-    contribute zero to every evaluated row, so longer tails would be
-    representation noise.  The empty tuple comes first.
+    Admissible means strictly decreasing and nonnegative with s_j >= level -
+    j - 1 and at most level + 1 terms: a term past index ``level`` is
+    evaluated at a negative level and contributes zero to every row, so
+    longer tails would be representation noise.  Entries are (terms, value
+    at ``level``) in depth-first order, the empty tuple first.  This is the
+    one enumerator behind every split sweep; a caller that needs a smaller
+    cap may keep the entries of value at most that cap, which are exactly
+    the entries the smaller cap yields, in the same order.
     """
     top = 0
-    while value_of(top + 1, 0) <= cap:
+    while binom(top + 1, level) <= cap:
         top += 1
 
     out: list[tuple[tuple[int, ...], int]] = [((), 0)]
 
     def rec(prefix: list[int], value: int) -> None:
         j = len(prefix)
-        if j >= max_len:
+        if j > level:
             return
-        lo = max(min_at(j), 0)
+        lo = max(level - j - 1, 0)
         hi = (prefix[-1] - 1) if prefix else top
         for term in range(lo, hi + 1):
-            v = value + value_of(term, j)
+            v = value + binom(term, level - j)
             if v > cap:
                 break
             prefix.append(term)
@@ -191,26 +194,13 @@ def _cascades(k: int, amax: int) -> list[Seq]:
 def _split_universe(k: int, cap: int):
     """The admissible (b, c) space for level-k splits, with row vectors.
 
-    b is strictly decreasing nonnegative with b_j >= k - j - 1, c likewise
-    with c_j >= k - 2 - j; lengths are bounded at the last index whose
-    evaluation level is still nonnegative (k and k - 1 entries past that
-    contribute zero everywhere).
+    b is admissible at level k and c at level k - 1, each with value at most
+    cap; c is grouped by its value at level k - 1.
     """
-    bs = [
-        (t, _row_vector(t, k, k))
-        for t, _v in _decreasing_sequences(
-            lambda j: k - j - 1, lambda term, j: binom(term, k - j), cap, k + 1
-        )
-    ]
-    cs = [
-        (t, _row_vector(t, k - 1, k))
-        for t, _v in _decreasing_sequences(
-            lambda j: k - 2 - j, lambda term, j: binom(term, k - 1 - j), cap, k
-        )
-    ]
+    bs = [(t, _row_vector(t, k, k)) for t, _v in _admissible(k, cap)]
     c_by_value: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-    for t, rows in cs:
-        c_by_value.setdefault(rows[0], []).append((t, rows))
+    for t, v in _admissible(k - 1, cap):
+        c_by_value.setdefault(v, []).append((t, _row_vector(t, k - 1, k)))
     return bs, c_by_value
 
 
@@ -252,39 +242,41 @@ def lemma_sweep(k: int, amax: int) -> dict:
 
 
 def general_level_sweep(k: int, amax: int, kmax_shift: int = 2) -> dict:
-    """Verify the generalized-level inequalities for all k1, k2 >= k."""
-    a_list = _cascades(k, amax)
-    cap = max(seq_value(a, k) for a in a_list)
+    """Verify the generalized-level inequalities for all k1, k2 >= k.
+
+    Each level in k..k+kmax_shift is enumerated once, with every sequence's
+    value, its value one level down and its (1, 1)-shifted value, so the
+    loop over (a, b, c) triples only adds and compares.
+    """
+    a_rows = [
+        (a.terms, seq_value(a, k), seq_value(a, k - 1), seq_shift(a, 1, 1, k))
+        for a in _cascades(k, amax)
+    ]
+    cap = max(m for _t, m, _lhs, _s in a_rows)
+    levels = range(k, k + kmax_shift + 1)
+    rows: dict[int, list[tuple[tuple[int, ...], int, int, int]]] = {}
+    by_value: dict[int, dict[int, list[tuple[tuple[int, ...], int, int]]]] = {}
+    for level in levels:
+        rows[level] = []
+        by_value[level] = {}
+        for t, v in _admissible(level, cap):
+            s = Seq(t, level)
+            down, shifted = seq_value(s, level - 1), seq_shift(s, 1, 1, level)
+            rows[level].append((t, v, down, shifted))
+            by_value[level].setdefault(v, []).append((t, down, shifted))
     checked = 0
     violations: list[tuple] = []
-    for k1 in range(k, k + kmax_shift + 1):
-        for k2 in range(k, k + kmax_shift + 1):
-            bs = _decreasing_sequences(
-                lambda j: k1 - j - 1, lambda term, j: binom(term, k1 - j), cap, k1 + 1
-            )
-            cs = _decreasing_sequences(
-                lambda j: k2 - j - 1, lambda term, j: binom(term, k2 - j), cap, k2 + 1
-            )
-            c_by_value: dict[int, list[tuple[int, ...]]] = {}
-            for t, v in cs:
-                c_by_value.setdefault(v, []).append(t)
-            for a in a_list:
-                m = seq_value(a, k)
-                lhs = seq_value(a, k - 1)
-                s_lhs = seq_shift(a, 1, 1, k)
-                for b_terms, b_val in bs:
+    for k1 in levels:
+        for k2 in levels:
+            c_by_value = by_value[k2]
+            for a_terms, m, lhs, s_lhs in a_rows:
+                for b_terms, b_val, b_down, b_shift in rows[k1]:
                     if b_val > m:
                         continue
-                    b = Seq(b_terms, k1)
-                    b_level = seq_value(b, k1 - 1)
-                    b_shift = seq_shift(b, 1, 1, k1)
-                    for c_terms in c_by_value.get(m - b_val, ()):
+                    for c_terms, c_down, c_shift in c_by_value.get(m - b_val, ()):
                         checked += 1
-                        c = Seq(c_terms, k2)
-                        rhs = b_level + seq_value(c, k2 - 1)
-                        s_rhs = b_shift + seq_shift(c, 1, 1, k2)
-                        if lhs > rhs or s_lhs > s_rhs:
-                            violations.append((a.terms, b_terms, c_terms, k1, k2))
+                        if lhs > b_down + c_down or s_lhs > b_shift + c_shift:
+                            violations.append((a_terms, b_terms, c_terms, k1, k2))
     return {"checked": checked, "violations": violations}
 
 
@@ -319,8 +311,10 @@ def equality_splits(a: Seq, k: int) -> list[tuple[Seq, Seq]]:
     for b_terms, c_terms in sorted(pairs):
         b = Seq(b_terms, k)
         c = Seq(c_terms, k - 1)
-        assert seq_value(b, k) + seq_value(c, k - 1) == m
-        assert seq_value(b, k - 1) + seq_value(c, k - 2) == bound
+        if seq_value(b, k) + seq_value(c, k - 1) != m:
+            raise RuntimeError(f"split {b_terms}, {c_terms} misses the value at level k")
+        if seq_value(b, k - 1) + seq_value(c, k - 2) != bound:
+            raise RuntimeError(f"split {b_terms}, {c_terms} misses equality at level k - 1")
         out.append((b, c))
     return out
 
@@ -339,16 +333,26 @@ def split_profile(b: Seq, c: Seq, k: int) -> tuple[tuple[int, ...], tuple[int, .
 
 
 def brute_force_equality_splits(a: Seq, k: int) -> list[tuple[Seq, Seq]]:
-    """Independent enumeration of every hypothesis-satisfying equality split."""
+    """Every hypothesis-satisfying equality split, by exhaustive search.
+
+    The independent oracle for ``equality_splits``: it searches the whole
+    admissible (b, c) space instead of applying the closed forms.
+    """
     if not (a.terms and a.is_k_binomial(k)):
         raise ValueError("a must be the cascade decomposition of a positive integer")
+    return _equality_splits_in(_split_universe(k, seq_value(a, k)), a, k)
+
+
+def _equality_splits_in(universe, a: Seq, k: int) -> list[tuple[Seq, Seq]]:
+    """The brute-force search for a's equality splits within a split universe
+    built at any cap of at least the value of a."""
     m = seq_value(a, k)
     bound = seq_value(a, k - 1)
     a1 = tuple(x - 1 for x in a.terms)
-    bs, c_by_value = _split_universe(k, m)
+    bs, c_by_value = universe
     out = []
     for b_terms, brows in bs:
-        if not b_terms or not _lex_ge(b_terms, a1):
+        if not b_terms or brows[0] > m or not _lex_ge(b_terms, a1):
             continue
         for c_terms, crows in c_by_value.get(m - brows[0], ()):
             if brows[1] + crows[1] == bound:
@@ -360,20 +364,22 @@ def splits_comparison(amax: int, kmax: int) -> dict:
     """Closed-form splits vs brute force for every admissible cascade.
 
     Compared by value profile; an "extra" is an exhaustive split whose
-    profile no formula pair matches, a "missing" entry the converse.
+    profile no formula pair matches, a "missing" entry the converse.  The
+    split universe is built once per k, at the largest cascade value.
     """
     extras: list[tuple] = []
     missing: list[tuple] = []
     checked = 0
     for k in range(2, kmax + 1):
-        for a in _cascades(k, amax):
-            if len(a.terms) >= k:
-                continue
+        cascades = [a for a in _cascades(k, amax) if len(a.terms) < k]
+        if not cascades:
+            continue
+        universe = _split_universe(k, max(seq_value(a, k) for a in cascades))
+        for a in cascades:
             checked += 1
             formula = {split_profile(b, c, k) for b, c in equality_splits(a, k)}
             brute = {
-                split_profile(b, c, k)
-                for b, c in brute_force_equality_splits(a, k)
+                split_profile(b, c, k) for b, c in _equality_splits_in(universe, a, k)
             }
             for pair in brute - formula:
                 extras.append((k, a.terms, pair))

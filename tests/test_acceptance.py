@@ -79,9 +79,10 @@ def test_criterion_2_characterization_equivalence():
 def test_criterion_3_lemma_sweep_and_counterexamples():
     start = time.time()
     checked = 0
-    for k in range(2, 6):
+    for k, pinned in ((2, 6270), (3, 48863), (4, 184645), (5, 382266)):
         result = lemma_sweep(k, 10)
         assert result["violations"] == [], result["violations"][:3]
+        assert result["checked"] == pinned
         checked += result["checked"]
 
     # the three published counterexample triples, each violating exactly the
@@ -225,6 +226,7 @@ def test_criterion_8_equality_splits():
     result = splits_comparison(amax=8, kmax=5)
     elapsed = time.time() - start
     ok = result["extras"] == [] and result["missing"] == []
+    assert result["checked"] == 158
     report(
         8,
         ok,

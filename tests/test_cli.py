@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import shadowlab
 from shadowlab.cli import main, parse_binomial_sum
 
 
@@ -172,6 +176,19 @@ def test_verify_lemma_threads_match(capsys):
     assert seq_report == par_report
 
 
+def test_import_leaves_out_process_pool():
+    code = (
+        "import sys, shadowlab.cli; "
+        "print('concurrent.futures.process' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(shadowlab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert out == "False\n"
+
+
 def test_reduce(capsys):
     code, report = run(
         capsys, "reduce", "--wall", "1:1", "--b", "2", "--c", "", "--k", "1"
@@ -200,7 +217,7 @@ def test_parse_binomial_sum():
         parse_binomial_sum("garbage")
 
 
-def test_usage_and_overflow_exit_codes(capsys):
+def test_usage_and_overflow_exit_codes(tmp_path, capsys):
     assert main(["decompose", "-3", "2"]) == 2
     capsys.readouterr()
     assert main(["bound", "not-a-number", "3"]) == 2
@@ -211,6 +228,18 @@ def test_usage_and_overflow_exit_codes(capsys):
     capsys.readouterr()
     assert main(["construct", "perturbed", "6", "3", "19"]) == 2  # precondition
     capsys.readouterr()
+    # weakly dominated: passes the entry checks, then reaches a collision
+    assert main(["reduce", "--wall", "2:0", "--b", "2,1", "--k", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: boundary collision with a longer tail is not reducible\n"
+    )
+    for i, sets in enumerate(([[True, 2]], [["1", "2"], ["1", "3"]], 5)):
+        path = tmp_path / f"malformed{i}.json"
+        path.write_text(json.dumps({"n": 4, "k": 2, "sets": sets}))
+        assert main(["check", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_json_determinism(capsys):

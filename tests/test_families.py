@@ -273,6 +273,14 @@ def test_json_round_trip():
         from_dict({"n": 3, "k": 2, "sets": [[1, 2, 3]]})
     with pytest.raises(ValueError):
         from_dict({"k": 2, "sets": []})
+    for bad in (
+        {"n": 4, "k": 2, "sets": [[True, 2]]},
+        {"n": 4, "k": 2, "sets": [["1", "2"]]},
+        {"n": 4, "k": 2, "sets": 5},
+        {"n": 4, "k": True, "sets": [[1]]},
+    ):
+        with pytest.raises(ValueError):
+            from_dict(bad)
 
 
 def test_shadow_of_segment_is_segment():

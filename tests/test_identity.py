@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from shadowlab.exact import Seq, binom, seq_value
 from shadowlab.identities import (
     BinomialSum,
+    NotReducibleError,
     Pavement,
     Rubble,
     Wall,
@@ -297,3 +298,34 @@ def test_recursive_reduce_rejects_bad_inputs():
     with pytest.raises(ValueError):
         # wall far below b: domination fails
         recursive_reduce(Wall((1,), 0), Seq((4,), 2), Seq((), 2), 2)
+
+
+def test_recursive_reduce_domain_probe():
+    # every input with k <= 2 and wall level <= 3 that passes the entry
+    # checks either reduces or raises NotReducibleError; terms and wall
+    # columns run one past what domination admits
+    outcomes = {"reduced": 0, "not_reducible": 0}
+    for k in (1, 2):
+        seqs = [
+            t
+            for length in range(k + 1)
+            for t in combinations(range(k + 4, -1, -1), length)
+        ]
+        for level in range(4):
+            walls = [
+                w
+                for h in range(level + 1)
+                for w in product(range(k + 1, 0, -1), repeat=h + 1)
+                if list(w) == sorted(w, reverse=True)
+            ]
+            for w, b, c in product(walls, seqs, seqs):
+                # recursive_reduce verifies both identities before returning
+                try:
+                    recursive_reduce(Wall(w, level), Seq(b, k), Seq(c, k), k)
+                except NotReducibleError:
+                    outcomes["not_reducible"] += 1
+                except ValueError:
+                    continue  # rejected by an entry check
+                else:
+                    outcomes["reduced"] += 1
+    assert outcomes["reduced"] > 0 and outcomes["not_reducible"] > 0, outcomes

@@ -87,17 +87,21 @@ def test_check_abck_rejects_bad_levels():
 
 
 def test_lemma_sweep_small_scale():
-    for k in (2, 3):
+    for k, checked in ((2, 651), (3, 1907)):
         result = lemma_sweep(k, 6)
         assert result["violations"] == []
-        assert result["checked"] > 0
+        assert result["checked"] == checked
 
 
 def test_general_level_sweep():
-    for k, amax, shift in ((2, 10, 3), (3, 8, 2), (5, 8, 1)):
+    for k, amax, shift, checked in (
+        (2, 10, 3, 199343),
+        (3, 8, 2, 230922),
+        (5, 8, 1, 266698),
+    ):
         result = general_level_sweep(k, amax, kmax_shift=shift)
         assert result["violations"] == [], (k, result["violations"][:3])
-        assert result["checked"] > 0
+        assert result["checked"] == checked
 
 
 def test_equality_splits_examples():
@@ -135,7 +139,7 @@ def test_splits_comparison_small():
     result = splits_comparison(amax=6, kmax=4)
     assert result["extras"] == []
     assert result["missing"] == []
-    assert result["checked"] > 0
+    assert result["checked"] == 38
 
 
 def test_equality_splits_precondition():
