@@ -15,7 +15,6 @@ from .exact import Seq, binom, decompose, lex_cmp, seq_minus, seq_value
 from .families import (
     BudgetError,
     KFamily,
-    are_isomorphic,
     canonical_form,
     degree,
     delete_star,
@@ -209,6 +208,8 @@ class _Layer:
             self.shed.append(bits)
         self._shadow_table: list[int] | None = None
         self._pop_table: list[int] | None = None
+        self._member: list[int] | None = None
+        self._support_table: list[int] | None = None
 
     def tables(self) -> tuple[list[int], list[int]]:
         """Per-subfamily shadow masks and member counts, built on first use."""
@@ -228,6 +229,29 @@ class _Layer:
             self._shadow_table = sh
             self._pop_table = pop
         return self._shadow_table, self._pop_table
+
+    def member(self) -> list[int]:
+        """Per element x of [n], at index x: the layer positions whose set holds x."""
+        if self._member is None:
+            self._member = [0] + [
+                sum(1 << i for i, mask in enumerate(self.masks) if mask >> (x - 1) & 1)
+                for x in range(1, self.n + 1)
+            ]
+        return self._member
+
+    def support_table(self) -> list[int]:
+        """Per-subfamily support (union of the chosen sets), built on first use."""
+        if self._support_table is None:
+            if self.size > SWEEP_LAYER_LIMIT:
+                raise BudgetError(f"layer of size {self.size} exceeds the sweep limit")
+            masks = self.masks
+            low_index = {1 << i: i for i in range(self.size)}
+            sup = [0] * (1 << self.size)
+            for f in range(1, 1 << self.size):
+                low = f & -f
+                sup[f] = sup[f ^ low] | masks[low_index[low]]
+            self._support_table = sup
+        return self._support_table
 
     def family(self, pattern: int) -> KFamily:
         chosen = [self.masks[i] for i in range(self.size) if pattern >> i & 1]
@@ -275,7 +299,8 @@ def brute_force_min_shadow(n: int, k: int, m: int, budget: int | None = None) ->
         count = acc.bit_count()
         if best is None or count < best:
             best = count
-    assert best is not None
+    if best is None:
+        raise RuntimeError("no combination was enumerated")
     return best
 
 
@@ -409,21 +434,30 @@ def enumerate_extremal(
             families = [f for f in families if is_extremal(f)]
     else:
         raise ValueError(f"unknown method {method!r}")
-    if not up_to_iso:
-        return families
-    classes: list[KFamily] = []
-    seen: set[tuple[int, tuple[int, ...]]] = set()
-    for family in families:
-        canon = canonical_form(family)
-        key = (canon.n, canon.masks)
-        if key not in seen:
-            seen.add(key)
-            classes.append(canon)
-    return classes
+    return _iso_classes(families) if up_to_iso else families
+
+
+def _iso_classes(families: list[KFamily]) -> list[KFamily]:
+    """One canonical form per isomorphism class, in first-seen order.
+
+    Each family is canonicalized exactly once; equal canonical forms are
+    the isomorphism key.
+    """
+    return list(dict.fromkeys(canonical_form(family) for family in families))
 
 
 def uniqueness_predicate(n: int, k: int, m: int) -> bool:
-    """True iff the colex segment should be the unique extremal family."""
+    """True iff the colex segment should be the unique extremal family.
+
+    Encodes the answer to the uniqueness question of Füredi and Griggs
+    (Families of finite sets with minimum shadows, Combinatorica 6, 1986)
+    and Mörs (A generalization of a theorem of Kruskal, Graphs Combin. 1,
+    1985) on the ground set [n]: the m-subsets of C([n], k) with minimum
+    shadow form a single isomorphism class, that of the colex segment, iff
+    the cascade decomposition of m has fewer than k terms, or m is one less
+    than C(n', k) for some k < n' <= n.  ``extremal_iso_classes`` checks it
+    exhaustively at (6, 3).
+    """
     if not 0 < m <= binom(n, k):
         raise ValueError("family size out of range")
     a = decompose(m, k)
@@ -443,11 +477,7 @@ class _SweepTables:
         layer = _layer(n, 3)
         self.layer = layer
         self.shadow_table, self.pop_table = layer.tables()
-        self.member = [0] * (n + 1)  # per element: positions whose triple contains it
-        for i, mask in enumerate(layer.masks):
-            for x in range(1, n + 1):
-                if mask >> (x - 1) & 1:
-                    self.member[x] |= 1 << i
+        self.member = layer.member()  # per element: positions whose triple contains it
         # per (element, layer position): the link pair as a sub-layer bit
         self.pair_bit = [[0] * layer.size for _ in range(n + 1)]
         for x in range(1, n + 1):
@@ -455,20 +485,11 @@ class _SweepTables:
             for i, mask in enumerate(layer.masks):
                 if mask & bit:
                     self.pair_bit[x][i] = 1 << layer.sub_index[mask ^ bit]
-        # support of each subfamily of the pair layer (vertex masks)
-        pair_count = len(layer.sub_masks)
-        self.pair_support = [0] * (1 << pair_count)
-        low_index = {1 << i: i for i in range(pair_count)}
-        for f in range(1, 1 << pair_count):
-            low = f & -f
-            self.pair_support[f] = self.pair_support[f ^ low] | layer.sub_masks[low_index[low]]
+        # support of each subfamily of the pair layer, whose positions are
+        # the sub_index positions of this layer
+        self.pair_support = _layer(n, 2).support_table()
         # triple-support of each subfamily, for iterating over support elements
-        self.tri_support = [0] * (1 << layer.size)
-        tri_low = {1 << i: i for i in range(layer.size)}
-        sup = self.tri_support
-        for f in range(1, 1 << layer.size):
-            low = f & -f
-            sup[f] = sup[f ^ low] | layer.masks[tri_low[low]]
+        self.tri_support = layer.support_table()
         size = layer.size
         self.bound3 = [0] + [kk_bound(m, 3, 1) for m in range(1, size + 1)]
         self.threshold3 = [0] + [
@@ -561,57 +582,35 @@ def characterization_sweep(n: int, k: int = 3) -> dict:
 
 def extremal_iso_classes(n: int, k: int, m: int) -> list[KFamily]:
     """Isomorphism classes of extremal m-subsets of C([n], k), as canonical forms."""
-    patterns = _extremal_patterns_by_size(n, k).get(m, [])
-    layer = _layer(n, k)
-    seen: set[tuple[int, tuple[int, ...]]] = set()
-    classes: list[KFamily] = []
-    degree_buckets: dict[tuple[int, ...], list[KFamily]] = {}
-    for pattern in patterns:
-        family = layer.family(pattern)
-        support = family.support()
-        profile = tuple(sorted(degree(family, x) for x in support))
-        bucket = degree_buckets.setdefault(profile, [])
-        if any(are_isomorphic(family, rep) for rep in bucket):
-            continue
-        bucket.append(family)
-        canon = canonical_form(family)
-        key = (canon.n, canon.masks)
-        if key not in seen:
-            seen.add(key)
-            classes.append(canon)
-    return classes
+    return _iso_classes(_enum_exhaustive(n, k, m))
 
 
 def min_degree_sweep(n: int, k: int) -> int:
     """Check the minimum-degree deletion bound over every admissible subfamily;
-    returns the number checked, raising on the first violation."""
+    returns the number checked, raising on the first violation.
+
+    The bound depends only on the family size m and the minimum degree d, so
+    it is decided once per (m, d); ``min_degree_bound_check`` is the
+    family-at-a-time oracle the tests compare against.
+    """
     layer = _layer(n, k)
-    sh, pop = layer.tables()
-    member = [0] * (n + 1)
-    for i, mask in enumerate(layer.masks):
-        for x in range(1, n + 1):
-            if mask >> (x - 1) & 1:
-                member[x] |= 1 << i
-    support_table = [0] * (1 << layer.size)
-    low_index = {1 << i: i for i in range(layer.size)}
-    for f in range(1, 1 << layer.size):
-        low = f & -f
-        support_table[f] = support_table[f ^ low] | layer.masks[low_index[low]]
-    cascades = [None] + [decompose(m, k) for m in range(1, layer.size + 1)]
-    dec_table = [Seq((), k)] + [decompose(v, k) for v in range(1, layer.size + 1)]
+    _, pop = layer.tables()
+    support_table = layer.support_table()
+    members = layer.member()[1:]
+    ok = [[False] * (m + 1) for m in range(layer.size + 1)]
+    for m in range(2, layer.size + 1):
+        floor = seq_minus(decompose(m, k), 1)
+        for d in range(1, m + 1):
+            b = decompose(m - d, k)
+            ok[m][d] = bool(b.terms) and lex_cmp(b, floor) >= 0
+    full = (1 << n) - 1
     checked = 0
-    full = tuple(range(1, n + 1))
     for pattern in range(1, 1 << layer.size):
         m = pop[pattern]
-        if m <= 1:
-            continue
-        support = support_table[pattern]
-        if support != (1 << n) - 1:
+        if m <= 1 or support_table[pattern] != full:
             continue  # the bound is stated for full support
-        dmin = min(pop[pattern & member[x]] for x in full)
-        b = dec_table[m - dmin]
-        a = cascades[m]
-        if not b.terms or lex_cmp(b, seq_minus(a, 1)) < 0:
-            raise AssertionError(f"minimum-degree bound failed at pattern {pattern}")
+        dmin = min([pop[pattern & mx] for mx in members])
+        if not ok[m][dmin]:
+            raise RuntimeError(f"minimum-degree bound failed at pattern {pattern}")
         checked += 1
     return checked

@@ -279,10 +279,13 @@ def canonical_form(family: KFamily) -> KFamily:
         return KFamily(max(family.k, 1) if family.k else 1, family.k, family.masks)
     if len(family) == binom(s, k := family.k):
         return KFamily.from_sets(s, k, combinations(range(1, s + 1), k))
+    # per support element: the member positions that contain it
+    incidence = {
+        x: sum(1 << i for i, m in enumerate(family.masks) if m >> (x - 1) & 1)
+        for x in support
+    }
     pair_deg = {
-        (x, y): sum(
-            1 for m in family.masks if m & (1 << (x - 1)) and m & (1 << (y - 1))
-        )
+        (x, y): (incidence[x] & incidence[y]).bit_count()
         for x in support
         for y in support
         if x != y
@@ -316,8 +319,10 @@ def canonical_form(family: KFamily) -> KFamily:
             ranks = {sig: i for i, sig in enumerate(sorted(set(split.values())))}
             descend(_stable_refine({x: ranks[split[x]] for x in support}, support, pair_deg))
 
-    descend(_stable_refine({x: degree(family, x) for x in support}, support, pair_deg))
-    assert best is not None
+    degrees = {x: incidence[x].bit_count() for x in support}
+    descend(_stable_refine(degrees, support, pair_deg))
+    if best is None:
+        raise RuntimeError("canonical form search reached no leaf")
     return KFamily(s, family.k, best)
 
 

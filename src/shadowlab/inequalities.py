@@ -211,6 +211,8 @@ def lemma_sweep(k: int, amax: int) -> dict:
     with value(b, k) + value(c, k-1) = value(a, k) and b at least a - 1 in
     lex order; records any failed inequality or failed propagation.
     """
+    if k < 2:
+        raise ValueError("the sweep needs k >= 2")
     cap = seq_value(Seq(tuple(range(amax, amax - k, -1)), k), k)
     bs, c_by_value = _split_universe(k, cap)
     checked = 0
@@ -338,6 +340,8 @@ def brute_force_equality_splits(a: Seq, k: int) -> list[tuple[Seq, Seq]]:
     The independent oracle for ``equality_splits``: it searches the whole
     admissible (b, c) space instead of applying the closed forms.
     """
+    if k < 2:
+        raise ValueError("the split search needs k >= 2")
     if not (a.terms and a.is_k_binomial(k)):
         raise ValueError("a must be the cascade decomposition of a positive integer")
     return _equality_splits_in(_split_universe(k, seq_value(a, k)), a, k)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -191,11 +191,24 @@ def test_min_degree_bound_examples():
 def test_min_degree_sweep():
     # full-support families at every ground size up to 6; smaller supports
     # are relabelings of the smaller sweeps
-    assert min_degree_sweep(4, 3) > 0
-    assert min_degree_sweep(5, 3) > 0
+    assert min_degree_sweep(4, 3) == 11
+    assert min_degree_sweep(5, 3) == 958
     assert min_degree_sweep(6, 3) == 1042642
-    assert min_degree_sweep(4, 2) > 0
-    assert min_degree_sweep(5, 2) > 0
+    assert min_degree_sweep(4, 2) == 41
+    assert min_degree_sweep(5, 2) == 768
+    # the sweep decides the bound once per (size, minimum degree); the
+    # family-at-a-time check must pass on the same families
+    full = tuple(range(1, 6))
+    for k, count in ((2, 768), (3, 958)):
+        pool = list(combinations(full, k))
+        checked = 0
+        for m in range(2, len(pool) + 1):
+            for chosen in combinations(pool, m):
+                family = KFamily.from_sets(5, k, chosen)
+                if family.support() == full:
+                    assert min_degree_bound_check(family), chosen
+                    checked += 1
+        assert checked == count
 
 
 def test_enumerate_extremal_examples():
@@ -243,6 +256,39 @@ def test_extremal_counts_match_orbit_arithmetic():
     assert counts[16] == 15
     assert counts[19] == 20
     assert counts[20] == 1
+
+
+def _automorphism_count(masks, n):
+    """Permutations of [n] that map the family onto itself, by brute force."""
+    target = set(masks)
+    count = 0
+    for perm in permutations(range(n)):
+        if all(
+            sum(1 << perm[i] for i in range(n) if mask >> i & 1) in target
+            for mask in masks
+        ):
+            count += 1
+    return count
+
+
+def test_iso_classes_orbit_sum():
+    # independent of canonical_form: the orbits of pairwise non-isomorphic
+    # extremal representatives under the 720 permutations of [6] must
+    # exactly tile the extremal subfamilies of each size
+    from shadowlab.extremal import _extremal_patterns_by_size
+
+    counts = {m: len(v) for m, v in _extremal_patterns_by_size(6, 3).items()}
+    per_size = []
+    for m in range(1, 21):
+        classes = extremal_iso_classes(6, 3, m)
+        per_size.append(len(classes))
+        orbit_sum = 0
+        for rep in classes:
+            embedded = KFamily(6, 3, rep.masks)
+            assert len(embedded) == m and is_extremal(embedded)
+            orbit_sum += 720 // _automorphism_count(rep.masks, 6)
+        assert orbit_sum == counts[m], m
+    assert per_size == [1, 1, 1, 1, 1, 2, 1, 2, 1, 1, 1, 5, 1, 8, 2, 1, 7, 3, 1, 1]
 
 
 def test_uniqueness_predicate_examples():

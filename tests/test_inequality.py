@@ -93,6 +93,18 @@ def test_lemma_sweep_small_scale():
         assert result["checked"] == checked
 
 
+def test_split_searches_reject_k_below_two():
+    # level k - 1 = 0 has C(t, 0) = 1 for every t, so the split universe
+    # would be infinite; both entries refuse it instead of looping
+    for k in (1, 0):
+        with pytest.raises(ValueError):
+            lemma_sweep(k, 6)
+    with pytest.raises(ValueError):
+        brute_force_equality_splits(Seq((1,), 1), 1)
+    with pytest.raises(ValueError):
+        brute_force_equality_splits(Seq((3,), 1), 1)
+
+
 def test_general_level_sweep():
     for k, amax, shift, checked in (
         (2, 10, 3, 199343),
