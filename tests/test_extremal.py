@@ -8,9 +8,16 @@ from itertools import combinations, permutations
 import pytest
 
 from shadowlab.exact import binom, decompose, lex_cmp, seq_minus
-from shadowlab.families import KFamily, are_isomorphic, initial_segment, shadow
+from shadowlab.families import (
+    KFamily,
+    are_isomorphic,
+    canonical_form,
+    initial_segment,
+    shadow,
+)
 from shadowlab.extremal import (
     _fast_characterize_verdict,
+    _iso_classes,
     _sweep_tables,
     brute_force_min_shadow,
     certify_by_witness,
@@ -196,6 +203,9 @@ def test_min_degree_sweep():
     assert min_degree_sweep(6, 3) == 1042642
     assert min_degree_sweep(4, 2) == 41
     assert min_degree_sweep(5, 2) == 768
+    for n, k in ((3, 1), (4, 4), (3, 3), (2, 1)):
+        with pytest.raises(ValueError):
+            min_degree_sweep(n, k)
     # the sweep decides the bound once per (size, minimum degree); the
     # family-at-a-time check must pass on the same families
     full = tuple(range(1, 6))
@@ -240,6 +250,18 @@ def test_enumerate_methods_agree():
         ex = {f.masks for f in enumerate_extremal(5, 2, m, method="exhaustive")}
         rec = {f.masks for f in enumerate_extremal(5, 2, m, method="recursive")}
         assert ex == rec, m
+    # at k = 1 every family is extremal
+    for n, m in [(4, m) for m in range(1, 5)] + [(6, 3)]:
+        ex = {f.masks for f in enumerate_extremal(n, 1, m, method="exhaustive")}
+        rec = {f.masks for f in enumerate_extremal(n, 1, m, method="recursive")}
+        assert ex == rec and len(ex) == binom(n, m), (n, m)
+        assert extremal_iso_classes(n, 1, m) == [initial_segment(m, 1, m)]
+
+
+def test_extremal_iso_classes_reject_out_of_range_sizes():
+    for n, k, m in ((5, 3, 0), (5, 3, 11), (5, 3, 25), (4, 2, -1)):
+        with pytest.raises(ValueError, match="family size out of range"):
+            extremal_iso_classes(n, k, m)
 
 
 def test_extremal_counts_match_orbit_arithmetic():
@@ -291,6 +313,35 @@ def test_iso_classes_orbit_sum():
     assert per_size == [1, 1, 1, 1, 1, 2, 1, 2, 1, 1, 1, 5, 1, 8, 2, 1, 7, 3, 1, 1]
 
 
+def _dedup_classes(families):
+    """Per-family canonical forms, first of each kept: the oracle."""
+    return list(dict.fromkeys(canonical_form(f) for f in families))
+
+
+def test_iso_classes_match_dedup_oracle():
+    for n, k in ((6, 3), (5, 3), (5, 2), (6, 2), (4, 3), (4, 2), (6, 4), (6, 5)):
+        for m in range(1, binom(n, k) + 1):
+            expected = _dedup_classes(enumerate_extremal(n, k, m))
+            assert extremal_iso_classes(n, k, m) == expected, (n, k, m)
+    for n, k, m in ((6, 3, 12), (7, 3, 9), (6, 2, 7)):
+        families = enumerate_extremal(n, k, m, method="recursive")
+        classes = enumerate_extremal(n, k, m, up_to_iso=True, method="recursive")
+        assert classes == _dedup_classes(families), (n, k, m)
+
+
+def test_iso_classes_reject_lists_not_closed_under_relabeling():
+    with pytest.raises(RuntimeError, match="not closed"):
+        _iso_classes([KFamily.from_sets(3, 2, [(1, 2)])])
+    # one transposition image present, the other missing
+    with pytest.raises(RuntimeError, match="not closed"):
+        _iso_classes(
+            [KFamily.from_sets(3, 2, [(1, 2)]), KFamily.from_sets(3, 2, [(1, 3)])]
+        )
+    triangle = KFamily.from_sets(3, 2, [(1, 2), (1, 3), (2, 3)])
+    assert _iso_classes([triangle]) == [triangle]
+    assert _iso_classes([]) == []
+
+
 def test_uniqueness_predicate_examples():
     assert uniqueness_predicate(6, 3, 10)
     assert uniqueness_predicate(6, 3, 19)
@@ -298,6 +349,8 @@ def test_uniqueness_predicate_examples():
     assert decompose(12, 3).terms == (5, 2, 1)
     with pytest.raises(ValueError):
         uniqueness_predicate(6, 3, 0)
+    with pytest.raises(ValueError, match="k >= 2"):
+        uniqueness_predicate(4, 1, 4)
 
 
 def test_extremal_shadow_is_extremal_small():
