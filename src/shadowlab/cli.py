@@ -8,7 +8,9 @@ budget or overflow errors.
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import math
 import os
 import re
 import sys
@@ -20,6 +22,7 @@ from .families import (
     compact_support,
     read_family,
     to_dict,
+    write_family,
 )
 from . import families as fam_ops
 from .extremal import (
@@ -72,9 +75,10 @@ def _load_family(path: str) -> KFamily:
 
 
 def _save_family(family: KFamily, path: str) -> None:
+    text = io.StringIO()
+    write_family(family, text)  # refuses k < 1 before the file is opened
     with open(path, "w", encoding="utf-8") as fp:
-        json.dump(to_dict(family), fp, sort_keys=True)
-        fp.write("\n")
+        fp.write(text.getvalue())
 
 
 def _default_threads() -> int:
@@ -294,6 +298,8 @@ def _cmd_verify(args) -> int:
         _emit({"n": args.n, "k": args.k, "rows": rows, "equivalence": ok})
         return 0 if ok else 1
     if args.what == "conjecture":
+        if not (math.isfinite(args.xmax) and math.isfinite(args.step) and args.step > 0):
+            raise ValueError("need a finite --xmax and a finite --step > 0")
         steps = int(round((args.xmax - args.k) / args.step))
         xs = [args.k + i * args.step for i in range(steps + 1)]
         report = conjecture_scan(args.k, xs, y_samples=args.y_samples)

@@ -7,9 +7,11 @@ so full sweeps over every subfamily are flat table loops.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from .exact import Seq, binom, decompose, lex_cmp, seq_minus, seq_value
 from .families import (
@@ -209,13 +211,15 @@ class _Layer:
         self._shadow_table: list[int] | None = None
         self._pop_table: list[int] | None = None
         self._member: list[int] | None = None
-        self._support_table: list[int] | None = None
 
     def tables(self) -> tuple[list[int], list[int]]:
         """Per-subfamily shadow masks and member counts, built on first use."""
         if self._shadow_table is None:
             if self.size > SWEEP_LAYER_LIMIT:
-                raise BudgetError(f"layer of size {self.size} exceeds the sweep limit")
+                raise BudgetError(
+                    f"layer of {self.size} sets exceeds the sweep limit of "
+                    f"{SWEEP_LAYER_LIMIT} sets"
+                )
             total = 1 << self.size
             shed = self.shed
             low_index = {1 << i: i for i in range(self.size)}
@@ -238,20 +242,6 @@ class _Layer:
                 for x in range(1, self.n + 1)
             ]
         return self._member
-
-    def support_table(self) -> list[int]:
-        """Per-subfamily support (union of the chosen sets), built on first use."""
-        if self._support_table is None:
-            if self.size > SWEEP_LAYER_LIMIT:
-                raise BudgetError(f"layer of size {self.size} exceeds the sweep limit")
-            masks = self.masks
-            low_index = {1 << i: i for i in range(self.size)}
-            sup = [0] * (1 << self.size)
-            for f in range(1, 1 << self.size):
-                low = f & -f
-                sup[f] = sup[f ^ low] | masks[low_index[low]]
-            self._support_table = sup
-        return self._support_table
 
     def family(self, pattern: int) -> KFamily:
         chosen = [self.masks[i] for i in range(self.size) if pattern >> i & 1]
@@ -286,9 +276,13 @@ def brute_force_min_shadow(n: int, k: int, m: int, budget: int | None = None) ->
         return 1
     if layer_size <= SWEEP_LAYER_LIMIT:
         return _min_shadow_table(n, k)[m]
-    if binom(layer_size, m) > (COMBINATION_BUDGET if budget is None else budget):
+    # math.comb: the count is compared, never used, so it may leave 128 bits
+    count = comb(layer_size, m)
+    limit = COMBINATION_BUDGET if budget is None else budget
+    if count > limit:
         raise BudgetError(
-            f"C({layer_size}, {m}) combinations exceed the enumeration budget"
+            f"C({layer_size}, {m}) = {count} combinations exceed the "
+            f"enumeration budget of {limit}"
         )
     layer = _layer(n, k)
     best: int | None = None
@@ -304,17 +298,23 @@ def brute_force_min_shadow(n: int, k: int, m: int, budget: int | None = None) ->
     return best
 
 
+def _shadow_bounds(k: int, top: int) -> list[int]:
+    """The minimum shadow size of an m-member k-family, for m = 0..top.
+
+    At k = 1 the shadow of any nonempty family is the single empty set.
+    """
+    if k == 1:
+        return [0] + [1] * top
+    return [kk_bound(m, k, 1) for m in range(top + 1)]
+
+
 @lru_cache(maxsize=4)
 def _extremal_patterns_by_size(n: int, k: int) -> dict[int, list[int]]:
     """All extremal subfamilies of the layer, grouped by size, as bit patterns."""
     layer = _layer(n, k)
     sh, pop = layer.tables()
     out: dict[int, list[int]] = {m: [] for m in range(1, layer.size + 1)}
-    if k == 1:
-        for f in range(1, 1 << layer.size):
-            out[pop[f]].append(f)
-        return out
-    bounds = [0] + [kk_bound(m, k, 1) for m in range(1, layer.size + 1)]
+    bounds = _shadow_bounds(k, layer.size)
     for f in range(1, 1 << layer.size):
         if sh[f].bit_count() == bounds[pop[f]]:
             out[pop[f]].append(f)
@@ -323,8 +323,6 @@ def _extremal_patterns_by_size(n: int, k: int) -> dict[int, list[int]]:
 
 def _enum_exhaustive(n: int, k: int, m: int) -> list[KFamily]:
     layer = _layer(n, k)
-    if layer.size > SWEEP_LAYER_LIMIT:
-        raise BudgetError("layer too large for exhaustive enumeration")
     patterns = _extremal_patterns_by_size(n, k).get(m, [])
     return [layer.family(p) for p in patterns]
 
@@ -378,8 +376,12 @@ def _enum_recursive(n: int, k: int, m: int) -> frozenset[tuple[int, ...]]:
                 universe = _covered_supersets(lset, n - 1, k)
                 if len(universe) < rest:
                     continue
-                if binom(len(universe), rest) > COMBINATION_BUDGET:
-                    raise BudgetError("equality branch exceeds the combination budget")
+                count = comb(len(universe), rest)
+                if count > COMBINATION_BUDGET:
+                    raise BudgetError(
+                        f"equality branch: C({len(universe)}, {rest}) = {count} "
+                        f"combinations exceed the budget of {COMBINATION_BUDGET}"
+                    )
                 for chosen in combinations(universe, rest):
                     fam = tuple(sorted(chosen + tuple(x | top_bit for x in lmask)))
                     out.add(fam)
@@ -504,107 +506,82 @@ def uniqueness_predicate(n: int, k: int, m: int) -> bool:
 # ---------------------------------------------------------------------------
 # flat-table sweeps over every subfamily of one layer
 
-class _SweepTables:
-    """Precomputed per-element tables for full characterization sweeps at k = 3."""
+def _fast_characterize_verdict(n: int, k: int) -> Callable[[int], bool]:
+    """The characterization verdict for subfamilies of C([n], k), k >= 2.
 
-    def __init__(self, n: int):
-        self.n = n
-        layer = _layer(n, 3)
-        self.layer = layer
-        self.shadow_table, self.pop_table = layer.tables()
-        self.member = layer.member()  # per element: positions whose triple contains it
-        # per (element, layer position): the link pair as a sub-layer bit
-        self.pair_bit = [[0] * layer.size for _ in range(n + 1)]
-        for x in range(1, n + 1):
-            bit = 1 << (x - 1)
-            for i, mask in enumerate(layer.masks):
-                if mask & bit:
-                    self.pair_bit[x][i] = 1 << layer.sub_index[mask ^ bit]
-        # support of each subfamily of the pair layer, whose positions are
-        # the sub_index positions of this layer
-        self.pair_support = _layer(n, 2).support_table()
-        # triple-support of each subfamily, for iterating over support elements
-        self.tri_support = layer.support_table()
-        size = layer.size
-        self.bound3 = [0] + [kk_bound(m, 3, 1) for m in range(1, size + 1)]
-        self.threshold3 = [0] + [
-            seq_value(seq_minus(decompose(m, 3), 1), 3) for m in range(1, size + 1)
-        ]
-        pair_layer = binom(n, 2)
-        self.bound2 = [0] + [kk_bound(m, 2, 1) for m in range(1, pair_layer + 1)]
-
-
-@lru_cache(maxsize=2)
-def _sweep_tables(n: int) -> _SweepTables:
-    return _SweepTables(n)
-
-
-def _fast_characterize_verdict(tables: _SweepTables, pattern: int) -> bool:
-    """Characterization verdict for a k = 3 subfamily given as layer positions.
-
-    Mirrors ``characterize`` exactly, but over the support of the family (so
-    implicitly on the support-compacted ground set) and purely with table
-    lookups.
+    Returns a function of a layer bit pattern.  It mirrors ``characterize``
+    exactly, but over the support of the family (so implicitly on the
+    support-compacted ground set) and purely with table lookups: this
+    layer's tables for the family and its deleted parts, and the (n, k-1)
+    layer's for the links.  ``characterize`` is the oracle the tests sample
+    it against.
     """
-    pop = tables.pop_table
-    shadow_table = tables.shadow_table
-    m = pop[pattern]
-    thr = tables.threshold3[m]
-    bound_m = tables.bound3[m]
-    support = tables.tri_support[pattern]
-    x = 1
-    while support:
-        if support & 1:
-            members = pattern & tables.member[x]
-            d = pop[members]
-            rest_pattern = pattern ^ members
+    layer = _layer(n, k)
+    sh, pop = layer.tables()
+    link_shadow, _ = _layer(n, k - 1).tables()
+    members = layer.member()[1:]
+    # The (n, k-1) layer's positions are this layer's sub_index positions.
+    # The shadow of x's star holds each link set S - x, and its other sets
+    # all contain x, so masking those out leaves exactly the link.
+    avoid = [
+        sum(1 << i for sub, i in layer.sub_index.items() if not sub >> x & 1)
+        for x in range(n)
+    ]
+    star = list(zip(members, avoid))
+    bound = _shadow_bounds(k, layer.size)
+    link_bound = _shadow_bounds(k - 1, layer.size)
+    threshold = [0] + [
+        seq_value(seq_minus(decompose(m, k), 1), k) for m in range(1, layer.size + 1)
+    ]
+
+    def verdict(pattern: int) -> bool:
+        m = pop[pattern]
+        thr = threshold[m]
+        bound_m = bound[m]
+        for member, avoid_x in star:
+            chosen = pattern & member
+            if not chosen:
+                continue  # x lies outside the support
+            d = pop[chosen]
             rest = m - d
             if rest < thr:
                 return False
-            link_mask = 0
-            probe = members
-            pair_bits = tables.pair_bit[x]
-            while probe:
-                low = probe & -probe
-                link_mask |= pair_bits[low.bit_length() - 1]
-                probe ^= low
-            rest_shadow = shadow_table[rest_pattern]
+            link_mask = sh[chosen] & avoid_x
+            if link_shadow[link_mask].bit_count() != link_bound[d]:
+                return False  # link not extremal
+            rest_shadow = sh[pattern ^ chosen]
             if rest > thr:
                 if link_mask & ~rest_shadow:
                     return False  # link not inside the deleted part's shadow
-                if rest_shadow.bit_count() != tables.bound3[rest]:
+                if rest_shadow.bit_count() != bound[rest]:
                     return False  # deleted part not extremal
-                if tables.pair_support[link_mask].bit_count() != tables.bound2[d]:
-                    return False  # link not extremal
-                if bound_m != tables.bound3[rest] + tables.bound2[d]:
+                if bound_m != bound[rest] + link_bound[d]:
                     return False  # numeric identity fails
-            else:
-                if rest_shadow & ~link_mask:
-                    return False  # deleted part's shadow escapes the link
-                if tables.pair_support[link_mask].bit_count() != tables.bound2[d]:
-                    return False  # link not extremal
-        support >>= 1
-        x += 1
-    return True
+            elif rest_shadow & ~link_mask:
+                return False  # deleted part's shadow escapes the link
+        return True
+
+    return verdict
 
 
 def characterization_sweep(n: int, k: int = 3) -> dict:
     """Compare the characterization verdict with direct extremality for every
-    nonempty subfamily of C([n], k); returns counts and any mismatches."""
-    if k != 3:
-        raise ValueError("the full sweep is built for k = 3 layers")
-    tables = _sweep_tables(n)
-    shadow_table, pop = tables.shadow_table, tables.pop_table
-    bound3 = tables.bound3
-    verdictor = _fast_characterize_verdict
+    nonempty subfamily of C([n], k), n > k >= 2; returns counts and any
+    mismatches."""
+    if not n > k >= 2:
+        raise ValueError("the characterization sweep needs n > k >= 2")
+    verdict = _fast_characterize_verdict(n, k)
+    layer = _layer(n, k)
+    sh, pop = layer.tables()
+    bound = _shadow_bounds(k, layer.size)
     mismatches: list[int] = []
     extremal_count = 0
-    total = 1 << tables.layer.size
+    total = 1 << layer.size
     for pattern in range(1, total):
-        extremal = shadow_table[pattern].bit_count() == bound3[pop[pattern]]
+        extremal = sh[pattern].bit_count() == bound[pop[pattern]]
         if extremal:
             extremal_count += 1
-        if verdictor(tables, pattern) != extremal:
+        if verdict(pattern) != extremal:
             mismatches.append(pattern)
     return {
         "n": n,
@@ -632,7 +609,6 @@ def min_degree_sweep(n: int, k: int) -> int:
         raise ValueError("the minimum-degree bound needs n > k > 1")
     layer = _layer(n, k)
     _, pop = layer.tables()
-    support_table = layer.support_table()
     members = layer.member()[1:]
     ok = [[False] * (m + 1) for m in range(layer.size + 1)]
     for m in range(2, layer.size + 1):
@@ -640,13 +616,14 @@ def min_degree_sweep(n: int, k: int) -> int:
         for d in range(1, m + 1):
             b = decompose(m - d, k)
             ok[m][d] = bool(b.terms) and lex_cmp(b, floor) >= 0
-    full = (1 << n) - 1
     checked = 0
     for pattern in range(1, 1 << layer.size):
         m = pop[pattern]
-        if m <= 1 or support_table[pattern] != full:
-            continue  # the bound is stated for full support
+        if m <= 1:
+            continue
         dmin = min([pop[pattern & mx] for mx in members])
+        if dmin == 0:
+            continue  # the bound is stated for full support
         if not ok[m][dmin]:
             raise RuntimeError(f"minimum-degree bound failed at pattern {pattern}")
         checked += 1

@@ -303,7 +303,9 @@ def canonical_form(family: KFamily) -> KFamily:
         if not ambiguous:
             leaves += 1
             if leaves > _ISO_BUDGET:
-                raise BudgetError("canonical form search too large")
+                raise BudgetError(
+                    f"canonical form search exceeds its budget of {_ISO_BUDGET} leaves"
+                )
             mapping = {x: color[x] + 1 for x in support}
             image = tuple(
                 sorted(sum(1 << (mapping[e] - 1) for e in elems) for elems in sets)

@@ -446,8 +446,12 @@ def conjecture_scan(
     """
     if k < 2:
         raise ValueError("the scan needs k >= 2")
+    if not x_grid:
+        raise ValueError("the grid is empty")
     if any(x < k for x in x_grid):
         raise ValueError("grid values must be at least k")
+    if y_samples < 1:
+        raise ValueError("need y_samples >= 1")
     best = float("inf")
     argmin = (float("nan"),) * 3
     near: list[tuple[float, float, float, float]] = []

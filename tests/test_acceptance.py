@@ -12,7 +12,7 @@ from shadowlab.exact import EMPTY, Seq, binom, decompose, seq_value
 from shadowlab.families import initial_segment
 from shadowlab.extremal import (
     _extremal_patterns_by_size,
-    _sweep_tables,
+    _layer,
     brute_force_min_shadow,
     characterization_sweep,
     extremal_iso_classes,
@@ -167,7 +167,9 @@ def test_criterion_5_uniqueness_at_desk_scale():
 
 def test_criterion_6_shadow_chain():
     start = time.time()
-    tables = _sweep_tables(6)
+    # the (6,2) layer's positions are the (6,3) shadow-mask bits
+    triple_shadow, _ = _layer(6, 3).tables()
+    pair_shadow, _ = _layer(6, 2).tables()
     patterns = _extremal_patterns_by_size(6, 3)
     chained = 0
     for m, plist in patterns.items():
@@ -175,9 +177,9 @@ def test_criterion_6_shadow_chain():
         want_pairs = seq_value(a, 2)
         want_points = seq_value(a, 1)
         for pattern in plist:
-            edge_mask = tables.shadow_table[pattern]
+            edge_mask = triple_shadow[pattern]
             assert edge_mask.bit_count() == want_pairs
-            assert tables.pair_support[edge_mask].bit_count() == want_points
+            assert pair_shadow[edge_mask].bit_count() == want_points
             chained += 1
     segments = 0
     for n in range(2, 9):

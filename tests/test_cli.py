@@ -222,8 +222,13 @@ def test_usage_and_overflow_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["bound", "not-a-number", "3"]) == 2
     capsys.readouterr()
-    assert main(["oracle", "min-shadow", "9", "4", "60"]) == 3  # over budget
-    capsys.readouterr()
+    # over budget: the count is compared exactly, beyond the 128-bit range
+    assert main(["oracle", "min-shadow", "9", "4", "60"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: C(126, 60) = ")
+    assert captured.err.endswith("exceed the enumeration budget of 3000000\n")
+    assert captured.err.count("\n") == 1
     assert main(["check", "--in", "/nonexistent/family.json"]) == 2
     capsys.readouterr()
     assert main(["construct", "perturbed", "6", "3", "19"]) == 2  # precondition
@@ -243,6 +248,32 @@ def test_usage_and_overflow_exit_codes(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    # empty or unbounded grids: a zero, negative or non-finite step, an
+    # infinite xmax, xmax below k, and no y samples
+    for args in (
+        ("--step", "0"),
+        ("--step", "-1"),
+        ("--xmax", "inf"),
+        ("--xmax", "2"),
+        ("--y-samples", "0"),
+    ):
+        assert main(["verify", "conjecture", "--k", "3", *args]) == 2, args
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert main(["verify", "conjecture", "--k", "3", "--y-samples", "1"]) == 0
+    capsys.readouterr()
+    # the k-fold shadow of a k-family is {{}}, which the family format cannot
+    # carry: refused before the output file is created
+    seg = tmp_path / "seg.json"
+    assert main(["construct", "colex", "6", "3", "12", "--out", str(seg)]) == 0
+    capsys.readouterr()
+    empty = tmp_path / "empty.json"
+    assert main(["shadow", "--in", str(seg), "--iter", "3", "--out", str(empty)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert not empty.exists()
     for i, sets in enumerate(([[True, 2]], [["1", "2"], ["1", "3"]], 5)):
         path = tmp_path / f"malformed{i}.json"
         path.write_text(json.dumps({"n": 4, "k": 2, "sets": sets}))

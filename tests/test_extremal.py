@@ -9,6 +9,7 @@ import pytest
 
 from shadowlab.exact import binom, decompose, lex_cmp, seq_minus
 from shadowlab.families import (
+    BudgetError,
     KFamily,
     are_isomorphic,
     canonical_form,
@@ -18,9 +19,10 @@ from shadowlab.families import (
 from shadowlab.extremal import (
     _fast_characterize_verdict,
     _iso_classes,
-    _sweep_tables,
+    _layer,
     brute_force_min_shadow,
     certify_by_witness,
+    characterization_sweep,
     characterize,
     enumerate_extremal,
     extremal_iso_classes,
@@ -149,8 +151,6 @@ def test_characterize_matches_is_extremal_sampled():
 
 
 def test_characterization_sweep_small_layer():
-    from shadowlab.extremal import characterization_sweep
-
     result = characterization_sweep(5)
     assert result["checked"] == 2**10 - 1
     assert result["mismatches"] == []
@@ -169,19 +169,74 @@ def test_characterize_matches_extremality_at_k2():
         assert characterize(family).verdict == is_extremal(family), chosen
 
 
-def test_fast_verdict_matches_slow_characterize():
-    tables = _sweep_tables(6)
-    layer = tables.layer
-    rng = random.Random(777)
-    for _ in range(600):
-        pattern = rng.randrange(1, 1 << layer.size)
-        family = layer.family(pattern)
-        support = family.support()
-        relabel = {x: i + 1 for i, x in enumerate(support)}
-        compacted = KFamily.from_sets(
-            len(support), 3, ([relabel[e] for e in s] for s in family.sets())
+# (checked, extremal) for every layer the any-k characterization sweep covers
+SWEEP_COUNTS = {
+    (3, 2): (7, 7),
+    (4, 2): (63, 44),
+    (4, 3): (15, 15),
+    (5, 2): (1023, 336),
+    (5, 3): (1023, 231),
+    (5, 4): (31, 31),
+    (6, 2): (32767, 3422),
+    (6, 3): (1048575, 5532),
+    (6, 4): (32767, 1032),
+    (6, 5): (63, 63),
+}
+
+
+def test_characterization_sweep_every_layer():
+    assert sorted(SWEEP_COUNTS) == [
+        (n, k) for n in range(3, 7) for k in range(2, n)
+    ]
+    for (n, k), (checked, extremal) in SWEEP_COUNTS.items():
+        result = characterization_sweep(n, k)
+        assert (result["checked"], result["extremal"]) == (checked, extremal), (n, k)
+        assert result["mismatches"] == [], (n, k)
+    # the link layer (7,5) has 21 sets, over the table limit
+    with pytest.raises(BudgetError, match="limit of 20"):
+        characterization_sweep(7, 6)
+    for n, k in ((3, 3), (4, 1), (2, 1)):
+        with pytest.raises(ValueError):
+            characterization_sweep(n, k)
+
+
+def test_extremal_counts_match_shadow_oracle():
+    # independent of the layer tables and of the bound: a family is
+    # extremal iff its shadow is the smallest among families of its size
+    for (n, k), (checked, extremal) in SWEEP_COUNTS.items():
+        if (n, k) == (6, 3):
+            continue  # 2^20 families; the sweep itself is pinned above
+        pool = sorted(
+            sum(1 << (e - 1) for e in s) for s in combinations(range(1, n + 1), k)
         )
-        assert _fast_characterize_verdict(tables, pattern) == characterize(compacted).verdict
+        count = 0
+        for m in range(1, len(pool) + 1):
+            sizes = [
+                len(shadow(KFamily(n, k, chosen)))
+                for chosen in combinations(pool, m)
+            ]
+            count += sizes.count(min(sizes))
+        assert (2 ** len(pool) - 1, count) == (checked, extremal), (n, k)
+
+
+def test_fast_verdict_matches_slow_characterize():
+    rng = random.Random(777)
+    for n, k in SWEEP_COUNTS:
+        layer = _layer(n, k)
+        verdict = _fast_characterize_verdict(n, k)
+        total = 1 << layer.size
+        if total <= 1 << 10:
+            samples = range(1, total)
+        else:
+            samples = [rng.randrange(1, total) for _ in range(600)]
+        for pattern in samples:
+            family = layer.family(pattern)
+            support = family.support()
+            relabel = {x: i + 1 for i, x in enumerate(support)}
+            compacted = KFamily.from_sets(
+                len(support), k, ([relabel[e] for e in s] for s in family.sets())
+            )
+            assert verdict(pattern) == characterize(compacted).verdict, (n, k, pattern)
 
 
 def test_min_degree_bound_examples():
@@ -246,10 +301,12 @@ def test_enumerate_methods_agree():
         ex = {f.masks for f in enumerate_extremal(6, 3, m, method="exhaustive")}
         rec = {f.masks for f in enumerate_extremal(6, 3, m, method="recursive")}
         assert ex == rec, m
-    for m in range(1, binom(5, 2) + 1):
-        ex = {f.masks for f in enumerate_extremal(5, 2, m, method="exhaustive")}
-        rec = {f.masks for f in enumerate_extremal(5, 2, m, method="recursive")}
-        assert ex == rec, m
+    # every size of the other layers the characterization sweep covers
+    for n, k in ((3, 2), (4, 2), (4, 3), (5, 2), (5, 4), (6, 2), (6, 4), (6, 5)):
+        for m in range(1, binom(n, k) + 1):
+            ex = {f.masks for f in enumerate_extremal(n, k, m, method="exhaustive")}
+            rec = {f.masks for f in enumerate_extremal(n, k, m, method="recursive")}
+            assert ex == rec, (n, k, m)
     # at k = 1 every family is extremal
     for n, m in [(4, m) for m in range(1, 5)] + [(6, 3)]:
         ex = {f.masks for f in enumerate_extremal(n, 1, m, method="exhaustive")}
@@ -359,15 +416,17 @@ def test_extremal_shadow_is_extremal_small():
         for family in enumerate_extremal(5, 3, m):
             if family.k > 1:
                 assert is_extremal(shadow(family))
-    # and over every extremal family of C([6], 3) via the shared tables
+    # and over every extremal family of C([6], 3) via the shared tables; the
+    # (6,2) layer's positions are the (6,3) shadow-mask bits
     from shadowlab.extremal import _extremal_patterns_by_size
 
-    tables = _sweep_tables(6)
+    triple_shadow, _ = _layer(6, 3).tables()
+    pair_shadow, _ = _layer(6, 2).tables()
     for m, patterns in _extremal_patterns_by_size(6, 3).items():
         for pattern in patterns:
-            edge_mask = tables.shadow_table[pattern]
+            edge_mask = triple_shadow[pattern]
             pairs = edge_mask.bit_count()
-            points = tables.pair_support[edge_mask].bit_count()
+            points = pair_shadow[edge_mask].bit_count()
             assert points == kk_bound(pairs, 2, 1)
 
 
