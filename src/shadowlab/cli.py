@@ -551,6 +551,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:  # a fault in shadowlab itself, never a verdict
+        message = " ".join(str(exc).split())
+        sys.stderr.write(f"error: internal: {type(exc).__name__}: {message}\n")
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,12 +1,16 @@
 """Shadow-minimization bounds, extremality tests, characterization, enumeration.
 
 The exhaustive machinery indexes families of a small layer C([n], k) by the
-bit pattern of chosen positions and keeps one shared table of shadow masks,
-so full sweeps over every subfamily are flat table loops.
+bit pattern of chosen positions and keeps shared per-pattern byte tables of
+member counts, shadow sizes and shadow masks, built by doubling.  The sweeps
+over every subfamily are whole-table byte operations, except the
+characterization verdict, which walks the tables pattern by pattern.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -185,8 +189,80 @@ def min_degree_bound_check(family: KFamily) -> bool:
     return bool(b.terms) and lex_cmp(b, seq_minus(a, 1)) >= 0
 
 
+# Byte tables over layer bit patterns: entry f describes the subfamily whose
+# members are the set bits of f.
+_IDENTITY = bytes(range(256))
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"
+_POPCOUNT = bytes(b.bit_count() for b in range(256))
+
+
+def _doubled(steps: list[bytes]) -> bytearray:
+    """The 2^len(steps)-entry byte table that starts [0] and doubles once per
+    step: block [2^i, 2^(i+1)) is block [0, 2^i) translated by steps[i]."""
+    table = bytearray(1)
+    for step in steps:
+        table += table.translate(step)
+    return table
+
+
+def _or_step(byte: int) -> bytes:
+    return bytes(b | byte for b in range(256))
+
+
+def _join_planes(planes: list[bytes]) -> array:
+    """One array of ints from equal-length byte planes, least significant first."""
+    typecode = next((t for t in "BHIQ" if array(t).itemsize >= len(planes)), None)
+    if typecode is None:
+        raise ValueError(f"{8 * len(planes)}-bit entries do not fit one array")
+    table = array(typecode)
+    width = table.itemsize
+    joined = bytearray(width * len(planes[0]))
+    view = memoryview(joined)
+    for p, plane in enumerate(planes):
+        offset = p if sys.byteorder == "little" else width - 1 - p
+        view[offset::width] = plane
+    table.frombytes(joined)
+    return table
+
+
+# Guard-bit arithmetic on byte tables read as one int, entry i in bits
+# 8i..8i+7.  The member counts and degrees it compares fit 7 bits, since
+# they are at most SWEEP_LAYER_LIMIT.
+if not SWEEP_LAYER_LIMIT < 128:
+    raise RuntimeError("the byte-field sweep tables need SWEEP_LAYER_LIMIT < 128")
+
+
+def _fields(table: bytes) -> int:
+    return int.from_bytes(table, "little")
+
+
+def _fill(byte: int, count: int) -> int:
+    """count 8-bit fields, each holding byte."""
+    return _fields(bytes((byte,)) * count)
+
+
+def _nonzero(x: int, high: int) -> int:
+    """The guard bit 0x80 of every nonzero 8-bit field of x; high holds 0x80
+    in every field."""
+    low = high - (high >> 7)  # 0x7F in every field
+    return ((x & low) + low | x) & high
+
+
+def _field_min(a: int, b: int, high: int) -> int:
+    """Field-wise minimum of two field tables whose fields are all below 128."""
+    ge = ((a | high) - b) & high  # the guard survives where a >= b
+    return a ^ ((a ^ b) & (ge - (ge >> 7)))
+
+
 class _Layer:
-    """Shared tables for exhaustive sweeps over subfamilies of C([n], k)."""
+    """Shared tables for exhaustive sweeps over subfamilies of C([n], k).
+
+    The tables are indexed by layer bit pattern and built by doubling: the
+    entries for patterns in [2^i, 2^(i+1)) are those of [0, 2^i) with set i
+    added.  Shadow masks are built as 8-bit planes, each doubled with one
+    ``translate`` through an "OR set i's shed byte" table, and joined into
+    one array only when a sweep needs whole masks.
+    """
 
     def __init__(self, n: int, k: int):
         if not 1 <= k <= n:
@@ -208,31 +284,31 @@ class _Layer:
                 bits |= 1 << self.sub_index[m ^ low]
                 rest ^= low
             self.shed.append(bits)
-        self._shadow_table: list[int] | None = None
-        self._pop_table: list[int] | None = None
+        self._planes: list[bytearray] | None = None
+        self._counts: tuple[bytes, bytes] | None = None
+        self._shadow_table: array | None = None
         self._member: list[int] | None = None
 
-    def tables(self) -> tuple[list[int], list[int]]:
+    def counts(self) -> tuple[bytes, bytes]:
+        """Per-subfamily member counts and shadow sizes, one byte each."""
+        if self._counts is None:
+            planes = [
+                _doubled([_or_step(bits >> shift & 0xFF) for bits in self.shed])
+                for shift in range(0, len(self.sub_masks), 8)
+            ]
+            sizes = sum(_fields(plane.translate(_POPCOUNT)) for plane in planes)
+            pop = bytes(_doubled([_PLUS_ONE] * self.size))
+            self._counts = pop, sizes.to_bytes(len(pop), "little")
+            self._planes = planes
+        return self._counts
+
+    def tables(self) -> tuple[array, bytes]:
         """Per-subfamily shadow masks and member counts, built on first use."""
+        pop, _ = self.counts()
         if self._shadow_table is None:
-            if self.size > SWEEP_LAYER_LIMIT:
-                raise BudgetError(
-                    f"layer of {self.size} sets exceeds the sweep limit of "
-                    f"{SWEEP_LAYER_LIMIT} sets"
-                )
-            total = 1 << self.size
-            shed = self.shed
-            low_index = {1 << i: i for i in range(self.size)}
-            sh = [0] * total
-            pop = [0] * total
-            for f in range(1, total):
-                low = f & -f
-                rest = f ^ low
-                sh[f] = sh[rest] | shed[low_index[low]]
-                pop[f] = pop[rest] + 1
-            self._shadow_table = sh
-            self._pop_table = pop
-        return self._shadow_table, self._pop_table
+            self._shadow_table = _join_planes(self._planes)
+            self._planes = None
+        return self._shadow_table, pop
 
     def member(self) -> list[int]:
         """Per element x of [n], at index x: the layer positions whose set holds x."""
@@ -253,15 +329,30 @@ def _layer(n: int, k: int) -> _Layer:
     return _Layer(n, k)
 
 
+def _sweep_layer(n: int, k: int) -> _Layer:
+    """The layer C([n], k) for table sweeps, refused before it is built when
+    its 2^C(n, k) tables exceed the sweep limit.  Every table read goes
+    through here, so the byte tables' counts stay within their fields."""
+    size = binom(n, k)
+    if size > SWEEP_LAYER_LIMIT:
+        raise BudgetError(
+            f"layer of {size} sets exceeds the sweep limit of "
+            f"{SWEEP_LAYER_LIMIT} sets"
+        )
+    if binom(n, k - 1) > 255:
+        raise BudgetError(f"shadow sizes of C({n}, {k - 1}) sets do not fit one byte")
+    return _layer(n, k)
+
+
 @lru_cache(maxsize=8)
 def _min_shadow_table(n: int, k: int) -> list[int]:
     """min |shadow| per family size over all subfamilies of C([n], k)."""
-    layer = _layer(n, k)
-    sh, pop = layer.tables()
+    layer = _sweep_layer(n, k)
+    pop, sizes = layer.counts()
     best = [0] + [1 << 62] * layer.size
-    for f in range(1, 1 << layer.size):
-        count = sh[f].bit_count()
-        m = pop[f]
+    # each distinct (member count, shadow size) pair once, as pop << 8 | size
+    for key in set(_join_planes([sizes, pop])):
+        m, count = key >> 8, key & 0xFF
         if count < best[m]:
             best[m] = count
     return best
@@ -308,22 +399,33 @@ def _shadow_bounds(k: int, top: int) -> list[int]:
     return [kk_bound(m, k, 1) for m in range(top + 1)]
 
 
+def _extremal_flags(layer: _Layer) -> bytes:
+    """Per subfamily: 0x80 where its shadow meets the bound for its size,
+    else 0.  The empty pattern 0 is flagged too."""
+    pop, sizes = layer.counts()
+    bounds = bytes(_shadow_bounds(layer.k, layer.size)).ljust(256, b"\0")
+    high = _fill(0x80, len(pop))
+    differ = _nonzero(_fields(sizes) ^ _fields(pop.translate(bounds)), high)
+    return (high ^ differ).to_bytes(len(pop), "little")
+
+
 @lru_cache(maxsize=4)
 def _extremal_patterns_by_size(n: int, k: int) -> dict[int, list[int]]:
     """All extremal subfamilies of the layer, grouped by size, as bit patterns."""
-    layer = _layer(n, k)
-    sh, pop = layer.tables()
+    layer = _sweep_layer(n, k)
+    pop, _ = layer.counts()
+    flags = _extremal_flags(layer)
     out: dict[int, list[int]] = {m: [] for m in range(1, layer.size + 1)}
-    bounds = _shadow_bounds(k, layer.size)
-    for f in range(1, 1 << layer.size):
-        if sh[f].bit_count() == bounds[pop[f]]:
-            out[pop[f]].append(f)
+    f = flags.find(0x80, 1)
+    while f != -1:
+        out[pop[f]].append(f)
+        f = flags.find(0x80, f + 1)
     return out
 
 
 def _enum_exhaustive(n: int, k: int, m: int) -> list[KFamily]:
-    layer = _layer(n, k)
     patterns = _extremal_patterns_by_size(n, k).get(m, [])
+    layer = _layer(n, k)
     return [layer.family(p) for p in patterns]
 
 
@@ -516,9 +618,11 @@ def _fast_characterize_verdict(n: int, k: int) -> Callable[[int], bool]:
     layer's for the links.  ``characterize`` is the oracle the tests sample
     it against.
     """
-    layer = _layer(n, k)
+    layer = _sweep_layer(n, k)
+    link_layer = _sweep_layer(n, k - 1)
     sh, pop = layer.tables()
-    link_shadow, _ = _layer(n, k - 1).tables()
+    _, size = layer.counts()
+    _, link_size = link_layer.counts()
     members = layer.member()[1:]
     # The (n, k-1) layer's positions are this layer's sub_index positions.
     # The shadow of x's star holds each link set S - x, and its other sets
@@ -547,13 +651,14 @@ def _fast_characterize_verdict(n: int, k: int) -> Callable[[int], bool]:
             if rest < thr:
                 return False
             link_mask = sh[chosen] & avoid_x
-            if link_shadow[link_mask].bit_count() != link_bound[d]:
+            if link_size[link_mask] != link_bound[d]:
                 return False  # link not extremal
-            rest_shadow = sh[pattern ^ chosen]
+            rest_pattern = pattern ^ chosen
+            rest_shadow = sh[rest_pattern]
             if rest > thr:
                 if link_mask & ~rest_shadow:
                     return False  # link not inside the deleted part's shadow
-                if rest_shadow.bit_count() != bound[rest]:
+                if size[rest_pattern] != bound[rest]:
                     return False  # deleted part not extremal
                 if bound_m != bound[rest] + link_bound[d]:
                     return False  # numeric identity fails
@@ -571,23 +676,16 @@ def characterization_sweep(n: int, k: int = 3) -> dict:
     if not n > k >= 2:
         raise ValueError("the characterization sweep needs n > k >= 2")
     verdict = _fast_characterize_verdict(n, k)
-    layer = _layer(n, k)
-    sh, pop = layer.tables()
-    bound = _shadow_bounds(k, layer.size)
-    mismatches: list[int] = []
-    extremal_count = 0
-    total = 1 << layer.size
-    for pattern in range(1, total):
-        extremal = sh[pattern].bit_count() == bound[pop[pattern]]
-        if extremal:
-            extremal_count += 1
-        if verdict(pattern) != extremal:
-            mismatches.append(pattern)
+    flags = _extremal_flags(_sweep_layer(n, k))
+    total = len(flags)
+    mismatches = [
+        pattern for pattern in range(1, total) if verdict(pattern) != bool(flags[pattern])
+    ]
     return {
         "n": n,
         "k": k,
         "checked": total - 1,
-        "extremal": extremal_count,
+        "extremal": flags.count(0x80) - 1,  # not the empty pattern
         "mismatches": mismatches,
     }
 
@@ -599,32 +697,44 @@ def extremal_iso_classes(n: int, k: int, m: int) -> list[KFamily]:
 
 def min_degree_sweep(n: int, k: int) -> int:
     """Check the minimum-degree deletion bound over every admissible subfamily;
-    returns the number checked, raising on the first violation.
+    returns the number checked, raising at the first violation.
 
     The bound depends only on the family size m and the minimum degree d, so
-    it is decided once per (m, d); ``min_degree_bound_check`` is the
-    family-at-a-time oracle the tests compare against.
+    it is decided once per (m, d) and applied to whole byte tables: one
+    degree table per element, built by doubling, their field-wise minimum,
+    and the verdicts looked up by translation.  ``min_degree_bound_check``
+    is the family-at-a-time oracle the tests compare against.
     """
     if not n > k > 1:
         raise ValueError("the minimum-degree bound needs n > k > 1")
-    layer = _layer(n, k)
-    _, pop = layer.tables()
-    members = layer.member()[1:]
-    ok = [[False] * (m + 1) for m in range(layer.size + 1)]
+    layer = _sweep_layer(n, k)
+    pop, _ = layer.counts()
+    high = _fill(0x80, len(pop))
+    least = _fill(0x7F, len(pop))
+    for x in range(n):
+        steps = [_PLUS_ONE if mask >> x & 1 else _IDENTITY for mask in layer.masks]
+        least = _field_min(least, _fields(_doubled(steps)), high)
+    dmin = least.to_bytes(len(pop), "little")
+    # bit d of held[m]: the bound holds for m members at minimum degree d
+    held = [0] * 256
     for m in range(2, layer.size + 1):
         floor = seq_minus(decompose(m, k), 1)
         for d in range(1, m + 1):
             b = decompose(m - d, k)
-            ok[m][d] = bool(b.terms) and lex_cmp(b, floor) >= 0
-    checked = 0
-    for pattern in range(1, 1 << layer.size):
-        m = pop[pattern]
-        if m <= 1:
-            continue
-        dmin = min([pop[pattern & mx] for mx in members])
-        if dmin == 0:
-            continue  # the bound is stated for full support
-        if not ok[m][dmin]:
-            raise RuntimeError(f"minimum-degree bound failed at pattern {pattern}")
-        checked += 1
-    return checked
+            if b.terms and lex_cmp(b, floor) >= 0:
+                held[m] |= 1 << d
+    # bit dmin of held[m], read from one 8-bit slice of d at a time
+    passed = 0
+    for low in range(0, layer.size + 1, 8):
+        row = bytes(bits >> low & 0xFF for bits in held)
+        pick = bytes(1 << (d - low) if low <= d < low + 8 else 0 for d in range(256))
+        passed |= _fields(pop.translate(row)) & _fields(dmin.translate(pick))
+    # the bound is stated for |S| > 1 and full support
+    sized = bytes(0x80 if m > 1 else 0 for m in range(256))
+    covered = bytes(0x80 if d > 0 else 0 for d in range(256))
+    checked = _fields(pop.translate(sized)) & _fields(dmin.translate(covered))
+    failed = checked & ~_nonzero(passed, high)
+    if failed:
+        pattern = ((failed & -failed).bit_length() - 1) // 8
+        raise RuntimeError(f"minimum-degree bound failed at pattern {pattern}")
+    return checked.bit_count()

@@ -217,6 +217,21 @@ def test_parse_binomial_sum():
         parse_binomial_sum("garbage")
 
 
+def test_internal_error_exit_code(monkeypatch, capsys):
+    # an exception no documented exit code covers is one line and exit 4,
+    # never a traceback or exit 1
+    from shadowlab import cli
+
+    def broken(args):
+        raise RuntimeError("table\nout of step")
+
+    monkeypatch.setattr(cli, "_cmd_decompose", broken)
+    assert main(["decompose", "14", "4"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal: RuntimeError: table out of step\n"
+
+
 def test_usage_and_overflow_exit_codes(tmp_path, capsys):
     assert main(["decompose", "-3", "2"]) == 2
     capsys.readouterr()
@@ -229,6 +244,11 @@ def test_usage_and_overflow_exit_codes(tmp_path, capsys):
     assert captured.err.startswith("error: C(126, 60) = ")
     assert captured.err.endswith("exceed the enumeration budget of 3000000\n")
     assert captured.err.count("\n") == 1
+    # refused before the C(20, 10)-set layer is built
+    assert main(["enumerate", "20", "10", "5"]) == 3
+    assert capsys.readouterr().err == (
+        "error: layer of 184756 sets exceeds the sweep limit of 20 sets\n"
+    )
     assert main(["check", "--in", "/nonexistent/family.json"]) == 2
     capsys.readouterr()
     assert main(["construct", "perturbed", "6", "3", "19"]) == 2  # precondition

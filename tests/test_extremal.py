@@ -219,6 +219,48 @@ def test_extremal_counts_match_shadow_oracle():
         assert (2 ** len(pool) - 1, count) == (checked, extremal), (n, k)
 
 
+def test_layer_tables_match_list_dp():
+    # the byte-plane tables against a plain list DP over the same patterns:
+    # bit i of a pattern picks the i-th k-set in colex order, and bit j of a
+    # shadow mask the j-th (k-1)-set
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            pool = sorted(
+                sum(1 << (e - 1) for e in s) for s in combinations(range(1, n + 1), k)
+            )
+            subs = sorted(
+                sum(1 << (e - 1) for e in s)
+                for s in combinations(range(1, n + 1), k - 1)
+            )
+            shed = [
+                sum(1 << subs.index(mask & ~(1 << e)) for e in range(n) if mask >> e & 1)
+                for mask in pool
+            ]
+            total = 1 << len(pool)
+            shadow_masks = [0] * total
+            members = [0] * total
+            for pattern in range(1, total):
+                low = pattern & -pattern
+                rest = pattern ^ low
+                shadow_masks[pattern] = shadow_masks[rest] | shed[low.bit_length() - 1]
+                members[pattern] = members[rest] + 1
+            layer = _layer(n, k)
+            table, count = layer.tables()
+            _, sizes = layer.counts()
+            assert list(table) == shadow_masks, (n, k)
+            assert list(count) == members, (n, k)
+            assert list(sizes) == [mask.bit_count() for mask in shadow_masks], (n, k)
+
+
+def test_sweep_limit_refuses_before_building_the_layer():
+    misses = _layer.cache_info().misses
+    with pytest.raises(BudgetError, match="layer of 184756 sets exceeds the sweep limit"):
+        enumerate_extremal(20, 10, 5)
+    with pytest.raises(BudgetError, match="layer of 21 sets exceeds the sweep limit"):
+        min_degree_sweep(7, 5)
+    assert _layer.cache_info().misses == misses
+
+
 def test_fast_verdict_matches_slow_characterize():
     rng = random.Random(777)
     for n, k in SWEEP_COUNTS:
@@ -274,6 +316,48 @@ def test_min_degree_sweep():
                     assert min_degree_bound_check(family), chosen
                     checked += 1
         assert checked == count
+
+
+def _full_support_patterns(n, k):
+    """(pattern, size, minimum degree) of every subfamily of C([n], k) with
+    more than one member and full support, in pattern order."""
+    pool = sorted(sum(1 << (e - 1) for e in s) for s in combinations(range(1, n + 1), k))
+    stars = [
+        sum(1 << i for i, mask in enumerate(pool) if mask >> x & 1) for x in range(n)
+    ]
+    for pattern in range(1, 1 << len(pool)):
+        m = pattern.bit_count()
+        dmin = min((pattern & star).bit_count() for star in stars)
+        if m > 1 and dmin > 0:
+            yield pattern, m, dmin
+
+
+def test_min_degree_sweep_reports_first_failing_pattern(monkeypatch):
+    # no real layer violates the bound, so patched verdicts stand in for a
+    # violation: the sweep must raise at the first failing pattern that a
+    # family-at-a-time loop finds
+    from shadowlab import extremal
+
+    monkeypatch.setattr(extremal, "lex_cmp", lambda b, floor: -1)
+    for n, k in ((5, 2), (6, 3)):
+        first, _, _ = next(_full_support_patterns(n, k))
+        with pytest.raises(RuntimeError, match=f"failed at pattern {first}$"):
+            min_degree_sweep(n, k)
+    # a verdict that fails at one (size, minimum degree) pair alone, for
+    # every pair at (6,4), whose degrees reach the second byte of d
+    first_of = {}
+    for pattern, m, dmin in _full_support_patterns(6, 4):
+        first_of.setdefault((m, dmin), pattern)
+    assert max(d for _, d in first_of) >= 8
+    for (m, d), first in first_of.items():
+        failing = (decompose(m - d, 4), seq_minus(decompose(m, 4), 1))
+        monkeypatch.setattr(
+            extremal,
+            "lex_cmp",
+            lambda b, floor, failing=failing: -1 if (b, floor) == failing else 1,
+        )
+        with pytest.raises(RuntimeError, match=f"failed at pattern {first}$"):
+            min_degree_sweep(6, 4)
 
 
 def test_enumerate_extremal_examples():
