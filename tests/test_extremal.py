@@ -7,7 +7,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from shadowlab.exact import binom, decompose, lex_cmp, seq_minus
+from shadowlab.exact import binom, decompose, lex_cmp, seq_minus, seq_value
 from shadowlab.families import (
     BudgetError,
     KFamily,
@@ -17,7 +17,7 @@ from shadowlab.families import (
     shadow,
 )
 from shadowlab.extremal import (
-    _fast_characterize_verdict,
+    _FastVerdict,
     _iso_classes,
     _layer,
     brute_force_min_shadow,
@@ -33,6 +33,7 @@ from shadowlab.extremal import (
     shadow_chain_check,
     uniqueness_predicate,
 )
+from shadowlab.inequalities import equality_splits, split_profile
 
 
 def full_layer(n, k):
@@ -265,7 +266,7 @@ def test_fast_verdict_matches_slow_characterize():
     rng = random.Random(777)
     for n, k in SWEEP_COUNTS:
         layer = _layer(n, k)
-        verdict = _fast_characterize_verdict(n, k)
+        verdict = _FastVerdict(n, k)
         total = 1 << layer.size
         if total <= 1 << 10:
             samples = range(1, total)
@@ -278,7 +279,112 @@ def test_fast_verdict_matches_slow_characterize():
             compacted = KFamily.from_sets(
                 len(support), k, ([relabel[e] for e in s] for s in family.sets())
             )
-            assert verdict(pattern) == characterize(compacted).verdict, (n, k, pattern)
+            report = characterize(compacted)
+            assert verdict(pattern) == report.verdict, (n, k, pattern)
+            # each element's clauses, not only their conjunction
+            for x in support:
+                ok = report.element(relabel[x]).ok
+                assert verdict.element(pattern, x) == ok, (n, k, pattern, x)
+
+
+# nonempty patterns the characterization sweep's pre-filter keeps, per layer
+KEPT_COUNTS = {
+    (3, 2): 7,
+    (4, 2): 59,
+    (4, 3): 15,
+    (5, 2): 893,
+    (5, 3): 261,
+    (5, 4): 31,
+    (6, 2): 27304,
+    (6, 3): 16597,
+    (6, 4): 1057,
+    (6, 5): 63,
+}
+
+
+def test_sweep_prefilter_drops_only_false_verdicts():
+    # the sweep runs the verdict only on kept patterns, so every dropped
+    # pattern must have verdict False: checked on every pattern of the
+    # layers with at most 2^15, counted on all
+    assert sorted(KEPT_COUNTS) == sorted(SWEEP_COUNTS)
+    for (n, k), count in KEPT_COUNTS.items():
+        verdict = _FastVerdict(n, k)
+        kept = bytearray()
+        for start, block in verdict.kept_blocks():
+            assert start == len(kept) and set(block) <= {0, 0x80}, (n, k, start)
+            kept += block
+        assert len(kept) == 1 << verdict.layer.size, (n, k)
+        assert kept[0] and kept.count(0x80) - 1 == count, (n, k)
+        if len(kept) <= 1 << 15:
+            for pattern in range(1, len(kept)):
+                if not kept[pattern]:
+                    assert not verdict(pattern), (n, k, pattern)
+
+
+def test_characterization_sweep_reports_mismatches_in_order(monkeypatch):
+    # a verdict made wrong on chosen patterns, and one flag set on a dropped
+    # pattern, must come back as mismatches in ascending order, across blocks
+    from shadowlab import extremal
+    from shadowlab.extremal import _extremal_patterns_by_size
+
+    verdict = _FastVerdict(6, 3)
+    kept = b"".join(block for _, block in verdict.kept_blocks())
+    by_size = _extremal_patterns_by_size(6, 3)
+    flagged = sorted(p for patterns in by_size.values() for p in patterns)
+    wrong = {
+        flagged[0],
+        flagged[-2],
+        next(p for p in range(1 << 19, 1 << 20) if kept[p] and not verdict(p)),
+    }
+    dropped = next(p for p in range(3 << 16, 1 << 20) if not kept[p])
+    assert len(wrong) == 3 and not verdict(dropped)
+
+    call = extremal._FastVerdict.__call__
+    monkeypatch.setattr(
+        extremal._FastVerdict, "__call__", lambda self, p: call(self, p) != (p in wrong)
+    )
+    flags = extremal._extremal_flags
+
+    def flags_with_dropped(layer):
+        table = bytearray(flags(layer))
+        table[dropped] = 0x80
+        return table
+
+    monkeypatch.setattr(extremal, "_extremal_flags", flags_with_dropped)
+    result = characterization_sweep(6, 3)
+    assert result["extremal"] == 5533
+    assert result["mismatches"] == sorted(wrong | {dropped})
+
+
+def test_extremal_families_realize_equality_splits():
+    # an extremal family whose cascade a is shorter than k splits at each
+    # strict-branch element into the deleted part and the link; their
+    # cascades (b, c) must be one of the closed-form equality splits of a
+    from shadowlab.extremal import _extremal_patterns_by_size
+
+    realized = {}
+    for n, k in ((5, 2), (6, 2), (5, 3), (6, 3), (6, 4)):
+        members = _layer(n, k).member()[1:]
+        checked = 0
+        for m, patterns in _extremal_patterns_by_size(n, k).items():
+            a = decompose(m, k)
+            if len(a) >= k:
+                continue
+            threshold = seq_value(seq_minus(a, 1), k)
+            profiles = {split_profile(b, c, k) for b, c in equality_splits(a, k)}
+            for pattern in patterns:
+                degrees = [(pattern & member).bit_count() for member in members]
+                if 0 in degrees:
+                    continue  # not full support
+                for d in degrees:
+                    if m - d > threshold:
+                        b, c = decompose(m - d, k), decompose(d, k - 1)
+                        assert split_profile(b, c, k) in profiles, (n, k, pattern, d)
+                        checked += 1
+        realized[n, k] = checked
+    # at k = 2 the only such family with full support is the whole layer,
+    # and it splits on the equality branch
+    assert realized == {(5, 2): 0, (6, 2): 0, (5, 3): 110, (6, 3): 450, (6, 4): 1350}
 
 
 def test_min_degree_bound_examples():
