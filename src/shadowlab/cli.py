@@ -203,6 +203,8 @@ def _cmd_construct(args) -> int:
             "extremal": is_extremal(family),
         }
     elif args.what == "forbidden-pairs":
+        if (args.t is None) != (args.r is None):
+            raise ValueError("--t and --r go together: give both or neither")
         deletion = (args.t, args.r) if args.t is not None else None
         spec = ForbiddenPairSpec.complete_pairs(args.n, args.k, args.m, deletion)
         report = {
@@ -257,6 +259,8 @@ def _lemma_worker(task: tuple[int, int]) -> dict:
 
 def _cmd_verify(args) -> int:
     if args.what == "lemma-abc":
+        if args.kmax < 2:
+            raise ValueError("the sweep needs kmax >= 2")
         tasks = [(k, args.amax) for k in range(2, args.kmax + 1)]
         if args.threads > 1:
             # imported here: the pool machinery would add to every request
@@ -285,6 +289,8 @@ def _cmd_verify(args) -> int:
         _emit({"n": args.n, "k": args.k, "checked": checked, "violations": []})
         return 0
     if args.what == "uniqueness":
+        if not args.n >= args.k >= 2:
+            raise ValueError("the uniqueness check needs n >= k >= 2")
         rows = []
         ok = True
         for m in range(1, binom(args.n, args.k) + 1):

@@ -128,7 +128,7 @@ def _pair_support_size(spec: ForbiddenPairSpec) -> int:
     return m
 
 
-def _avoiding_count(n: int, k: int, m: int) -> int:
+def _at_most_one_count(n: int, k: int, m: int) -> int:
     """|k-sets of [n] with at most one element in [m]| = C(n-m, k) + m*C(n-m, k-1)."""
     return binom(n - m, k) + m * binom(n - m, k - 1)
 
@@ -157,8 +157,8 @@ def forbidden_pair_cardinalities(spec: ForbiddenPairSpec) -> dict:
             "extremal": shadow_size == kk_bound(size, level, 1),
         }
 
-    base_size = _avoiding_count(n, k, m)
-    base_shadow = _avoiding_count(n, k - 1, m)
+    base_size = _at_most_one_count(n, k, m)
+    base_shadow = _at_most_one_count(n, k - 1, m)
     report: dict = {
         "n": n,
         "k": k,
@@ -180,10 +180,10 @@ def forbidden_pair_cardinalities(spec: ForbiddenPairSpec) -> dict:
 
     def element_entry(x_in_pairs: bool) -> dict:
         mm = m - 1 if x_in_pairs else m
-        link_size = _avoiding_count(n - 1, k - 1, mm)
-        link_shadow = _avoiding_count(n - 1, k - 2, mm)
-        rest_size = _avoiding_count(n - 1, k, mm)
-        rest_shadow = _avoiding_count(n - 1, k - 1, mm)
+        link_size = _at_most_one_count(n - 1, k - 1, mm)
+        link_shadow = _at_most_one_count(n - 1, k - 2, mm)
+        rest_size = _at_most_one_count(n - 1, k, mm)
+        rest_shadow = _at_most_one_count(n - 1, k - 1, mm)
         if tr:
             if x_in_pairs:
                 rest_size -= tr

@@ -2,10 +2,10 @@
 
 The exhaustive machinery indexes families of a small layer C([n], k) by the
 bit pattern of chosen positions and keeps shared per-pattern byte tables of
-member counts, shadow sizes and shadow masks, built by doubling.  The sweeps
-over every subfamily are whole-table byte operations.  The characterization
-sweep adds a per-pattern verdict, which it runs only on the patterns that a
-block-wise byte pre-filter keeps (under 2% at (6,3)).
+member counts and shadow sizes, built by doubling.  The sweeps over every
+subfamily are whole-table byte operations.  The characterization sweep adds
+a per-pattern verdict, which reads the same two tables and runs only on the
+patterns that a block-wise byte pre-filter keeps (under 2% at (6,3)).
 """
 
 from __future__ import annotations
@@ -212,20 +212,12 @@ def _or_step(byte: int) -> bytes:
     return bytes(b | byte for b in range(256))
 
 
-def _join_planes(planes: list[bytes]) -> array:
-    """One array of ints from equal-length byte planes, least significant first."""
-    typecode = next((t for t in "BHIQ" if array(t).itemsize >= len(planes)), None)
-    if typecode is None:
-        raise ValueError(f"{8 * len(planes)}-bit entries do not fit one array")
-    table = array(typecode)
-    width = table.itemsize
-    joined = bytearray(width * len(planes[0]))
-    view = memoryview(joined)
-    for p, plane in enumerate(planes):
-        offset = p if sys.byteorder == "little" else width - 1 - p
-        view[offset::width] = plane
-    table.frombytes(joined)
-    return table
+def _pairs(high: bytes, low: bytes) -> array:
+    """One 16-bit int high << 8 | low per entry of two equal-length byte tables."""
+    joined = bytearray(2 * len(low))
+    first, second = (low, high) if sys.byteorder == "little" else (high, low)
+    joined[0::2], joined[1::2] = first, second
+    return array("H", joined)
 
 
 # Guard-bit arithmetic on byte tables read as one int, entry i in bits
@@ -263,8 +255,8 @@ class _Layer:
     The tables are indexed by layer bit pattern and built by doubling: the
     entries for patterns in [2^i, 2^(i+1)) are those of [0, 2^i) with set i
     added.  Shadow masks are built as 8-bit planes, each doubled with one
-    ``translate`` through an "OR set i's shed byte" table, and joined into
-    one array only when a sweep needs whole masks.
+    ``translate`` through an "OR set i's shed byte" table, and kept only as
+    their popcount: one shadow-size byte per pattern.
     """
 
     def __init__(self, n: int, k: int):
@@ -287,9 +279,7 @@ class _Layer:
                 bits |= 1 << self.sub_index[m ^ low]
                 rest ^= low
             self.shed.append(bits)
-        self._planes: list[bytearray] | None = None
         self._counts: tuple[bytes, bytes] | None = None
-        self._shadow_table: array | None = None
         self._member: list[int] | None = None
 
     def counts(self) -> tuple[bytes, bytes]:
@@ -302,16 +292,7 @@ class _Layer:
             sizes = sum(_fields(plane.translate(_POPCOUNT)) for plane in planes)
             pop = bytes(_doubled([_PLUS_ONE] * self.size))
             self._counts = pop, sizes.to_bytes(len(pop), "little")
-            self._planes = planes
         return self._counts
-
-    def tables(self) -> tuple[array, bytes]:
-        """Per-subfamily shadow masks and member counts, built on first use."""
-        pop, _ = self.counts()
-        if self._shadow_table is None:
-            self._shadow_table = _join_planes(self._planes)
-            self._planes = None
-        return self._shadow_table, pop
 
     def member(self) -> list[int]:
         """Per element x of [n], at index x: the layer positions whose set holds x."""
@@ -348,13 +329,13 @@ def _sweep_layer(n: int, k: int) -> _Layer:
 
 
 @lru_cache(maxsize=8)
-def _min_shadow_table(n: int, k: int) -> list[int]:
+def _min_shadows(n: int, k: int) -> list[int]:
     """min |shadow| per family size over all subfamilies of C([n], k)."""
     layer = _sweep_layer(n, k)
     pop, sizes = layer.counts()
     best = [0] + [1 << 62] * layer.size
     # each distinct (member count, shadow size) pair once, as pop << 8 | size
-    for key in set(_join_planes([sizes, pop])):
+    for key in set(_pairs(pop, sizes)):
         m, count = key >> 8, key & 0xFF
         if count < best[m]:
             best[m] = count
@@ -369,7 +350,7 @@ def brute_force_min_shadow(n: int, k: int, m: int, budget: int | None = None) ->
     if k == 1:
         return 1
     if layer_size <= SWEEP_LAYER_LIMIT:
-        return _min_shadow_table(n, k)[m]
+        return _min_shadows(n, k)[m]
     # math.comb: the count is compared, never used, so it may leave 128 bits
     count = comb(layer_size, m)
     limit = COMBINATION_BUDGET if budget is None else budget
@@ -619,28 +600,28 @@ class _FastVerdict:
 
     Called on a layer bit pattern, it mirrors ``characterize`` exactly, but
     over the support of the family (so implicitly on the support-compacted
-    ground set) and purely with table lookups: this layer's tables for the
-    family and its deleted parts, and the (n, k-1) layer's for the links.
-    ``element`` holds one element's conditions, and the verdict is their
-    conjunction.  ``characterize`` is the oracle the tests compare both
-    against, element by element.
+    ground set) and purely with lookups in this layer's member-count and
+    shadow-size bytes.  At element x of a pattern P, let c = P & member[x]
+    be its star (the sets that hold x), L the link, d = pop[c] = |L|, and R
+    the deleted part, pattern P ^ c.  The star's shadow is L plus x joined
+    to each set of shadow(L), and shadow(R) avoids x, so shadow(P) is
+    shadow(R) | L plus those x-sets, and two identities give every clause:
+
+        |shadow(L)|        = size[c] - d
+        |shadow(R) | L|    = size[P] - |shadow(L)|
+
+    L lies inside shadow(R) iff the second equals size[P ^ c], and shadow(R)
+    inside L iff it equals d, that is iff size[P] == size[c].  ``element``
+    holds one element's conditions, and the verdict is their conjunction.
+    ``characterize`` stays the oracle the tests compare both against,
+    element by element.
     """
 
     def __init__(self, n: int, k: int):
         self.n = n
         self.layer = layer = _sweep_layer(n, k)
-        self.link_layer = _sweep_layer(n, k - 1)
-        self._sh, self._pop = layer.tables()
-        _, self._size = layer.counts()
-        _, self._link_size = self.link_layer.counts()
+        self._pop, self._size = layer.counts()
         self._member = layer.member()
-        # The (n, k-1) layer's positions are this layer's sub_index positions.
-        # The shadow of x's star holds each link set S - x, and its other sets
-        # all contain x, so masking those out leaves exactly the link.
-        self._avoid = [0] + [
-            sum(1 << i for sub, i in layer.sub_index.items() if not sub >> x & 1)
-            for x in range(n)
-        ]
         # per member count; the verdict and the pre-filter both read them
         self.bound = _shadow_bounds(k, layer.size)
         self.link_bound = _shadow_bounds(k - 1, layer.size)
@@ -654,25 +635,24 @@ class _FastVerdict:
         chosen = pattern & self._member[x]
         if not chosen:
             return True
-        pop, bound, link_bound = self._pop, self.bound, self.link_bound
+        pop, size, bound, link_bound = self._pop, self._size, self.bound, self.link_bound
         m = pop[pattern]
         d = pop[chosen]
         rest = m - d
         thr = self.threshold[m]
         if rest < thr:
             return False
-        link_mask = self._sh[chosen] & self._avoid[x]
-        if self._link_size[link_mask] != link_bound[d]:
+        star = size[chosen]
+        if star - d != link_bound[d]:
             return False  # link not extremal
-        rest_pattern = pattern ^ chosen
-        rest_shadow = self._sh[rest_pattern]
         if rest > thr:
+            rest_size = size[pattern ^ chosen]
             return (
-                not link_mask & ~rest_shadow  # link inside the deleted part's shadow
-                and self._size[rest_pattern] == bound[rest]  # deleted part extremal
+                size[pattern] - star + d == rest_size  # link inside the deleted part's shadow
+                and rest_size == bound[rest]  # deleted part extremal
                 and bound[m] == bound[rest] + link_bound[d]  # numeric identity
             )
-        return not rest_shadow & ~link_mask  # deleted part's shadow inside the link
+        return size[pattern] == star  # deleted part's shadow inside the link
 
     def __call__(self, pattern: int) -> bool:
         element = self.element
@@ -692,14 +672,15 @@ class _FastVerdict:
         Per element, two kinds of table over the low 16 positions are built
         once by doubling: a state byte d * (R + 1) + rest, where d of the
         pattern's sets hold x and rest of the R other sets are chosen, and
-        the link's shadow in 8-bit planes.  A block passes each table through
+        the star's shadow in 8-bit planes.  A block passes each table through
         one ``translate`` by the composed steps of its high positions.  The
-        state byte goes on to the link bound for d, or to 0xFF where the
-        threshold fails, and must equal the planes' popcount.
+        state byte goes on to d plus the link bound for d, or to 0xFF where
+        the threshold fails, and must equal the planes' popcount, the star's
+        shadow size.
         """
-        layer, link = self.layer, self.link_layer
-        if len(link.sub_masks) >= 0xFF:
-            raise BudgetError("link shadow sizes must stay below 0xFF, the threshold marker")
+        layer = self.layer
+        if len(layer.sub_masks) >= 0xFF:
+            raise BudgetError("star shadow sizes must stay below 0xFF, the threshold marker")
         low = min(layer.size, _BLOCK_POSITIONS)
         elements = []
         for x in range(1, self.n + 1):
@@ -713,18 +694,14 @@ class _FastVerdict:
                 )
             add_d = bytes((b + width) & 0xFF for b in range(256))
             steps = [add_d if h else _PLUS_ONE for h in holds]
-            target = bytearray(256)  # 0, the empty link's size, where d = 0
+            target = bytearray(256)  # 0, the empty star's shadow size, where d = 0
             for s in range(width, (degree + 1) * width):
                 d, rest = divmod(s, width)
                 ok = rest >= self.threshold[d + rest]
-                target[s] = self.link_bound[d] if ok else 0xFF
-            # each set S holding x adds the shadow of the link set S - x
-            sheds = [
-                link.shed[layer.sub_index[mask ^ 1 << (x - 1)]] if h else 0
-                for mask, h in zip(layer.masks, holds)
-            ]
+                target[s] = d + self.link_bound[d] if ok else 0xFF
+            sheds = [bits if h else 0 for bits, h in zip(layer.shed, holds)]
             planes = []
-            for shift in range(0, len(link.sub_masks), 8):
+            for shift in range(0, len(layer.sub_masks), 8):
                 ors = [_or_step(bits >> shift & 0xFF) for bits in sheds]
                 counts = _doubled(ors[low:], _IDENTITY).translate(_POPCOUNT)
                 planes.append((_doubled(ors[:low]), counts))
@@ -745,9 +722,14 @@ def characterization_sweep(n: int, k: int = 3) -> dict:
     nonempty subfamily of C([n], k), n > k >= 2; returns counts and any
     mismatches, in ascending pattern order.
 
-    The verdict runs only on the patterns its pre-filter keeps (16,597 of
-    2^20 - 1 at (6,3)).  A dropped pattern has verdict False, so it is a
-    mismatch exactly when it is extremal.
+    The verdict and its pre-filter read only this layer's member counts and
+    shadow sizes: the link's and the inclusions' clauses follow from the
+    star's shadow size by the identities in ``_FastVerdict``, so no other
+    layer is built.  The verdict runs only on the patterns its pre-filter
+    keeps (16,597 of 2^20 - 1 at (6,3)).  A dropped pattern has verdict
+    False, so it is a mismatch exactly when it is extremal.
+    ``characterize`` stays the family-at-a-time oracle the tests compare the
+    verdict against.
     """
     if not n > k >= 2:
         raise ValueError("the characterization sweep needs n > k >= 2")

@@ -213,6 +213,8 @@ def lemma_sweep(k: int, amax: int) -> dict:
     """
     if k < 2:
         raise ValueError("the sweep needs k >= 2")
+    if amax < 2:
+        raise ValueError("the sweep needs amax >= 2")
     cap = seq_value(Seq(tuple(range(amax, amax - k, -1)), k), k)
     bs, c_by_value = _split_universe(k, cap)
     checked = 0
@@ -371,6 +373,8 @@ def splits_comparison(amax: int, kmax: int) -> dict:
     profile no formula pair matches, a "missing" entry the converse.  The
     split universe is built once per k, at the largest cascade value.
     """
+    if kmax < 2 or amax < 2:
+        raise ValueError("the comparison needs kmax >= 2 and amax >= 2")
     extras: list[tuple] = []
     missing: list[tuple] = []
     checked = 0

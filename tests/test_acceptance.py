@@ -9,7 +9,7 @@ import random
 import time
 
 from shadowlab.exact import EMPTY, Seq, binom, decompose, seq_value
-from shadowlab.families import initial_segment
+from shadowlab.families import initial_segment, shadow
 from shadowlab.extremal import (
     _extremal_patterns_by_size,
     _layer,
@@ -167,9 +167,7 @@ def test_criterion_5_uniqueness_at_desk_scale():
 
 def test_criterion_6_shadow_chain():
     start = time.time()
-    # the (6,2) layer's positions are the (6,3) shadow-mask bits
-    triple_shadow, _ = _layer(6, 3).tables()
-    pair_shadow, _ = _layer(6, 2).tables()
+    layer = _layer(6, 3)
     patterns = _extremal_patterns_by_size(6, 3)
     chained = 0
     for m, plist in patterns.items():
@@ -177,9 +175,9 @@ def test_criterion_6_shadow_chain():
         want_pairs = seq_value(a, 2)
         want_points = seq_value(a, 1)
         for pattern in plist:
-            edge_mask = triple_shadow[pattern]
-            assert edge_mask.bit_count() == want_pairs
-            assert pair_shadow[edge_mask].bit_count() == want_points
+            edges = shadow(layer.family(pattern))
+            assert len(edges) == want_pairs
+            assert len(shadow(edges)) == want_points
             chained += 1
     segments = 0
     for n in range(2, 9):

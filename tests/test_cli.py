@@ -258,11 +258,24 @@ def test_usage_and_overflow_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: boundary collision with a longer tail is not reducible\n"
     )
-    # the minimum-degree bound is stated for n > k > 1, uniqueness for k >= 2
+    # the regular deletion needs both --t and --r; either alone is refused
+    for flag in ("--t", "--r"):
+        assert main(["construct", "forbidden-pairs", "8", "2", "4", flag, "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --t and --r go together: give both or neither\n"
+    # the minimum-degree bound is stated for n > k > 1, uniqueness for
+    # n >= k >= 2; an empty sweep domain is refused, never reported as
+    # zero rows or zero checks
     for args in (
         ("min-degree", "4", "4"),
         ("min-degree", "3", "1"),
         ("uniqueness", "4", "1"),
+        ("uniqueness", "4", "6"),
+        ("lemma-abc", "--kmax", "1"),
+        ("lemma-abc", "--amax", "1"),
+        ("splits", "--kmax", "1"),
+        ("splits", "--amax", "1"),
     ):
         assert main(["verify", *args]) == 2
         captured = capsys.readouterr()

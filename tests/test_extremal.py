@@ -193,9 +193,13 @@ def test_characterization_sweep_every_layer():
         result = characterization_sweep(n, k)
         assert (result["checked"], result["extremal"]) == (checked, extremal), (n, k)
         assert result["mismatches"] == [], (n, k)
-    # the link layer (7,5) has 21 sets, over the table limit
+    # the verdict reads no layer but its own, so (7,6) fits although its
+    # (7,5) link layer does not; every one of its subfamilies is extremal
+    assert characterization_sweep(7, 6) == {
+        "n": 7, "k": 6, "checked": 127, "extremal": 127, "mismatches": []
+    }
     with pytest.raises(BudgetError, match="limit of 20"):
-        characterization_sweep(7, 6)
+        characterization_sweep(7, 5)
     for n, k in ((3, 3), (4, 1), (2, 1)):
         with pytest.raises(ValueError):
             characterization_sweep(n, k)
@@ -221,9 +225,9 @@ def test_extremal_counts_match_shadow_oracle():
 
 
 def test_layer_tables_match_list_dp():
-    # the byte-plane tables against a plain list DP over the same patterns:
-    # bit i of a pattern picks the i-th k-set in colex order, and bit j of a
-    # shadow mask the j-th (k-1)-set
+    # the byte-plane member counts and shadow sizes against a plain list DP
+    # over the same patterns: bit i of a pattern picks the i-th k-set in
+    # colex order, and bit j of a shadow mask the j-th (k-1)-set
     for n in range(1, 7):
         for k in range(1, n + 1):
             pool = sorted(
@@ -245,10 +249,7 @@ def test_layer_tables_match_list_dp():
                 rest = pattern ^ low
                 shadow_masks[pattern] = shadow_masks[rest] | shed[low.bit_length() - 1]
                 members[pattern] = members[rest] + 1
-            layer = _layer(n, k)
-            table, count = layer.tables()
-            _, sizes = layer.counts()
-            assert list(table) == shadow_masks, (n, k)
+            count, sizes = _layer(n, k).counts()
             assert list(count) == members, (n, k)
             assert list(sizes) == [mask.bit_count() for mask in shadow_masks], (n, k)
 
@@ -385,6 +386,45 @@ def test_extremal_families_realize_equality_splits():
     # at k = 2 the only such family with full support is the whole layer,
     # and it splits on the equality branch
     assert realized == {(5, 2): 0, (6, 2): 0, (5, 3): 110, (6, 3): 450, (6, 4): 1350}
+
+
+def test_extremal_families_meet_both_inclusion_clauses():
+    # the characterization's inclusions on real extremal families, by direct
+    # set operations: at each element x the deleted part S - x has at least
+    # threshold many sets; on the equality branch its shadow lies inside the
+    # link, on the strict branch the link inside its shadow
+    from shadowlab.extremal import _extremal_patterns_by_size
+    from shadowlab.families import delete_star, link
+
+    branches = {}
+    for n, k in ((5, 2), (6, 2), (5, 3), (6, 3), (6, 4)):
+        layer = _layer(n, k)
+        equality = strict = 0
+        for m, patterns in _extremal_patterns_by_size(n, k).items():
+            threshold = seq_value(seq_minus(decompose(m, k), 1), k)
+            for pattern in patterns:
+                family = layer.family(pattern)
+                if len(family.support()) < n:
+                    continue  # not full support
+                for x in range(1, n + 1):
+                    rest = delete_star(family, x)
+                    links = set(link(family, x).masks)
+                    rest_shadow = set(shadow(rest).masks)
+                    assert len(rest) >= threshold, (n, k, pattern, x)
+                    if len(rest) == threshold:
+                        assert rest_shadow <= links, (n, k, pattern, x)
+                        equality += 1
+                    else:
+                        assert links <= rest_shadow, (n, k, pattern, x)
+                        strict += 1
+        branches[n, k] = (equality, strict)
+    assert branches == {
+        (5, 2): (210, 670),
+        (6, 2): (2316, 9330),
+        (5, 3): (205, 625),
+        (6, 3): (4086, 22020),
+        (6, 4): (1236, 3930),
+    }
 
 
 def test_min_degree_bound_examples():
@@ -606,18 +646,15 @@ def test_extremal_shadow_is_extremal_small():
         for family in enumerate_extremal(5, 3, m):
             if family.k > 1:
                 assert is_extremal(shadow(family))
-    # and over every extremal family of C([6], 3) via the shared tables; the
-    # (6,2) layer's positions are the (6,3) shadow-mask bits
+    # and over every extremal family of C([6], 3) that the tables flag
     from shadowlab.extremal import _extremal_patterns_by_size
 
-    triple_shadow, _ = _layer(6, 3).tables()
-    pair_shadow, _ = _layer(6, 2).tables()
+    layer = _layer(6, 3)
     for m, patterns in _extremal_patterns_by_size(6, 3).items():
         for pattern in patterns:
-            edge_mask = triple_shadow[pattern]
-            pairs = edge_mask.bit_count()
-            points = pair_shadow[edge_mask].bit_count()
-            assert points == kk_bound(pairs, 2, 1)
+            edges = shadow(layer.family(pattern))
+            assert len(edges) == kk_bound(m, 3, 1)
+            assert len(shadow(edges)) == kk_bound(len(edges), 2, 1)
 
 
 def test_witness_implies_extremal():
