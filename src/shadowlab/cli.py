@@ -11,7 +11,6 @@ import argparse
 import io
 import json
 import math
-import os
 import re
 import sys
 
@@ -79,13 +78,6 @@ def _save_family(family: KFamily, path: str) -> None:
     write_family(family, text)  # refuses k < 1 before the file is opened
     with open(path, "w", encoding="utf-8") as fp:
         fp.write(text.getvalue())
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("SHADOWLAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _cmd_decompose(args) -> int:
@@ -252,24 +244,11 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _lemma_worker(task: tuple[int, int]) -> dict:
-    k, amax = task
-    return lemma_sweep(k, amax)
-
-
 def _cmd_verify(args) -> int:
     if args.what == "lemma-abc":
         if args.kmax < 2:
             raise ValueError("the sweep needs kmax >= 2")
-        tasks = [(k, args.amax) for k in range(2, args.kmax + 1)]
-        if args.threads > 1:
-            # imported here: the pool machinery would add to every request
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=args.threads) as pool:
-                results = list(pool.map(_lemma_worker, tasks))
-        else:
-            results = [_lemma_worker(t) for t in tasks]
+        results = [lemma_sweep(k, args.amax) for k in range(2, args.kmax + 1)]
         violations = [v for r in results for v in r["violations"]]
         _emit(
             {
@@ -398,8 +377,17 @@ def _cmd_identity(args) -> int:
     return 0 if invariant else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors as the one ``error:`` line and exit 2 of every other
+    refused input; subparsers inherit the class."""
+
+    def error(self, message: str):
+        sys.stderr.write(f"error: {' '.join(message.split())}\n")
+        raise SystemExit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shadowlab",
         description="Exact shadow-minimization toolkit for k-set families",
     )
@@ -490,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = ver.add_parser("lemma-abc")
     q.add_argument("--amax", type=int, default=10)
     q.add_argument("--kmax", type=int, default=5)
-    q.add_argument("--threads", type=int, default=_default_threads())
     q.set_defaults(func=_cmd_verify)
     q = ver.add_parser("splits")
     q.add_argument("--amax", type=int, default=8)
@@ -529,22 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    raw = list(sys.argv[1:] if argv is None else argv)
-    # worker count is an execution knob, not an input: reports stay
-    # byte-identical across thread settings
-    echo = []
-    skip = False
-    for token in raw:
-        if skip:
-            skip = False
-            continue
-        if token == "--threads":
-            skip = True
-            continue
-        if token.startswith("--threads="):
-            continue
-        echo.append(token)
-    _command_echo[:] = echo
+    _command_echo[:] = sys.argv[1:] if argv is None else argv
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -23,21 +23,17 @@ def _checked(value: int) -> int:
     return value
 
 
-def binom(n: int, k: int, *, strict: bool = False) -> int:
+def binom(n: int, k: int) -> int:
     """Generalized binomial coefficient over the integers.
 
     Conventions: C(n, k) = 0 for k < 0 and C(0, 0) = 1.  For n < 0 the
-    falling-factorial extension applies, e.g. C(-10, 2) = 55.  With
-    ``strict=True`` any n < k (including all n < 0) yields 0 instead; the
-    flag exists for sensitivity testing against that alternative reading.
+    falling-factorial extension applies, e.g. C(-10, 2) = 55.
     """
     if k < 0:
         return 0
     if k == 0:
         return 1
     if n < 0:
-        if strict:
-            return 0
         mirrored = binom(k - n - 1, k)
         return -mirrored if k % 2 else mirrored
     if k > n:

@@ -3,9 +3,10 @@
 The exhaustive machinery indexes families of a small layer C([n], k) by the
 bit pattern of chosen positions and keeps shared per-pattern byte tables of
 member counts and shadow sizes, built by doubling.  The sweeps over every
-subfamily are whole-table byte operations.  The characterization sweep adds
-a per-pattern verdict, which reads the same two tables and runs only on the
-patterns that a block-wise byte pre-filter keeps (under 2% at (6,3)).
+subfamily are whole-table byte operations.  The characterization sweep
+evaluates every condition of the characterization at every element the same
+way, on blocks of 2^16 patterns; ``characterize`` is its family-at-a-time
+oracle.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ import sys
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb
+from operator import or_
 
 from .exact import Seq, binom, decompose, lex_cmp, seq_minus, seq_value
 from .families import (
@@ -592,129 +594,117 @@ def uniqueness_predicate(n: int, k: int, m: int) -> bool:
 # ---------------------------------------------------------------------------
 # flat-table sweeps over every subfamily of one layer
 
-_BLOCK_POSITIONS = 16  # the pre-filter works on blocks of 2^16 patterns
+_BLOCK_POSITIONS = 16  # the clause tables work on blocks of 2^16 patterns
 
 
-class _FastVerdict:
-    """The characterization verdict for subfamilies of C([n], k), k >= 2.
+def _clause_blocks(layer: _Layer) -> Iterator[tuple[int, list[int]]]:
+    """The characterization's conditions at every element of every subfamily
+    of C([n], k), k >= 2, block by block.  For each run of 2^16 consecutive
+    patterns (one run if the layer is smaller) it yields the run's first
+    pattern and, per element x = 1..n, one field int (see ``_fields``) whose
+    field for a pattern is zero exactly when every condition holds at x.  An
+    element outside the pattern's support passes, as compacting removes it.
 
-    Called on a layer bit pattern, it mirrors ``characterize`` exactly, but
-    over the support of the family (so implicitly on the support-compacted
-    ground set) and purely with lookups in this layer's member-count and
-    shadow-size bytes.  At element x of a pattern P, let c = P & member[x]
-    be its star (the sets that hold x), L the link, d = pop[c] = |L|, and R
-    the deleted part, pattern P ^ c.  The star's shadow is L plus x joined
-    to each set of shadow(L), and shadow(R) avoids x, so shadow(P) is
-    shadow(R) | L plus those x-sets, and two identities give every clause:
+    At element x of a pattern P, let L be the link, d = |L|, and R the
+    deleted part, of rest sets, m = d + rest and t the threshold for m.  The
+    sets of shadow(P) that hold x are x joined to shadow(L); those that avoid
+    it are U = shadow(R) | L, which holds shadow(R).  So with sizes |.|,
+    |U| = size[P] - |shadow(L)| and |L - shadow(R)| = |U| - |shadow(R)|, both
+    exact field subtractions, and the conditions at x read:
 
-        |shadow(L)|        = size[c] - d
-        |shadow(R) | L|    = size[P] - |shadow(L)|
+      - rest >= t, and L extremal: |shadow(L)| = link_bound[d];
+      - equality branch, rest = t: shadow(R) inside L, that is |U| = d;
+      - strict branch, rest > t: L inside shadow(R), |L - shadow(R)| = 0;
+        then R extremal is |U| = bound[rest]; and the numeric identity
+        bound[m] = bound[rest] + link_bound[d].
 
-    L lies inside shadow(R) iff the second equals size[P ^ c], and shadow(R)
-    inside L iff it equals d, that is iff size[P] == size[c].  ``element``
-    holds one element's conditions, and the verdict is their conjunction.
-    ``characterize`` stays the oracle the tests compare both against,
-    element by element.
+    Every target is a function of (d, rest), held in a state byte
+    d * (W + 1) + rest, where W sets of the layer avoid x.  Per element,
+    tables over the low 16 positions are built once by doubling: the state
+    byte, and the shadows of L and of R as 8-bit planes.  The high positions
+    of a block compose into one 256-byte map per table, each target and mask
+    is composed into the state's maps, and a block costs one ``translate``
+    per table.  The targets are 0xFF, which no size reaches, where the
+    threshold or the numeric identity fails.  ``characterize`` stays the
+    family-at-a-time oracle the tests compare every element against.
     """
-
-    def __init__(self, n: int, k: int):
-        self.n = n
-        self.layer = layer = _sweep_layer(n, k)
-        self._pop, self._size = layer.counts()
-        self._member = layer.member()
-        # per member count; the verdict and the pre-filter both read them
-        self.bound = _shadow_bounds(k, layer.size)
-        self.link_bound = _shadow_bounds(k - 1, layer.size)
-        self.threshold = [0] + [
-            seq_value(seq_minus(decompose(m, k), 1), k) for m in range(1, layer.size + 1)
-        ]
-
-    def element(self, pattern: int, x: int) -> bool:
-        """The conditions at element x of [n]; true when x lies outside the
-        family's support, which compacting removes."""
-        chosen = pattern & self._member[x]
-        if not chosen:
-            return True
-        pop, size, bound, link_bound = self._pop, self._size, self.bound, self.link_bound
-        m = pop[pattern]
-        d = pop[chosen]
-        rest = m - d
-        thr = self.threshold[m]
-        if rest < thr:
-            return False
-        star = size[chosen]
-        if star - d != link_bound[d]:
-            return False  # link not extremal
-        if rest > thr:
-            rest_size = size[pattern ^ chosen]
-            return (
-                size[pattern] - star + d == rest_size  # link inside the deleted part's shadow
-                and rest_size == bound[rest]  # deleted part extremal
-                and bound[m] == bound[rest] + link_bound[d]  # numeric identity
+    n, k = layer.n, layer.k
+    if len(layer.sub_masks) >= 0xFF:
+        raise BudgetError("shadow sizes must stay below 0xFF, the failed-condition marker")
+    _, sizes = layer.counts()
+    bound = _shadow_bounds(k, layer.size)
+    link_bound = _shadow_bounds(k - 1, layer.size)
+    thresholds = [0] + [
+        seq_value(seq_minus(decompose(m, k), 1), k) for m in range(1, layer.size + 1)
+    ]
+    low = min(layer.size, _BLOCK_POSITIONS)
+    elements = []
+    for x in range(1, n + 1):
+        holds = [mask >> (x - 1) & 1 for mask in layer.masks]
+        degree = sum(holds)
+        width = layer.size - degree + 1  # the values of rest
+        if (degree + 1) * width > 256:
+            raise BudgetError(
+                f"a state byte needs (degree + 1) * (rest + 1) <= 256, "
+                f"not {degree + 1} * {width} at element {x}"
             )
-        return size[pattern] == star  # deleted part's shadow inside the link
-
-    def __call__(self, pattern: int) -> bool:
-        element = self.element
-        for x in range(1, self.n + 1):
-            if not element(pattern, x):
-                return False
-        return True
-
-    def kept_blocks(self) -> Iterator[tuple[int, bytes]]:
-        """The sweep's exact pre-filter, block by block: for each run of 2^16
-        consecutive patterns (one run if the layer is smaller), its first
-        pattern and one byte per pattern, 0x80 where the filter keeps it.
-
-        A pattern is dropped when, at some support element x, one of the
-        verdict's first two clauses fails: the threshold on the deleted
-        part's size or the link's extremality.  Its verdict is then False.
-        Per element, two kinds of table over the low 16 positions are built
-        once by doubling: a state byte d * (R + 1) + rest, where d of the
-        pattern's sets hold x and rest of the R other sets are chosen, and
-        the star's shadow in 8-bit planes.  A block passes each table through
-        one ``translate`` by the composed steps of its high positions.  The
-        state byte goes on to d plus the link bound for d, or to 0xFF where
-        the threshold fails, and must equal the planes' popcount, the star's
-        shadow size.
-        """
-        layer = self.layer
-        if len(layer.sub_masks) >= 0xFF:
-            raise BudgetError("star shadow sizes must stay below 0xFF, the threshold marker")
-        low = min(layer.size, _BLOCK_POSITIONS)
-        elements = []
-        for x in range(1, self.n + 1):
-            holds = [mask >> (x - 1) & 1 for mask in layer.masks]
-            degree = sum(holds)
-            width = layer.size - degree + 1  # the values of rest
-            if (degree + 1) * width > 256:
-                raise BudgetError(
-                    f"a state byte needs (degree + 1) * (rest + 1) <= 256, "
-                    f"not {degree + 1} * {width} at element {x}"
-                )
-            add_d = bytes((b + width) & 0xFF for b in range(256))
-            steps = [add_d if h else _PLUS_ONE for h in holds]
-            target = bytearray(256)  # 0, the empty star's shadow size, where d = 0
-            for s in range(width, (degree + 1) * width):
-                d, rest = divmod(s, width)
-                ok = rest >= self.threshold[d + rest]
-                target[s] = d + self.link_bound[d] if ok else 0xFF
-            sheds = [bits if h else 0 for bits, h in zip(layer.shed, holds)]
+        # per state: the targets of |shadow(L)| and |U|, and the masks 0xFF on
+        # the strict branch and where |U| is compared, d > 0 with the
+        # threshold met; all 0 where d = 0
+        link_target, union_target, strict, applies = (bytearray(256) for _ in range(4))
+        for s in range(width, (degree + 1) * width):
+            d, rest = divmod(s, width)
+            m = d + rest
+            if rest < thresholds[m]:
+                link_target[s] = 0xFF
+                continue
+            link_target[s] = link_bound[d]
+            applies[s] = 0xFF
+            if rest == thresholds[m]:
+                union_target[s] = d
+            else:
+                numeric = bound[m] == bound[rest] + link_bound[d]
+                union_target[s] = bound[rest] if numeric else 0xFF
+                strict[s] = 0xFF
+        add_d = bytes((b + width) & 0xFF for b in range(256))
+        steps = [add_d if h else _PLUS_ONE for h in holds]
+        maps = _doubled(steps[low:], _IDENTITY)
+        targets = [maps.translate(t) for t in (link_target, union_target, strict, applies)]
+        # shadow(L) and shadow(R) in plane bits of the (k-1)-sets that hold x
+        # and that avoid it: a set holding x adds its subsets with x, one
+        # avoiding x all of its subsets
+        parts = []
+        for side in (1, 0):
+            subs = [i for i, sub in enumerate(layer.sub_masks) if sub >> (x - 1) & 1 == side]
+            sheds = [
+                sum(1 << j for j, i in enumerate(subs) if bits >> i & 1) if h == side else 0
+                for bits, h in zip(layer.shed, holds)
+            ]
             planes = []
-            for shift in range(0, len(layer.sub_masks), 8):
+            for shift in range(0, len(subs), 8):
                 ors = [_or_step(bits >> shift & 0xFF) for bits in sheds]
                 counts = _doubled(ors[low:], _IDENTITY).translate(_POPCOUNT)
                 planes.append((_doubled(ors[:low]), counts))
-            targets = _doubled(steps[low:], _IDENTITY).translate(target)
-            elements.append((_doubled(steps[:low]), targets, planes))
-        high = _fill(0x80, 1 << low)
-        for block in range(1 << (layer.size - low)):
-            maps = slice(256 * block, 256 * (block + 1))
-            bad = 0
-            for state, targets, planes in elements:
-                sizes = sum(_fields(p.translate(c[maps])) for p, c in planes)
-                bad |= _fields(state.translate(targets[maps])) ^ sizes
-            yield block << low, (high ^ _nonzero(bad, high)).to_bytes(1 << low, "little")
+            parts.append(planes)
+        elements.append((_doubled(steps[:low]), targets, parts))
+    for block in range(1 << (layer.size - low)):
+        start = block << low
+        maps = slice(256 * block, 256 * (block + 1))
+        whole = _fields(sizes[start : start + (1 << low)])
+        bad = []
+        for state, targets, parts in elements:
+            link_target, union_target, strict, applies = (
+                _fields(state.translate(t[maps])) for t in targets
+            )
+            link_sizes, deleted_sizes = (
+                sum(_fields(p.translate(c[maps])) for p, c in planes) for planes in parts
+            )
+            union = whole - link_sizes
+            bad.append(
+                link_sizes ^ link_target
+                | (union ^ union_target | (union - deleted_sizes) & strict) & applies
+            )
+        yield start, bad
 
 
 def characterization_sweep(n: int, k: int = 3) -> dict:
@@ -722,28 +712,27 @@ def characterization_sweep(n: int, k: int = 3) -> dict:
     nonempty subfamily of C([n], k), n > k >= 2; returns counts and any
     mismatches, in ascending pattern order.
 
-    The verdict and its pre-filter read only this layer's member counts and
-    shadow sizes: the link's and the inclusions' clauses follow from the
-    star's shadow size by the identities in ``_FastVerdict``, so no other
-    layer is built.  The verdict runs only on the patterns its pre-filter
-    keeps (16,597 of 2^20 - 1 at (6,3)).  A dropped pattern has verdict
-    False, so it is a mismatch exactly when it is extremal.
-    ``characterize`` stays the family-at-a-time oracle the tests compare the
-    verdict against.
+    The verdict is the conjunction over elements of ``_clause_blocks``, which
+    evaluates every condition of the characterization as whole byte tables
+    built from this layer's shadow sizes and shed bits, so no other layer is
+    built.  The mismatches are the nonzero bytes of the verdict XOR the
+    extremal flags, found with ``bytes.find``.  ``characterize`` stays the
+    family-at-a-time oracle the tests compare the verdict against.
     """
     if not n > k >= 2:
         raise ValueError("the characterization sweep needs n > k >= 2")
-    verdict = _FastVerdict(n, k)
-    flags = _extremal_flags(verdict.layer)
+    layer = _sweep_layer(n, k)
+    flags = _extremal_flags(layer)
+    width = min(len(flags), 1 << _BLOCK_POSITIONS)
+    high = _fill(0x80, width)
     mismatches = []
-    for start, kept in verdict.kept_blocks():
-        flagged = flags[start : start + len(kept)]
-        look = (_fields(kept) | _fields(flagged)).to_bytes(len(kept), "little")
-        p = look.find(0x80, 1 if start == 0 else 0)  # not the empty pattern
+    for start, bad in _clause_blocks(layer):
+        failed = _nonzero(reduce(or_, bad), high)
+        differ = (high ^ failed ^ _fields(flags[start : start + width])).to_bytes(width, "little")
+        p = differ.find(0x80)  # the empty pattern is flagged and passes
         while p != -1:
-            if (bool(kept[p]) and verdict(start + p)) != bool(flagged[p]):
-                mismatches.append(start + p)
-            p = look.find(0x80, p + 1)
+            mismatches.append(start + p)
+            p = differ.find(0x80, p + 1)
     return {
         "n": n,
         "k": k,

@@ -158,24 +158,6 @@ def test_verify_subcommands(capsys):
     assert code == 0 and report["min_slack"] >= -1e-9
 
 
-def test_verify_lemma_threads_match(capsys):
-    code, seq_report = run(capsys, "verify", "lemma-abc", "--amax", "5", "--kmax", "3")
-    assert code == 0
-    code, par_report = run(
-        capsys,
-        "verify",
-        "lemma-abc",
-        "--amax",
-        "5",
-        "--kmax",
-        "3",
-        "--threads",
-        "2",
-    )
-    assert code == 0
-    assert seq_report == par_report
-
-
 def test_import_leaves_out_process_pool():
     code = (
         "import sys, shadowlab.cli; "
@@ -235,8 +217,20 @@ def test_internal_error_exit_code(monkeypatch, capsys):
 def test_usage_and_overflow_exit_codes(tmp_path, capsys):
     assert main(["decompose", "-3", "2"]) == 2
     capsys.readouterr()
-    assert main(["bound", "not-a-number", "3"]) == 2
-    capsys.readouterr()
+    # argparse usage errors take the same one-line form, subparsers included
+    for argv in (
+        ["bound", "not-a-number", "3"],
+        ["reduce", "--wall", "-1:0", "--b", "", "--k", "0"],
+        ["decompose", "x", "3"],
+        ["verify", "lemma-abc", "--threads", "2"],
+        [],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+    assert main(["decompose", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: shadowlab decompose")
     # over budget: the count is compared exactly, beyond the 128-bit range
     assert main(["oracle", "min-shadow", "9", "4", "60"]) == 3
     captured = capsys.readouterr()

@@ -84,13 +84,6 @@ def test_binom_matches_falling_factorial_oracle():
             assert binom(n, k) == binom_oracle(n, k), (n, k)
 
 
-def test_binom_strict_mode():
-    assert binom(-10, 2, strict=True) == 0
-    assert binom(-10, 1, strict=True) == 0
-    assert binom(5, 3, strict=True) == 10
-    assert binom(5, 3, strict=False) == 10
-
-
 def test_binom_overflow_checked():
     with pytest.raises(ExactOverflowError):
         binom(200, 100)

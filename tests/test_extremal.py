@@ -17,7 +17,7 @@ from shadowlab.families import (
     shadow,
 )
 from shadowlab.extremal import (
-    _FastVerdict,
+    _clause_blocks,
     _iso_classes,
     _layer,
     brute_force_min_shadow,
@@ -263,11 +263,44 @@ def test_sweep_limit_refuses_before_building_the_layer():
     assert _layer.cache_info().misses == misses
 
 
+def clause_tables(n, k):
+    """Per element x, at index x - 1: one byte per pattern of the layer, zero
+    exactly where every condition of the characterization holds at x."""
+    layer = _layer(n, k)
+    width = min(1 << layer.size, 1 << 16)
+    tables = [bytearray() for _ in range(n)]
+    for start, bad in _clause_blocks(layer):
+        assert start == len(tables[0]) and len(bad) == n, (n, k, start)
+        for table, fields in zip(tables, bad):
+            table += fields.to_bytes(width, "little")
+    assert len(tables[0]) == 1 << layer.size, (n, k)
+    return tables
+
+
+# (nonempty pattern, support element) pairs at which every condition holds
+CLAUSE_COUNTS = {
+    (3, 2): 18,
+    (4, 2): 148,
+    (4, 3): 56,
+    (5, 2): 1460,
+    (5, 3): 1080,
+    (5, 4): 150,
+    (6, 2): 18516,
+    (6, 3): 31806,
+    (6, 4): 6006,
+    (6, 5): 372,
+    (7, 6): 882,
+}
+
+
 def test_fast_verdict_matches_slow_characterize():
+    # each element's block bytes against the family-at-a-time oracle, on the
+    # support-compacted family; an element outside the support passes
     rng = random.Random(777)
-    for n, k in SWEEP_COUNTS:
+    assert sorted(CLAUSE_COUNTS) == sorted(SWEEP_COUNTS) + [(7, 6)]
+    for n, k in CLAUSE_COUNTS:
         layer = _layer(n, k)
-        verdict = _FastVerdict(n, k)
+        tables = clause_tables(n, k)
         total = 1 << layer.size
         if total <= 1 << 10:
             samples = range(1, total)
@@ -281,80 +314,66 @@ def test_fast_verdict_matches_slow_characterize():
                 len(support), k, ([relabel[e] for e in s] for s in family.sets())
             )
             report = characterize(compacted)
-            assert verdict(pattern) == report.verdict, (n, k, pattern)
-            # each element's clauses, not only their conjunction
-            for x in support:
-                ok = report.element(relabel[x]).ok
-                assert verdict.element(pattern, x) == ok, (n, k, pattern, x)
+            for x in range(1, n + 1):
+                ok = report.element(relabel[x]).ok if x in relabel else True
+                assert (tables[x - 1][pattern] == 0) == ok, (n, k, pattern, x)
 
 
-# nonempty patterns the characterization sweep's pre-filter keeps, per layer
-KEPT_COUNTS = {
-    (3, 2): 7,
-    (4, 2): 59,
-    (4, 3): 15,
-    (5, 2): 893,
-    (5, 3): 261,
-    (5, 4): 31,
-    (6, 2): 27304,
-    (6, 3): 16597,
-    (6, 4): 1057,
-    (6, 5): 63,
-}
-
-
-def test_sweep_prefilter_drops_only_false_verdicts():
-    # the sweep runs the verdict only on kept patterns, so every dropped
-    # pattern must have verdict False: checked on every pattern of the
-    # layers with at most 2^15, counted on all
-    assert sorted(KEPT_COUNTS) == sorted(SWEEP_COUNTS)
-    for (n, k), count in KEPT_COUNTS.items():
-        verdict = _FastVerdict(n, k)
-        kept = bytearray()
-        for start, block in verdict.kept_blocks():
-            assert start == len(kept) and set(block) <= {0, 0x80}, (n, k, start)
-            kept += block
-        assert len(kept) == 1 << verdict.layer.size, (n, k)
-        assert kept[0] and kept.count(0x80) - 1 == count, (n, k)
-        if len(kept) <= 1 << 15:
-            for pattern in range(1, len(kept)):
-                if not kept[pattern]:
-                    assert not verdict(pattern), (n, k, pattern)
+def test_clause_counts_per_support_element():
+    # exhaustive on every layer: every pattern that avoids x passes at x, and
+    # the pairs that pass at a support element are pinned
+    for (n, k), count in CLAUSE_COUNTS.items():
+        layer = _layer(n, k)
+        full = (1 << layer.size) - 1
+        held = 0
+        for x, table in enumerate(clause_tables(n, k), 1):
+            avoid = full ^ layer.member()[x]
+            sub = avoid
+            while True:  # every subset of avoid, the empty pattern last
+                assert table[sub] == 0, (n, k, x, sub)
+                if not sub:
+                    break
+                sub = (sub - 1) & avoid
+            held += table.count(0) - (1 << avoid.bit_count())
+        assert held == count, (n, k)
 
 
 def test_characterization_sweep_reports_mismatches_in_order(monkeypatch):
-    # a verdict made wrong on chosen patterns, and one flag set on a dropped
-    # pattern, must come back as mismatches in ascending order, across blocks
+    # verdicts made false at two extremal patterns, one flag set on a
+    # non-extremal pattern and one cleared: four mismatches in four blocks,
+    # reported in ascending order
     from shadowlab import extremal
     from shadowlab.extremal import _extremal_patterns_by_size
 
-    verdict = _FastVerdict(6, 3)
-    kept = b"".join(block for _, block in verdict.kept_blocks())
     by_size = _extremal_patterns_by_size(6, 3)
     flagged = sorted(p for patterns in by_size.values() for p in patterns)
-    wrong = {
-        flagged[0],
-        flagged[-2],
-        next(p for p in range(1 << 19, 1 << 20) if kept[p] and not verdict(p)),
-    }
-    dropped = next(p for p in range(3 << 16, 1 << 20) if not kept[p])
-    assert len(wrong) == 3 and not verdict(dropped)
+    failing = {flagged[0], next(p for p in flagged if p >= 9 << 16)}
+    raised = next(p for p in range(3 << 16, 4 << 16) if p not in set(flagged))
+    cleared = flagged[-2]
+    expected = sorted(failing | {raised, cleared})
+    assert len({p >> 16 for p in expected}) == 4
 
-    call = extremal._FastVerdict.__call__
-    monkeypatch.setattr(
-        extremal._FastVerdict, "__call__", lambda self, p: call(self, p) != (p in wrong)
-    )
+    blocks = extremal._clause_blocks
+
+    def blocks_with_failures(layer):
+        for start, bad in blocks(layer):
+            for p in failing:
+                if start <= p < start + (1 << 16):
+                    bad[-1] |= 1 << 8 * (p - start)
+            yield start, bad
+
     flags = extremal._extremal_flags
 
-    def flags_with_dropped(layer):
+    def flags_changed(layer):
         table = bytearray(flags(layer))
-        table[dropped] = 0x80
+        table[raised], table[cleared] = 0x80, 0
         return table
 
-    monkeypatch.setattr(extremal, "_extremal_flags", flags_with_dropped)
+    monkeypatch.setattr(extremal, "_clause_blocks", blocks_with_failures)
+    monkeypatch.setattr(extremal, "_extremal_flags", flags_changed)
     result = characterization_sweep(6, 3)
-    assert result["extremal"] == 5533
-    assert result["mismatches"] == sorted(wrong | {dropped})
+    assert result["extremal"] == 5532
+    assert result["mismatches"] == expected
 
 
 def test_extremal_families_realize_equality_splits():
