@@ -8,6 +8,7 @@ budget or overflow errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -121,21 +122,7 @@ def _cmd_check(args) -> int:
             "verdict": char.verdict,
             "cascade": list(char.cascade),
             "witnesses": list(char.witnesses),
-            "elements": [
-                {
-                    "x": e.x,
-                    "branch": e.branch,
-                    "ok": e.ok,
-                    "link_size": e.link_size,
-                    "deleted_size": e.deleted_size,
-                    "threshold": e.threshold,
-                    "inclusion": e.inclusion,
-                    "deleted_extremal": e.deleted_extremal,
-                    "link_extremal": e.link_extremal,
-                    "numeric": e.numeric,
-                }
-                for e in char.elements
-            ],
+            "elements": [dataclasses.asdict(e) for e in char.elements],
         }
         verdicts.append(char.verdict)
     if args.witness is not None:
@@ -169,7 +156,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    value = brute_force_min_shadow(args.n, args.k, args.m, budget=args.budget)
+    value = brute_force_min_shadow(args.n, args.k, args.m)
     bound = kk_bound(args.m, args.k, 1)
     _emit(
         {
@@ -435,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("n", type=int)
     q.add_argument("k", type=int)
     q.add_argument("m", type=int)
-    q.add_argument("--budget", type=int, help="combination budget override")
     q.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("construct", help="explicit families")

@@ -223,10 +223,13 @@ def _pairs(high: bytes, low: bytes) -> array:
 
 
 # Guard-bit arithmetic on byte tables read as one int, entry i in bits
-# 8i..8i+7.  The member counts and degrees it compares fit 7 bits, since
-# they are at most SWEEP_LAYER_LIMIT.
-if not SWEEP_LAYER_LIMIT < 128:
-    raise RuntimeError("the byte-field sweep tables need SWEEP_LAYER_LIMIT < 128")
+# 8i..8i+7.  The member counts and degrees it compares are at most the
+# layer size, so they fit 7 bits.  The sweeps also pack (d, rest) into one
+# state byte d * (W + 1) + rest, where an element has degree D and W sets
+# of the layer avoid it, D + W = size; (D + 1)(W + 1) <= ((size + 2) / 2)^2
+# stays within 256 states for every layer of at most 30 sets.
+if not SWEEP_LAYER_LIMIT <= 30:
+    raise RuntimeError("the byte-field sweep tables need SWEEP_LAYER_LIMIT <= 30")
 
 
 def _fields(table: bytes) -> int:
@@ -270,7 +273,7 @@ class _Layer:
         self.size = len(self.masks)
         subs = [sum(1 << (e - 1) for e in s) for s in combinations(range(1, n + 1), k - 1)]
         subs.sort()
-        self.sub_index = {m: i for i, m in enumerate(subs)}
+        sub_index = {m: i for i, m in enumerate(subs)}
         self.sub_masks = subs
         self.shed = []
         for m in self.masks:
@@ -278,11 +281,10 @@ class _Layer:
             rest = m
             while rest:
                 low = rest & -rest
-                bits |= 1 << self.sub_index[m ^ low]
+                bits |= 1 << sub_index[m ^ low]
                 rest ^= low
             self.shed.append(bits)
         self._counts: tuple[bytes, bytes] | None = None
-        self._member: list[int] | None = None
 
     def counts(self) -> tuple[bytes, bytes]:
         """Per-subfamily member counts and shadow sizes, one byte each."""
@@ -295,15 +297,6 @@ class _Layer:
             pop = bytes(_doubled([_PLUS_ONE] * self.size))
             self._counts = pop, sizes.to_bytes(len(pop), "little")
         return self._counts
-
-    def member(self) -> list[int]:
-        """Per element x of [n], at index x: the layer positions whose set holds x."""
-        if self._member is None:
-            self._member = [0] + [
-                sum(1 << i for i, mask in enumerate(self.masks) if mask >> (x - 1) & 1)
-                for x in range(1, self.n + 1)
-            ]
-        return self._member
 
     def family(self, pattern: int) -> KFamily:
         chosen = [self.masks[i] for i in range(self.size) if pattern >> i & 1]
@@ -344,7 +337,7 @@ def _min_shadows(n: int, k: int) -> list[int]:
     return best
 
 
-def brute_force_min_shadow(n: int, k: int, m: int, budget: int | None = None) -> int:
+def brute_force_min_shadow(n: int, k: int, m: int) -> int:
     """Minimum shadow size over all m-subsets of C([n], k), by enumeration."""
     layer_size = binom(n, k)
     if not 1 <= m <= layer_size:
@@ -355,11 +348,10 @@ def brute_force_min_shadow(n: int, k: int, m: int, budget: int | None = None) ->
         return _min_shadows(n, k)[m]
     # math.comb: the count is compared, never used, so it may leave 128 bits
     count = comb(layer_size, m)
-    limit = COMBINATION_BUDGET if budget is None else budget
-    if count > limit:
+    if count > COMBINATION_BUDGET:
         raise BudgetError(
             f"C({layer_size}, {m}) = {count} combinations exceed the "
-            f"enumeration budget of {limit}"
+            f"enumeration budget of {COMBINATION_BUDGET}"
         )
     layer = _layer(n, k)
     best: int | None = None
@@ -619,18 +611,19 @@ def _clause_blocks(layer: _Layer) -> Iterator[tuple[int, list[int]]]:
         bound[m] = bound[rest] + link_bound[d].
 
     Every target is a function of (d, rest), held in a state byte
-    d * (W + 1) + rest, where W sets of the layer avoid x.  Per element,
+    d * (W + 1) + rest, where W sets of the layer avoid x; it fits a byte on
+    every layer of at most 30 sets (see ``SWEEP_LAYER_LIMIT``).  Per element,
     tables over the low 16 positions are built once by doubling: the state
     byte, and the shadows of L and of R as 8-bit planes.  The high positions
     of a block compose into one 256-byte map per table, each target and mask
     is composed into the state's maps, and a block costs one ``translate``
-    per table.  The targets are 0xFF, which no size reaches, where the
-    threshold or the numeric identity fails.  ``characterize`` stays the
+    per table.  The targets are 0xFF where the threshold or the numeric
+    identity fails, which no size reaches: sizes are at most C(n, k - 1),
+    ``_sweep_layer`` refuses more than 255, and with n > k >= 2 it is 255
+    only at (255, 2), far over the sweep limit.  ``characterize`` stays the
     family-at-a-time oracle the tests compare every element against.
     """
     n, k = layer.n, layer.k
-    if len(layer.sub_masks) >= 0xFF:
-        raise BudgetError("shadow sizes must stay below 0xFF, the failed-condition marker")
     _, sizes = layer.counts()
     bound = _shadow_bounds(k, layer.size)
     link_bound = _shadow_bounds(k - 1, layer.size)
@@ -643,11 +636,6 @@ def _clause_blocks(layer: _Layer) -> Iterator[tuple[int, list[int]]]:
         holds = [mask >> (x - 1) & 1 for mask in layer.masks]
         degree = sum(holds)
         width = layer.size - degree + 1  # the values of rest
-        if (degree + 1) * width > 256:
-            raise BudgetError(
-                f"a state byte needs (degree + 1) * (rest + 1) <= 256, "
-                f"not {degree + 1} * {width} at element {x}"
-            )
         # per state: the targets of |shadow(L)| and |U|, and the masks 0xFF on
         # the strict branch and where |U| is compared, d > 0 with the
         # threshold met; all 0 where d = 0
@@ -751,11 +739,16 @@ def min_degree_sweep(n: int, k: int) -> int:
     """Check the minimum-degree deletion bound over every admissible subfamily;
     returns the number checked, raising at the first violation.
 
-    The bound depends only on the family size m and the minimum degree d, so
-    it is decided once per (m, d) and applied to whole byte tables: one
-    degree table per element, built by doubling, their field-wise minimum,
-    and the verdicts looked up by translation.  ``min_degree_bound_check``
-    is the family-at-a-time oracle the tests compare against.
+    Deleting the star of a minimum-degree element x leaves the rest = m - d
+    sets that avoid x, so at most W = C(n - 1, k) of them.  The bound thus
+    depends only on the state byte d * (W + 1) + rest = m + W * d of
+    ``_clause_blocks``, which one field sum of the member-count table and the
+    minimum-degree table gives without carries; the latter is the field-wise
+    minimum of one degree table per element, built by doubling.  One 256-byte
+    map sends each state to 0 where the bound is not stated (m <= 1, or
+    d = 0: not full support), 1 where it holds and 2 where it fails, and one
+    ``translate`` applies it.  ``min_degree_bound_check`` is the
+    family-at-a-time oracle the tests compare against.
     """
     if not n > k > 1:
         raise ValueError("the minimum-degree bound needs n > k > 1")
@@ -766,27 +759,17 @@ def min_degree_sweep(n: int, k: int) -> int:
     for x in range(n):
         steps = [_PLUS_ONE if mask >> x & 1 else _IDENTITY for mask in layer.masks]
         least = _field_min(least, _fields(_doubled(steps)), high)
-    dmin = least.to_bytes(len(pop), "little")
-    # bit d of held[m]: the bound holds for m members at minimum degree d
-    held = [0] * 256
-    for m in range(2, layer.size + 1):
-        floor = seq_minus(decompose(m, k), 1)
-        for d in range(1, m + 1):
-            b = decompose(m - d, k)
-            if b.terms and lex_cmp(b, floor) >= 0:
-                held[m] |= 1 << d
-    # bit dmin of held[m], read from one 8-bit slice of d at a time
-    passed = 0
-    for low in range(0, layer.size + 1, 8):
-        row = bytes(bits >> low & 0xFF for bits in held)
-        pick = bytes(1 << (d - low) if low <= d < low + 8 else 0 for d in range(256))
-        passed |= _fields(pop.translate(row)) & _fields(dmin.translate(pick))
-    # the bound is stated for |S| > 1 and full support
-    sized = bytes(0x80 if m > 1 else 0 for m in range(256))
-    covered = bytes(0x80 if d > 0 else 0 for d in range(256))
-    checked = _fields(pop.translate(sized)) & _fields(dmin.translate(covered))
-    failed = checked & ~_nonzero(passed, high)
-    if failed:
-        pattern = ((failed & -failed).bit_length() - 1) // 8
-        raise RuntimeError(f"minimum-degree bound failed at pattern {pattern}")
-    return checked.bit_count()
+    degree = binom(n - 1, k - 1)  # of every element in the whole layer
+    width = layer.size - degree + 1  # the values of rest
+    verdicts = bytearray(256)
+    for state in range(width, (degree + 1) * width):
+        d, rest = divmod(state, width)
+        if d + rest > 1:
+            b = decompose(rest, k)
+            held = b.terms and lex_cmp(b, seq_minus(decompose(d + rest, k), 1)) >= 0
+            verdicts[state] = 1 if held else 2
+    table = (_fields(pop) + (width - 1) * least).to_bytes(len(pop), "little").translate(verdicts)
+    failed = table.find(2)
+    if failed != -1:
+        raise RuntimeError(f"minimum-degree bound failed at pattern {failed}")
+    return len(table) - table.count(0)

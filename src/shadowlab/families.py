@@ -17,6 +17,7 @@ from .exact import binom
 MAX_GROUND = 64
 ISO_SUPPORT_LIMIT = 10
 _ISO_BUDGET = 2_000_000
+SHADOW_BUDGET = 2_000_000  # sets one step of an iterated or upper shadow may reach
 
 
 class BudgetError(RuntimeError):
@@ -112,9 +113,22 @@ def shadow(family: KFamily) -> KFamily:
     return KFamily(family.n, family.k - 1, tuple(sorted(out)))
 
 
+def _check_reach(family: KFamily, steps: int, choices: int, kind: str) -> None:
+    """Refuse, before enumerating, shadow steps j <= steps whose bound
+    |F| * C(choices, j) on the sets of step j exceeds ``SHADOW_BUDGET``."""
+    reaches = [(len(family) * binom(choices, j), j) for j in range(1, steps + 1)]
+    reach, step = max(reaches, default=(0, 0))
+    if reach > SHADOW_BUDGET:
+        raise BudgetError(
+            f"{kind} step {step} may reach {len(family)} * C({choices}, {step}) = "
+            f"{reach} sets, over the shadow budget of {SHADOW_BUDGET}"
+        )
+
+
 def iterated_shadow(family: KFamily, i: int) -> KFamily:
     if not 0 <= i <= family.k:
         raise ValueError("iteration count out of range")
+    _check_reach(family, i, family.k, "iterated shadow")
     out = family
     for _ in range(i):
         out = shadow(out)
@@ -125,6 +139,7 @@ def upper_shadow(family: KFamily, steps: int = 1) -> KFamily:
     """All (k+steps)-supersets within [n] of some member."""
     if steps < 0 or family.k + steps > family.n:
         raise ValueError("upper shadow out of range")
+    _check_reach(family, steps, family.n - family.k, "upper shadow")
     full = (1 << family.n) - 1
     current = set(family.masks)
     for _ in range(steps):

@@ -292,16 +292,6 @@ def _rebalance(b: list[int], c: list[int]) -> tuple[list[int], list[int]]:
     return b, c
 
 
-def _is_decomposition_shape(terms: list[int], k: int) -> bool:
-    if not terms:
-        return True
-    if len(terms) > k:
-        return False
-    if any(a <= b for a, b in zip(terms, terms[1:])):
-        return False
-    return terms[0] >= 0 and terms[-1] - (k - (len(terms) - 1)) >= 0
-
-
 def _weak_dominates(wall_points: list[Point], terms: list[int], k: int, ell: int) -> bool:
     if not terms:
         return True
@@ -448,7 +438,7 @@ def recursive_reduce(wall: Wall, b: Seq, c: Seq, k: int) -> ReductionOutcome:
                 bb = bb[:-1] + [cur - s for s in range(1, dist + 1)]
             bb, cc = _rebalance(bb, cc)
 
-        if not _is_decomposition_shape(bb, k) or not _is_decomposition_shape(cc, k):
+        if not Seq(tuple(bb), k).is_k_binomial(k) or not Seq(tuple(cc), k).is_k_binomial(k):
             raise RuntimeError("reduction produced an invalid sequence")
 
     outcome = ReductionOutcome(

@@ -42,14 +42,6 @@ class AbcReport:
     equality_at_1: bool = False
     equality_propagates: bool = False
 
-    @property
-    def hypotheses_hold(self) -> bool:
-        return all(self.hypotheses.values())
-
-    @property
-    def all_hold(self) -> bool:
-        return all(r.holds for r in self.inequality_at.values())
-
 
 def _evaluate(a: Seq, b: Seq, c: Seq, k: int, k1: int, k2: int) -> AbcReport:
     rows = {

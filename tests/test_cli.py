@@ -50,6 +50,40 @@ def test_shadow_and_check_round_trip(tmp_path, capsys):
     assert report["witness"]["certifies"]
 
 
+def test_check_both_reports_every_clause(tmp_path, capsys):
+    seg = tmp_path / "seg.json"
+    run(capsys, "construct", "colex", "6", "3", "12", "--out", str(seg))
+    code, report = run(capsys, "check", "--in", str(seg), "--mode", "both")
+    assert code == 0
+    char = report["characterize"]
+    assert char["cascade"] == [5, 2, 1] and char["witnesses"] == [1, 2, 3, 4, 5, 6]
+    keys = {
+        "x",
+        "branch",
+        "ok",
+        "link_size",
+        "deleted_size",
+        "threshold",
+        "inclusion",
+        "deleted_extremal",
+        "link_extremal",
+        "numeric",
+    }
+    assert all(set(element) == keys for element in char["elements"])
+    assert char["elements"][0] == {
+        "x": 1,
+        "branch": "equality",
+        "ok": True,
+        "link_size": 8,
+        "deleted_size": 4,
+        "threshold": 4,
+        "inclusion": True,
+        "deleted_extremal": None,
+        "link_extremal": True,
+        "numeric": None,
+    }
+
+
 def test_check_non_extremal_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(
@@ -134,6 +168,37 @@ def test_shadow_upper(tmp_path, capsys):
     code, report = run(capsys, "shadow", "--in", str(pair), "--upper", "1")
     assert code == 0
     assert report["result"]["sets"] == [[1, 2, 3], [1, 2, 4]]
+
+
+def test_shadow_refuses_an_unbounded_reach(tmp_path, capsys):
+    # refused before enumerating: C(64, 32) sets at step 32, C(39, 10) at
+    # upper step 10
+    whole = tmp_path / "whole.json"
+    whole.write_text(json.dumps({"n": 64, "k": 64, "sets": [list(range(1, 65))]}))
+    single = tmp_path / "single.json"
+    single.write_text(json.dumps({"n": 40, "k": 1, "sets": [[1]]}))
+    for argv, reach in (
+        (["--in", str(whole), "--iter", "32"], "step 32 may reach 1 * C(64, 32) = "),
+        (["--in", str(single), "--upper", "10"], "step 10 may reach 1 * C(39, 10) = "),
+    ):
+        assert main(["shadow", *argv]) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+        assert reach in captured.err, captured.err
+
+
+def test_option_values_with_a_leading_minus(capsys):
+    # such a value reads as an option unless it is joined by "=", as the
+    # README says
+    text = "-C(1,0)+C(0,0)+C(0,-1)"
+    assert main(["identity", "check", "--sum", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: argument --sum: expected one argument\n"
+    code, report = run(capsys, "identity", "check", f"--sum={text}")
+    assert code == 0
+    assert report["sum"] == text and report["invariantly_zero"]
 
 
 def test_construct_perturbed(capsys):

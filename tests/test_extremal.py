@@ -40,6 +40,15 @@ def full_layer(n, k):
     return KFamily.from_sets(n, k, combinations(range(1, n + 1), k))
 
 
+def stars(layer):
+    """Per element x of [n], at index x - 1: the layer positions whose set
+    holds x, as a bit pattern."""
+    return [
+        sum(1 << i for i, mask in enumerate(layer.masks) if mask >> x & 1)
+        for x in range(layer.n)
+    ]
+
+
 def test_kk_bound_examples():
     assert kk_bound(11, 3, 1) == 12
     for n, k in ((5, 3), (6, 3), (8, 4)):
@@ -326,8 +335,8 @@ def test_clause_counts_per_support_element():
         layer = _layer(n, k)
         full = (1 << layer.size) - 1
         held = 0
-        for x, table in enumerate(clause_tables(n, k), 1):
-            avoid = full ^ layer.member()[x]
+        for x, (star, table) in enumerate(zip(stars(layer), clause_tables(n, k)), 1):
+            avoid = full ^ star
             sub = avoid
             while True:  # every subset of avoid, the empty pattern last
                 assert table[sub] == 0, (n, k, x, sub)
@@ -384,7 +393,7 @@ def test_extremal_families_realize_equality_splits():
 
     realized = {}
     for n, k in ((5, 2), (6, 2), (5, 3), (6, 3), (6, 4)):
-        members = _layer(n, k).member()[1:]
+        members = stars(_layer(n, k))
         checked = 0
         for m, patterns in _extremal_patterns_by_size(n, k).items():
             a = decompose(m, k)
@@ -457,14 +466,27 @@ def test_min_degree_bound_examples():
     assert lex_cmp(decompose(4, 3), seq_minus(decompose(10, 3), 1)) == 0
 
 
+# full-support subfamilies with more than one member, per sweepable layer;
+# smaller supports are relabelings of the smaller sweeps
+MIN_DEGREE_COUNTS = {
+    (3, 2): 4,
+    (4, 2): 41,
+    (4, 3): 11,
+    (5, 2): 768,
+    (5, 3): 958,
+    (5, 4): 26,
+    (6, 2): 27449,
+    (6, 3): 1042642,
+    (6, 4): 32596,
+    (6, 5): 57,
+    (7, 6): 120,
+}
+
+
 def test_min_degree_sweep():
-    # full-support families at every ground size up to 6; smaller supports
-    # are relabelings of the smaller sweeps
-    assert min_degree_sweep(4, 3) == 11
-    assert min_degree_sweep(5, 3) == 958
-    assert min_degree_sweep(6, 3) == 1042642
-    assert min_degree_sweep(4, 2) == 41
-    assert min_degree_sweep(5, 2) == 768
+    assert sorted(MIN_DEGREE_COUNTS) == sorted(CLAUSE_COUNTS)
+    for (n, k), count in MIN_DEGREE_COUNTS.items():
+        assert min_degree_sweep(n, k) == count, (n, k)
     for n, k in ((3, 1), (4, 4), (3, 3), (2, 1)):
         with pytest.raises(ValueError):
             min_degree_sweep(n, k)
@@ -486,13 +508,11 @@ def test_min_degree_sweep():
 def _full_support_patterns(n, k):
     """(pattern, size, minimum degree) of every subfamily of C([n], k) with
     more than one member and full support, in pattern order."""
-    pool = sorted(sum(1 << (e - 1) for e in s) for s in combinations(range(1, n + 1), k))
-    stars = [
-        sum(1 << i for i, mask in enumerate(pool) if mask >> x & 1) for x in range(n)
-    ]
-    for pattern in range(1, 1 << len(pool)):
+    layer = _layer(n, k)
+    members = stars(layer)
+    for pattern in range(1, 1 << layer.size):
         m = pattern.bit_count()
-        dmin = min((pattern & star).bit_count() for star in stars)
+        dmin = min((pattern & star).bit_count() for star in members)
         if m > 1 and dmin > 0:
             yield pattern, m, dmin
 

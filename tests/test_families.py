@@ -10,6 +10,7 @@ import pytest
 
 from shadowlab.exact import binom, decompose
 from shadowlab.families import (
+    BudgetError,
     KFamily,
     are_isomorphic,
     canonical_form,
@@ -71,6 +72,19 @@ def test_upper_shadow():
     assert len(upper_shadow(pair, 1)) == n - 2
     with pytest.raises(ValueError):
         upper_shadow(fam(4, 2, (1, 2)), 3)
+
+
+def test_shadow_steps_refused_over_budget():
+    # the bounds |F| * C(k, j) and |F| * C(n - k, j) over the steps j are
+    # checked before anything is enumerated
+    whole = fam(64, 64, tuple(range(1, 65)))
+    assert len(iterated_shadow(whole, 3)) == binom(64, 3)
+    with pytest.raises(BudgetError, match=r"step 32 may reach 1 \* C\(64, 32\) = "):
+        iterated_shadow(whole, 40)
+    single = fam(40, 1, (1,))
+    assert len(upper_shadow(single, 3)) == binom(39, 3)
+    with pytest.raises(BudgetError, match="over the shadow budget of 2000000$"):
+        upper_shadow(single, 10)
 
 
 def test_link_and_delete_star():

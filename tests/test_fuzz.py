@@ -82,7 +82,7 @@ ARGV = st.one_of(
         _switch("--up-to-iso"),
         st.sampled_from([[], ["--method", "exhaustive"], ["--method", "recursive"]]),
     ),
-    _command("oracle", "min-shadow", _positional(3), _flag("--budget")),
+    _command("oracle", "min-shadow", _positional(3)),
     _command("construct", "colex", _positional(3)),
     _command(
         "construct",
@@ -116,14 +116,33 @@ ARGV = st.one_of(
         _terms().map(lambda c: [f"--c={c}"]),
         SMALL.map(lambda k: ["--k", str(k)]),
     ),
+    # "=" again: a drawn sum may start with "-"
+    _command(
+        "identity",
+        "check",
+        (st.text(alphabet="C(),+-*0123456789 ", max_size=24) | st.text(max_size=8)).map(
+            lambda text: [f"--sum={text}"]
+        ),
+    ),
 )
 
 
-@FUZZ
-@given(ARGV)
-def test_cli_never_faults(capsys, argv):
-    code = main(argv)
-    captured = capsys.readouterr()
+# the commands that read a family file, given as "FILE" and written first
+FILE_ARGV = st.one_of(
+    _command(
+        "check",
+        "--in",
+        "FILE",
+        st.sampled_from([[]] + [["--mode", m] for m in ("direct", "characterize", "both")]),
+        _flag("--witness"),
+        _switch("--chain"),
+        _switch("--compact"),
+    ),
+    _command("shadow", "--in", "FILE", _flag("--iter"), _flag("--upper")),
+)
+
+
+def _assert_contract(argv, code, captured):
     assert code in (0, 1, 2, 3), (argv, code, captured.err)
     if code in (2, 3):
         assert captured.out == "", argv
@@ -136,3 +155,20 @@ def test_cli_never_faults(capsys, argv):
         assert captured.err == "", argv
         assert captured.out.count("\n") == 1, argv
         assert json.loads(captured.out)["command"] == argv
+
+
+@FUZZ
+@given(ARGV)
+def test_cli_never_faults(capsys, argv):
+    code = main(argv)
+    _assert_contract(argv, code, capsys.readouterr())
+
+
+@FUZZ
+@given(FAMILY_LIKE, FILE_ARGV)
+def test_cli_never_faults_on_family_files(tmp_path, capsys, data, argv):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(data))
+    argv = [str(path) if token == "FILE" else token for token in argv]
+    code = main(argv)
+    _assert_contract(argv, code, capsys.readouterr())
