@@ -8,6 +8,7 @@ from itertools import combinations
 from .exact import binom, decompose, seq_value
 from .families import (
     KFamily,
+    _layer_masks,
     are_isomorphic,
     colex_rank,
     colex_unrank,
@@ -84,14 +85,8 @@ def forbidden_pair_family(spec: ForbiddenPairSpec) -> KFamily:
     """Materialize the k-sets of [n] containing none of the forbidden pairs."""
     n, k = spec.n, spec.k
     pair_masks = [(1 << (x - 1)) | (1 << (y - 1)) for x, y in spec.pairs]
-    keep = []
-    for s in combinations(range(1, n + 1), k):
-        mask = 0
-        for e in s:
-            mask |= 1 << (e - 1)
-        if all(mask & pm != pm for pm in pair_masks):
-            keep.append(mask)
-    family = KFamily(n, k, tuple(sorted(keep)))
+    keep = [mask for mask in _layer_masks(n, k) if all(mask & pm != pm for pm in pair_masks)]
+    family = KFamily(n, k, tuple(keep))
     deletion = spec.deletion
     if spec.regular_deletion is not None:
         if deletion is not None:
@@ -364,10 +359,7 @@ def perturbed_colex(n: int, k: int, m: int) -> PerturbationResult:
         return PerturbationResult(
             segment=segment, removed=x_set, added=x_new, kind="in_segment"
         )
-    masks = set(segment.masks)
-    masks.remove(sum(1 << (e - 1) for e in x_set))
-    masks.add(sum(1 << (e - 1) for e in x_new))
-    family = KFamily(n, k, tuple(sorted(masks)))
+    family = KFamily.from_sets(n, k, [s for s in segment.sets() if s != x_set] + [x_new])
     _check_size(family, m)
     if shadow(family).masks != shadow(segment).masks:
         raise RuntimeError("perturbation changed the shadow")

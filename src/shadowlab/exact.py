@@ -117,12 +117,7 @@ def lex_cmp(a: Seq | tuple[int, ...], b: Seq | tuple[int, ...]) -> int:
     """
     ta = a.terms if isinstance(a, Seq) else tuple(a)
     tb = b.terms if isinstance(b, Seq) else tuple(b)
-    for x, y in zip(ta, tb):
-        if x != y:
-            return -1 if x < y else 1
-    if len(ta) == len(tb):
-        return 0
-    return -1 if len(ta) < len(tb) else 1
+    return (ta > tb) - (ta < tb)
 
 
 def decompose(m: int, k: int) -> Seq:

@@ -24,6 +24,8 @@ from .exact import Seq, binom, decompose, lex_cmp, seq_minus, seq_value
 from .families import (
     BudgetError,
     KFamily,
+    _layer_masks,
+    _shadow_masks,
     canonical_form,
     degree,
     delete_star,
@@ -268,22 +270,11 @@ class _Layer:
         if not 1 <= k <= n:
             raise ValueError("need 1 <= k <= n")
         self.n, self.k = n, k
-        self.masks = [sum(1 << (e - 1) for e in s) for s in combinations(range(1, n + 1), k)]
-        self.masks.sort()
+        self.masks = _layer_masks(n, k)
         self.size = len(self.masks)
-        subs = [sum(1 << (e - 1) for e in s) for s in combinations(range(1, n + 1), k - 1)]
-        subs.sort()
-        sub_index = {m: i for i, m in enumerate(subs)}
-        self.sub_masks = subs
-        self.shed = []
-        for m in self.masks:
-            bits = 0
-            rest = m
-            while rest:
-                low = rest & -rest
-                bits |= 1 << sub_index[m ^ low]
-                rest ^= low
-            self.shed.append(bits)
+        self.sub_masks = _layer_masks(n, k - 1)
+        sub_index = {m: i for i, m in enumerate(self.sub_masks)}
+        self.shed = [sum(1 << sub_index[f] for f in _shadow_masks((m,))) for m in self.masks]
         self._counts: tuple[bytes, bytes] | None = None
 
     def counts(self) -> tuple[bytes, bytes]:
@@ -421,15 +412,9 @@ def _enum_recursive(n: int, k: int, m: int) -> frozenset[tuple[int, ...]]:
     if k > n or m > binom(n, k):
         return frozenset()
     if k == 1:
-        return frozenset(
-            tuple(sorted(sum(1 << (e - 1) for e in (x,)) for x in chosen))
-            for chosen in combinations(range(1, n + 1), m)
-        )
-    if m == 1:
-        return frozenset(
-            (sum(1 << (e - 1) for e in s),) for s in combinations(range(1, n + 1), k)
-        )
+        return frozenset(combinations(_layer_masks(n, 1), m))
     out: set[tuple[int, ...]] = set(_enum_recursive(n - 1, k, m))
+    candidates = _layer_masks(n - 1, k)
     a = decompose(m, k)
     threshold = seq_value(seq_minus(a, 1), k)
     top_bit = 1 << (n - 1)
@@ -440,20 +425,15 @@ def _enum_recursive(n: int, k: int, m: int) -> frozenset[tuple[int, ...]]:
             link_part = seq_value(decompose(d, k - 1), k - 2)
             if bound_m != kk_bound(rest, k, 1) + link_part:
                 continue
-            links = _enum_recursive(n - 1, k - 1, d)
-            deletes = _enum_recursive(n - 1, k, rest)
-            for lmask in links:
-                lset = set(lmask)
-                for bmask in deletes:
-                    if not _shadow_covers(bmask, lset, k):
-                        continue
-                    fam = tuple(sorted(bmask + tuple(x | top_bit for x in lmask)))
-                    out.add(fam)
+            deletes = [(b, _shadow_masks(b)) for b in _enum_recursive(n - 1, k, rest)]
+            for lmask in _enum_recursive(n - 1, k - 1, d):
+                for bmask, covered in deletes:
+                    if covered.issuperset(lmask):
+                        out.add(tuple(sorted(bmask + tuple(x | top_bit for x in lmask))))
         elif rest == threshold:
-            links = _enum_recursive(n - 1, k - 1, d)
-            for lmask in links:
+            for lmask in _enum_recursive(n - 1, k - 1, d):
                 lset = set(lmask)
-                universe = _covered_supersets(lset, n - 1, k)
+                universe = [s for s in candidates if _shadow_masks((s,)) <= lset]
                 if len(universe) < rest:
                     continue
                 count = comb(len(universe), rest)
@@ -466,36 +446,6 @@ def _enum_recursive(n: int, k: int, m: int) -> frozenset[tuple[int, ...]]:
                     fam = tuple(sorted(chosen + tuple(x | top_bit for x in lmask)))
                     out.add(fam)
     return frozenset(out)
-
-
-def _shadow_covers(bmask: tuple[int, ...], link_masks: set[int], k: int) -> bool:
-    """True iff every link set lies in the shadow of the deleted part."""
-    covered: set[int] = set()
-    for m in bmask:
-        rest = m
-        while rest:
-            low = rest & -rest
-            covered.add(m ^ low)
-            rest ^= low
-    return link_masks <= covered
-
-
-def _covered_supersets(link_masks: set[int], n: int, k: int) -> list[int]:
-    """k-sets of [n] all of whose (k-1)-subsets lie in the link."""
-    out = []
-    for s in combinations(range(1, n + 1), k):
-        m = sum(1 << (e - 1) for e in s)
-        rest = m
-        good = True
-        while rest:
-            low = rest & -rest
-            if m ^ low not in link_masks:
-                good = False
-                break
-            rest ^= low
-        if good:
-            out.append(m)
-    return out
 
 
 def enumerate_extremal(
@@ -512,8 +462,9 @@ def enumerate_extremal(
         families = [
             KFamily(n, k, masks) for masks in sorted(_enum_recursive(n, k, m))
         ]
-        if k > 1:
-            families = [f for f in families if is_extremal(f)]
+        bad = next((f for f in families if not is_extremal(f)), None)
+        if bad is not None:
+            raise RuntimeError(f"recursive enumeration generated non-extremal {bad.sets()}")
     else:
         raise ValueError(f"unknown method {method!r}")
     return _iso_classes(families) if up_to_iso else families

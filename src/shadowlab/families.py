@@ -99,18 +99,28 @@ class KFamily:
         return _elements_of(self.support_mask())
 
 
-def shadow(family: KFamily) -> KFamily:
-    """All (k-1)-subsets contained in at least one member."""
-    if family.k < 1:
-        raise ValueError("shadow needs k >= 1")
+def _layer_masks(n: int, k: int) -> list[int]:
+    """The k-subsets of [n] as ascending masks, which is colex order."""
+    return sorted(sum(1 << (e - 1) for e in s) for s in combinations(range(1, n + 1), k))
+
+
+def _shadow_masks(masks: Iterable[int]) -> set[int]:
+    """The masks one element smaller than some mask of masks."""
     out: set[int] = set()
-    for m in family.masks:
+    for m in masks:
         rest = m
         while rest:
             low = rest & -rest
             out.add(m ^ low)
             rest ^= low
-    return KFamily(family.n, family.k - 1, tuple(sorted(out)))
+    return out
+
+
+def shadow(family: KFamily) -> KFamily:
+    """All (k-1)-subsets contained in at least one member."""
+    if family.k < 1:
+        raise ValueError("shadow needs k >= 1")
+    return KFamily(family.n, family.k - 1, tuple(sorted(_shadow_masks(family.masks))))
 
 
 def _check_reach(family: KFamily, steps: int, choices: int, kind: str) -> None:
@@ -293,7 +303,7 @@ def canonical_form(family: KFamily) -> KFamily:
     if s == 0:
         return KFamily(max(family.k, 1) if family.k else 1, family.k, family.masks)
     if len(family) == binom(s, k := family.k):
-        return KFamily.from_sets(s, k, combinations(range(1, s + 1), k))
+        return KFamily(s, k, tuple(_layer_masks(s, k)))
     # per support element: the member positions that contain it
     incidence = {
         x: sum(1 << i for i, m in enumerate(family.masks) if m >> (x - 1) & 1)

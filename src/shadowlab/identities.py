@@ -16,11 +16,13 @@ from itertools import product
 from typing import Iterable, Mapping
 
 from .exact import Seq, binom, _checked
+from .families import BudgetError
 
 # empirical invariance window used by grid cross-checks; wide enough to expose
 # every hidden term of the desk-scale sums exercised here
 GRID_LO = -4
 GRID_HI = 8
+REWRITE_BUDGET = 1_000_000  # Pascal rewrites one invariance decision may make
 
 Point = tuple[int, int]
 
@@ -118,14 +120,24 @@ def is_invariantly_zero(s: BinomialSum) -> bool:
     Every term with upper index above the minimum present is rewritten with
     the Pascal step C(n, k) -> C(n-1, k) + C(n-1, k-1) until all terms sit on
     one upper index; the sum is invariantly zero iff everything cancelled.
+    A row of r terms costs r rewrites, so an upper span of s may cost about
+    s^2 / 2; past ``REWRITE_BUDGET`` it raises ``BudgetError``.
     """
     coeffs = dict(s._coeffs)
     if not coeffs:
         return True
     floor = min(u for (u, _l) in coeffs)
     top = max(u for (u, _l) in coeffs)
+    rewrites = 0
     for u in range(top, floor, -1):
         row = [(key, c) for key, c in coeffs.items() if key[0] == u]
+        rewrites += len(row)
+        if rewrites > REWRITE_BUDGET:
+            raise BudgetError(
+                f"invariance check passes the budget of {REWRITE_BUDGET} Pascal rewrites "
+                f"at upper index {u}: {top - u} of {top - floor} rows walked, "
+                f"{u - floor} left"
+            )
         for (uu, l), c in row:
             del coeffs[(uu, l)]
             for key in ((u - 1, l), (u - 1, l - 1)):

@@ -166,13 +166,6 @@ def _row_vector(terms: tuple[int, ...], base: int, k: int) -> tuple[int, ...]:
     )
 
 
-def _lex_ge(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
-    for xi, yi in zip(x, y):
-        if xi != yi:
-            return xi > yi
-    return len(x) >= len(y)
-
-
 def _cascades(k: int, amax: int) -> list[Seq]:
     out = []
     for length in range(1, k + 1):
@@ -216,9 +209,7 @@ def lemma_sweep(k: int, amax: int) -> dict:
         m = arows[0]
         a1 = tuple(x - 1 for x in a.terms)
         for b_terms, brows in bs:
-            if not b_terms or brows[0] > m:
-                continue
-            if not _lex_ge(b_terms, a1):
+            if not b_terms or brows[0] > m or b_terms < a1:
                 continue
             for c_terms, crows in c_by_value.get(m - brows[0], ()):
                 checked += 1
@@ -350,7 +341,7 @@ def _equality_splits_in(universe, a: Seq, k: int) -> list[tuple[Seq, Seq]]:
     bs, c_by_value = universe
     out = []
     for b_terms, brows in bs:
-        if not b_terms or brows[0] > m or not _lex_ge(b_terms, a1):
+        if not b_terms or brows[0] > m or b_terms < a1:
             continue
         for c_terms, crows in c_by_value.get(m - brows[0], ()):
             if brows[1] + crows[1] == bound:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -251,6 +252,21 @@ def test_identity_check(capsys):
     assert code == 0
     assert report["invariantly_zero"] and report["zero_on_grid"]
     code, report = run(capsys, "identity", "check", "--sum", "C(1,0)-C(0,0)")
+    assert code == 1
+    assert not report["invariantly_zero"]
+
+
+def test_identity_check_refuses_a_wide_upper_span(capsys):
+    # rewriting row by row costs about span^2 / 2 Pascal steps; a span far
+    # past the rewrite budget is refused in seconds instead of hanging
+    start = time.perf_counter()
+    assert main(["identity", "check", "--sum=C(20000,0)-C(0,0)"]) == 3
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "rows walked" in captured.err
+    code, report = run(capsys, "identity", "check", "--sum=C(1000,0)-C(0,0)")
     assert code == 1
     assert not report["invariantly_zero"]
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -190,6 +191,19 @@ def test_lex_cmp_rules():
     assert lex_cmp(EMPTY, Seq((0,), 1)) < 0
     assert lex_cmp(Seq((2, 1), 2), Seq((2, 1), 2)) == 0
     assert lex_cmp((3, 1), (3,)) > 0
+
+    def by_rule(a, b):
+        # the first differing entry decides, else the longer sequence wins
+        for x, y in zip(a, b):
+            if x != y:
+                return -1 if x < y else 1
+        return (len(a) > len(b)) - (len(a) < len(b))
+
+    grid = [t for length in range(4) for t in product(range(-2, 5), repeat=length)]
+    assert len(grid) == 400
+    for a in grid:
+        for b in grid:
+            assert lex_cmp(a, b) == by_rule(a, b), (a, b)
 
 
 def test_minus_one_redecomposition_property():

@@ -16,8 +16,10 @@ from shadowlab.families import (
     initial_segment,
     shadow,
 )
+from shadowlab import extremal
 from shadowlab.extremal import (
     _clause_blocks,
+    _enum_recursive,
     _iso_classes,
     _layer,
     brute_force_min_shadow,
@@ -584,6 +586,22 @@ def test_enumerate_methods_agree():
         assert extremal_iso_classes(n, 1, m) == [initial_segment(m, 1, m)]
 
 
+def test_recursive_enumeration_refuses_non_extremal_output(monkeypatch, capsys):
+    # a generated family that fails the shadow bound is an enumerator fault:
+    # it is reported, never silently dropped
+    from shadowlab.cli import main
+
+    disjoint = (0b0011, 0b1100)  # {1,2}, {3,4}: shadow 4, bound 3
+    monkeypatch.setattr(extremal, "_enum_recursive", lambda n, k, m: frozenset({disjoint}))
+    with pytest.raises(RuntimeError, match=r"non-extremal \[\(1, 2\), \(3, 4\)\]"):
+        enumerate_extremal(4, 2, 2, method="recursive")
+    assert main(["enumerate", "4", "2", "2", "--method", "recursive"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal: RuntimeError: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_extremal_iso_classes_reject_out_of_range_sizes():
     for n, k, m in ((5, 3, 0), (5, 3, 11), (5, 3, 25), (4, 2, -1)):
         with pytest.raises(ValueError, match="family size out of range"):
@@ -617,6 +635,17 @@ def _automorphism_count(masks, n):
         ):
             count += 1
     return count
+
+
+def test_recursive_counts_match_colex_orbits_at_7_3():
+    # no exhaustive oracle reaches (7,3): where the colex segment is the
+    # unique extremal class, the extremal families are exactly its orbit
+    # under the 5040 permutations of [7]
+    sizes = [m for m in range(1, 36) if uniqueness_predicate(7, 3, m)]
+    assert len(sizes) == 19
+    for m in sizes:
+        orbit = 5040 // _automorphism_count(initial_segment(7, 3, m).masks, 7)
+        assert len(_enum_recursive(7, 3, m)) == orbit, m
 
 
 def test_iso_classes_orbit_sum():

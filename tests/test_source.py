@@ -32,3 +32,16 @@ def test_no_environment_reads():
                 if names & {"environ", "getenv", "environb", "*"}:
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_mask_format_stays_in_families():
+    # families.py owns the mask format: element e is bit e - 1, and a set's
+    # (k-1)-subsets clear one set bit; other modules call its helpers
+    found = []
+    for path in sorted(Path(shadowlab.__file__).parent.glob("*.py")):
+        if path.name == "families.py":
+            continue
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if "rest & -rest" in line or "1 << (e - 1)" in line:
+                found.append(f"{path.name}:{lineno}")
+    assert found == []
