@@ -9,11 +9,12 @@ from .exact import binom, decompose, seq_value
 from .families import (
     KFamily,
     _layer_masks,
+    _mask_of,
+    _transposed,
     are_isomorphic,
     colex_rank,
     colex_unrank,
     compact_support,
-    degree,
     initial_segment,
     join,
     shadow,
@@ -84,7 +85,7 @@ def regular_family(ground_size: int, k: int, r: int) -> KFamily:
 def forbidden_pair_family(spec: ForbiddenPairSpec) -> KFamily:
     """Materialize the k-sets of [n] containing none of the forbidden pairs."""
     n, k = spec.n, spec.k
-    pair_masks = [(1 << (x - 1)) | (1 << (y - 1)) for x, y in spec.pairs]
+    pair_masks = [_mask_of(pair, n) for pair in spec.pairs]
     keep = [mask for mask in _layer_masks(n, k) if all(mask & pm != pm for pm in pair_masks)]
     family = KFamily(n, k, tuple(keep))
     deletion = spec.deletion
@@ -104,10 +105,11 @@ def forbidden_pair_family(spec: ForbiddenPairSpec) -> KFamily:
         for pm in pair_masks:
             pair_support |= pm
         del_masks = set(deletion.masks)
+        members = set(family.masks)
         for dm in del_masks:
             if dm & pair_support:
                 raise ValueError("deletion must avoid the forbidden-pair support")
-            if dm not in set(family.masks):
+            if dm not in members:
                 raise ValueError("deletion is not inside the family")
         family = KFamily(n, k, tuple(m for m in family.masks if m not in del_masks))
     return family
@@ -288,18 +290,6 @@ def example_33_family(n: int, k: int) -> KFamily:
     return compact_support(family)
 
 
-def _transposed_masks(family: KFamily, x: int, y: int) -> set[int]:
-    """Images of the member masks under the transposition (x, y)."""
-    bx, by = 1 << (x - 1), 1 << (y - 1)
-    out = set()
-    for m in family.masks:
-        has_x, has_y = bool(m & bx), bool(m & by)
-        if has_x != has_y:
-            m ^= bx | by
-        out.add(m)
-    return out
-
-
 @dataclass
 class PerturbationResult:
     """Swap of the last segment member for a set off its cascade position.
@@ -308,7 +298,8 @@ class PerturbationResult:
     the replacement already sits inside the segment (no family is formed),
     or "isomorphic" when the swapped family merely relabels the segment
     (the family is kept for inspection).  Only "ok" results carry the
-    guarantee of a non-isomorphic extremal family with the segment's shadow.
+    guarantee of a non-isomorphic extremal family with the segment's shadow:
+    ``perturbed_colex`` raises rather than return "ok" unverified.
     """
 
     segment: KFamily
@@ -331,10 +322,13 @@ def perturbed_colex(n: int, k: int, m: int) -> PerturbationResult:
     successor of the smallest cascade entry.  Both failure modes are tagged
     results, not errors: the replacement can land inside the segment, and an
     off-segment replacement can still relabel the segment, because swapping
-    the two smallest-cascade labels fixes everything else.  Desk-scale scans
-    show every admissible instance lands in one of the two; genuinely new
-    extremal classes at these sizes come from enumeration or the
-    forbidden-pair constructions instead.
+    the two smallest-cascade labels fixes everything else.  That
+    transposition is tried first as a certificate; otherwise
+    ``are_isomorphic`` decides, and raises ``ValueError`` when it would need
+    a canonical search over more than ``ISO_SUPPORT_LIMIT`` elements.
+    Desk-scale scans show every admissible instance lands in one of the two;
+    genuinely new extremal classes at these sizes come from enumeration or
+    the forbidden-pair constructions instead.
     """
     a = decompose(m, k)
     if len(a.terms) != k:
@@ -363,24 +357,8 @@ def perturbed_colex(n: int, k: int, m: int) -> PerturbationResult:
     _check_size(family, m)
     if shadow(family).masks != shadow(segment).masks:
         raise RuntimeError("perturbation changed the shadow")
-    isomorphic: bool | None = None
-    if _transposed_masks(family, removed_elem, added_elem) == set(segment.masks):
-        isomorphic = True  # the swap is a pure relabeling
-    else:
-        seg_degrees = sorted(degree(segment, x) for x in segment.support())
-        fam_degrees = sorted(degree(family, x) for x in family.support())
-        if seg_degrees != fam_degrees:
-            isomorphic = False
-        elif len(family.support()) <= 10:
-            isomorphic = are_isomorphic(family, segment)
-    if isomorphic:
-        return PerturbationResult(
-            segment=segment,
-            removed=x_set,
-            added=x_new,
-            kind="isomorphic",
-            family=family,
-        )
+    relabels = _transposed(family.masks, removed_elem, added_elem) == segment.masks
+    kind = "isomorphic" if relabels or are_isomorphic(family, segment) else "ok"
     return PerturbationResult(
-        segment=segment, removed=x_set, added=x_new, kind="ok", family=family
+        segment=segment, removed=x_set, added=x_new, kind=kind, family=family
     )

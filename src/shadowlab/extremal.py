@@ -24,8 +24,11 @@ from .exact import Seq, binom, decompose, lex_cmp, seq_minus, seq_value
 from .families import (
     BudgetError,
     KFamily,
+    _element_flags,
     _layer_masks,
+    _lifted,
     _shadow_masks,
+    _transposed,
     canonical_form,
     degree,
     delete_star,
@@ -344,17 +347,13 @@ def brute_force_min_shadow(n: int, k: int, m: int) -> int:
             f"C({layer_size}, {m}) = {count} combinations exceed the "
             f"enumeration budget of {COMBINATION_BUDGET}"
         )
-    layer = _layer(n, k)
-    best: int | None = None
-    for chosen in combinations(layer.shed, m):
+    best = binom(n, k - 1)  # no shadow is larger than the layer below
+    for chosen in combinations(_layer(n, k).shed, m):
         acc = 0
-        for bits in chosen:
+        for bits in chosen:  # a plain loop beats reduce(or_, chosen) here
             acc |= bits
-        count = acc.bit_count()
-        if best is None or count < best:
-            best = count
-    if best is None:
-        raise RuntimeError("no combination was enumerated")
+        if acc.bit_count() < best:
+            best = acc.bit_count()
     return best
 
 
@@ -405,7 +404,9 @@ def _enum_recursive(n: int, k: int, m: int) -> frozenset[tuple[int, ...]]:
     A family either avoids n entirely, or splits at n into a deleted part B
     and a link L; the strict branch needs both parts extremal with the
     numeric identity, the equality branch needs an extremal L covering the
-    shadow of an otherwise arbitrary B.
+    shadow of an otherwise arbitrary B.  Every family is an ascending mask
+    tuple: a part on [n - 1] joined by the lifted link, whose masks all hold
+    n and so come after every mask of the part.
     """
     if m == 0:
         return frozenset({()})
@@ -417,7 +418,6 @@ def _enum_recursive(n: int, k: int, m: int) -> frozenset[tuple[int, ...]]:
     candidates = _layer_masks(n - 1, k)
     a = decompose(m, k)
     threshold = seq_value(seq_minus(a, 1), k)
-    top_bit = 1 << (n - 1)
     bound_m = seq_value(a, k - 1)
     for d in range(1, min(binom(n - 1, k - 1), m) + 1):
         rest = m - d
@@ -427,9 +427,10 @@ def _enum_recursive(n: int, k: int, m: int) -> frozenset[tuple[int, ...]]:
                 continue
             deletes = [(b, _shadow_masks(b)) for b in _enum_recursive(n - 1, k, rest)]
             for lmask in _enum_recursive(n - 1, k - 1, d):
+                lifted = _lifted(lmask, n)
                 for bmask, covered in deletes:
                     if covered.issuperset(lmask):
-                        out.add(tuple(sorted(bmask + tuple(x | top_bit for x in lmask))))
+                        out.add(bmask + lifted)
         elif rest == threshold:
             for lmask in _enum_recursive(n - 1, k - 1, d):
                 lset = set(lmask)
@@ -442,9 +443,8 @@ def _enum_recursive(n: int, k: int, m: int) -> frozenset[tuple[int, ...]]:
                         f"equality branch: C({len(universe)}, {rest}) = {count} "
                         f"combinations exceed the budget of {COMBINATION_BUDGET}"
                     )
-                for chosen in combinations(universe, rest):
-                    fam = tuple(sorted(chosen + tuple(x | top_bit for x in lmask)))
-                    out.add(fam)
+                lifted = _lifted(lmask, n)
+                out.update(chosen + lifted for chosen in combinations(universe, rest))
     return frozenset(out)
 
 
@@ -495,14 +495,9 @@ def _iso_classes(families: list[KFamily]) -> list[KFamily]:
             i = parent[i]
         return i
 
-    for x in range(families[0].n - 1):
-        low, high = 1 << x, 1 << (x + 1)
-        both = low | high
+    for x in range(1, families[0].n):
         for i, family in enumerate(families):
-            image = tuple(
-                sorted(m ^ both if (m & both) in (low, high) else m for m in family.masks)
-            )
-            j = index.get(image)
+            j = index.get(_transposed(family.masks, x, x + 1))
             if j is None:
                 raise RuntimeError("family list is not closed under relabeling")
             ri, rj = find(i), find(j)
@@ -584,7 +579,7 @@ def _clause_blocks(layer: _Layer) -> Iterator[tuple[int, list[int]]]:
     low = min(layer.size, _BLOCK_POSITIONS)
     elements = []
     for x in range(1, n + 1):
-        holds = [mask >> (x - 1) & 1 for mask in layer.masks]
+        holds = _element_flags(layer.masks, x)
         degree = sum(holds)
         width = layer.size - degree + 1  # the values of rest
         # per state: the targets of |shadow(L)| and |U|, and the masks 0xFF on
@@ -613,8 +608,9 @@ def _clause_blocks(layer: _Layer) -> Iterator[tuple[int, list[int]]]:
         # and that avoid it: a set holding x adds its subsets with x, one
         # avoiding x all of its subsets
         parts = []
+        sub_holds = _element_flags(layer.sub_masks, x)
         for side in (1, 0):
-            subs = [i for i, sub in enumerate(layer.sub_masks) if sub >> (x - 1) & 1 == side]
+            subs = [i for i, h in enumerate(sub_holds) if h == side]
             sheds = [
                 sum(1 << j for j, i in enumerate(subs) if bits >> i & 1) if h == side else 0
                 for bits, h in zip(layer.shed, holds)
@@ -707,8 +703,8 @@ def min_degree_sweep(n: int, k: int) -> int:
     pop, _ = layer.counts()
     high = _fill(0x80, len(pop))
     least = _fill(0x7F, len(pop))
-    for x in range(n):
-        steps = [_PLUS_ONE if mask >> x & 1 else _IDENTITY for mask in layer.masks]
+    for x in range(1, n + 1):
+        steps = [_PLUS_ONE if h else _IDENTITY for h in _element_flags(layer.masks, x)]
         least = _field_min(least, _fields(_doubled(steps)), high)
     degree = binom(n - 1, k - 1)  # of every element in the whole layer
     width = layer.size - degree + 1  # the values of rest

@@ -2,7 +2,10 @@
 
 Elements are 1-based; element i occupies bit i-1, so numeric order of the
 masks coincides with colex order on the sets.  All operations are pure and
-return new families.
+return new families.  This module owns that format: other modules build,
+read, lift and relabel masks through its private helpers (``_mask_of``,
+``_layer_masks``, ``_shadow_masks``, ``_element_flags``, ``_lifted``,
+``_transposed``), and ``tests/test_source.py`` checks that none spells it.
 """
 
 from __future__ import annotations
@@ -114,6 +117,25 @@ def _shadow_masks(masks: Iterable[int]) -> set[int]:
             out.add(m ^ low)
             rest ^= low
     return out
+
+
+def _element_flags(masks: Iterable[int], x: int) -> list[int]:
+    """Per mask: 1 if it holds element x, else 0."""
+    shift = x - 1
+    return [m >> shift & 1 for m in masks]
+
+
+def _lifted(masks: Iterable[int], x: int) -> tuple[int, ...]:
+    """Each mask with element x added."""
+    bit = 1 << (x - 1)
+    return tuple(m | bit for m in masks)
+
+
+def _transposed(masks: Iterable[int], x: int, y: int) -> tuple[int, ...]:
+    """The masks relabeled by the transposition of elements x and y, ascending."""
+    bx, by = 1 << (x - 1), 1 << (y - 1)
+    both = bx | by
+    return tuple(sorted(m ^ both if (m & both) in (bx, by) else m for m in masks))
 
 
 def shadow(family: KFamily) -> KFamily:

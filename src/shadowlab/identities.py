@@ -110,10 +110,6 @@ class BinomialSum:
         return out
 
 
-def translate(s: BinomialSum, r: int, slide: int) -> BinomialSum:
-    return s.translate(r, slide)
-
-
 def is_invariantly_zero(s: BinomialSum) -> bool:
     """Decide whether s is zero as a translation-invariant identity.
 
@@ -149,13 +145,12 @@ def is_invariantly_zero(s: BinomialSum) -> bool:
     return not coeffs
 
 
-def is_zero_on_grid(
-    s: BinomialSum, lo: int = GRID_LO, hi: int = GRID_HI
-) -> bool:
-    """Empirical cross-check: evaluate every translate on the [lo, hi]^2 grid."""
+def is_zero_on_grid(s: BinomialSum) -> bool:
+    """Empirical cross-check: evaluate every translate on the
+    [GRID_LO, GRID_HI]^2 grid."""
     return all(
         s.translate(r, t).evaluate() == 0
-        for r, t in product(range(lo, hi + 1), repeat=2)
+        for r, t in product(range(GRID_LO, GRID_HI + 1), repeat=2)
     )
 
 
@@ -215,10 +210,6 @@ class Wall:
 
     def expand(self) -> BinomialSum:
         return BinomialSum((p, 1) for p in self.points())
-
-
-def wall_expand(wall: Wall) -> BinomialSum:
-    return wall.expand()
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,8 @@ from itertools import combinations
 
 from .exact import Seq, binom, lex_cmp, seq_minus, seq_shift, seq_value
 
+NEAR_VIOLATION_TOL = 1e-9  # conjecture slack below -this is a near-violation
+
 
 @dataclass
 class InequalityRow:
@@ -422,14 +424,12 @@ class ConjectureReport:
     )
 
 
-def conjecture_scan(
-    k: int, x_grid: list[float], y_samples: int = 41, tol: float = 1e-9
-) -> ConjectureReport:
+def conjecture_scan(k: int, x_grid: list[float], y_samples: int = 41) -> ConjectureReport:
     """Scan the real-variable shadow inequality on a grid; reports only.
 
     For each x and each y in [x-1, x], z solves C(z, k-1) = C(x, k) - C(y, k)
-    and the slack C(y, k-1) + C(z, k-2) - C(x, k-1) is recorded.  A negative
-    slack beyond tolerance is a near-violation, never an assertion.
+    and the slack C(y, k-1) + C(z, k-2) - C(x, k-1) is recorded.  A slack
+    below -``NEAR_VIOLATION_TOL`` is a near-violation, never an assertion.
     """
     if k < 2:
         raise ValueError("the scan needs k >= 2")
@@ -451,7 +451,7 @@ def conjecture_scan(
             if slack < best:
                 best = slack
                 argmin = (x, y, z)
-            if slack < -tol:
+            if slack < -NEAR_VIOLATION_TOL:
                 near.append((x, y, z, slack))
     return ConjectureReport(
         k=k, xs=list(x_grid), min_slack=best, argmin=argmin, near_violations=near

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from shadowlab import constructions
 from shadowlab.exact import binom, decompose
 from shadowlab.families import KFamily, are_isomorphic, degree, shadow
 from shadowlab.extremal import characterize, is_extremal
@@ -196,6 +197,15 @@ def test_perturbed_colex_degenerate_relabeling():
     assert shadow(family).masks == shadow(result.segment).masks
     assert is_extremal(family)
     assert are_isomorphic(family, result.segment)
+
+
+def test_perturbed_colex_decides_without_the_certificate(monkeypatch):
+    # with the transposition certificate failing, are_isomorphic decides; a
+    # support too large for its canonical search is refused, never "ok"
+    monkeypatch.setattr(constructions, "_transposed", lambda masks, x, y: ())
+    assert perturbed_colex(7, 3, 14).kind == "isomorphic"
+    with pytest.raises(ValueError, match="support larger"):
+        perturbed_colex(11, 2, 46)
 
 
 def test_perturbed_colex_exhaustive_scan():

@@ -19,15 +19,13 @@ from shadowlab.identities import (
     is_invariantly_zero,
     is_zero_on_grid,
     recursive_reduce,
-    translate,
     vertical_difference,
-    wall_expand,
 )
 
 
 def test_translate_identity():
     s = BinomialSum.term(1, 0)
-    assert translate(s, 0, 0) == s
+    assert s.translate(0, 0) == s
 
 
 def test_translate_pascal_difference_is_zero_everywhere():
@@ -37,14 +35,14 @@ def test_translate_pascal_difference_is_zero_everywhere():
         - BinomialSum.term(5, 2)
     )
     for r, t in product(range(-4, 9), repeat=2):
-        assert translate(diff, r, t).evaluate() == 0
+        assert diff.translate(r, t).evaluate() == 0
 
 
 def test_translate_witness_for_hidden_coefficient():
     # C(1,0) = C(0,0) holds pointwise but fails after one downward slide
     s = BinomialSum({(1, 0): 1, (0, 0): -1})
     assert s.evaluate() == 0
-    assert translate(s, 0, 1).evaluate() == binom(1, 1) - binom(0, 1) == 1
+    assert s.translate(0, 1).evaluate() == binom(1, 1) - binom(0, 1) == 1
 
 
 def test_is_invariantly_zero_examples():
@@ -86,11 +84,11 @@ def test_invariance_matches_grid_oracle_on_random_sums():
 
 
 def test_wall_expand_examples():
-    assert wall_expand(Wall((2,), 3)) == BinomialSum.term(5, 2)
-    assert wall_expand(Wall((2, 2), 3)) == BinomialSum({(5, 2): 1, (4, 2): 1})
+    assert Wall((2,), 3).expand() == BinomialSum.term(5, 2)
+    assert Wall((2, 2), 3).expand() == BinomialSum({(5, 2): 1, (4, 2): 1})
     empty = Wall((), 0)
-    assert not wall_expand(empty)
-    assert wall_expand(empty).evaluate() == 0
+    assert not empty.expand()
+    assert empty.expand().evaluate() == 0
 
 
 def test_wall_validation():
@@ -104,10 +102,10 @@ def test_rubble_and_pavement_translation():
     r = Rubble((3, 5, 5))
     assert r.evaluate() == 3
     assert r.to_sum().evaluate() == 3
-    assert translate(r.to_sum(), 0, -1).evaluate() == 0
+    assert r.to_sum().translate(0, -1).evaluate() == 0
     p = Pavement((1, 2, 4))
     assert p.to_sum().evaluate() == 0
-    lowered = translate(p.to_sum(), 0, -1)
+    lowered = p.to_sum().translate(0, -1)
     assert lowered.evaluate() == 3  # every C(i-1, i-1) = 1
     assert lowered.evaluate() >= 0
     with pytest.raises(ValueError):

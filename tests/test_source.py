@@ -34,6 +34,27 @@ def test_no_environment_reads():
     assert found == []
 
 
+def _spells_mask_format(node: ast.AST) -> bool:
+    """A shift by ``<expr> - 1`` (element e is bit e - 1) or a lowest set
+    bit ``x & -x``."""
+    if not isinstance(node, ast.BinOp):
+        return False
+    if isinstance(node.op, (ast.LShift, ast.RShift)):
+        right = node.right
+        return (
+            isinstance(right, ast.BinOp)
+            and isinstance(right.op, ast.Sub)
+            and isinstance(right.right, ast.Constant)
+            and right.right.value == 1
+        )
+    return (
+        isinstance(node.op, ast.BitAnd)
+        and isinstance(node.right, ast.UnaryOp)
+        and isinstance(node.right.op, ast.USub)
+        and ast.dump(node.right.operand) == ast.dump(node.left)
+    )
+
+
 def test_mask_format_stays_in_families():
     # families.py owns the mask format: element e is bit e - 1, and a set's
     # (k-1)-subsets clear one set bit; other modules call its helpers
@@ -41,7 +62,8 @@ def test_mask_format_stays_in_families():
     for path in sorted(Path(shadowlab.__file__).parent.glob("*.py")):
         if path.name == "families.py":
             continue
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            if "rest & -rest" in line or "1 << (e - 1)" in line:
-                found.append(f"{path.name}:{lineno}")
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _spells_mask_format(node)
+        ]
     assert found == []
