@@ -7,6 +7,7 @@ instead of a silently huge number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 INT128_MAX = 2**127 - 1
@@ -39,6 +40,15 @@ def binom(n: int, k: int) -> int:
     if k > n:
         return 0
     k = min(k, n - k)
+    # The loop's intermediates are i * C(n, i), largest at i = k since
+    # k <= n / 2.  When that one fits, the loop cannot overflow and
+    # math.comb gives its value.  It never fits for k >= 128 (then
+    # C(n, k) >= 2^k) or n > INT128_MAX (step 1 is n), so those skip
+    # math.comb and the loop raises naming the intermediate that overflows.
+    if k < 128 and n <= INT128_MAX:
+        value = math.comb(n, k)
+        if k * value <= INT128_MAX:
+            return value
     result = 1
     for i in range(1, k + 1):
         # multiply-then-divide keeps every intermediate equal to C(n, i)

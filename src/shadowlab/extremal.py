@@ -691,21 +691,26 @@ def min_degree_sweep(n: int, k: int) -> int:
     depends only on the state byte d * (W + 1) + rest = m + W * d of
     ``_clause_blocks``, which one field sum of the member-count table and the
     minimum-degree table gives without carries; the latter is the field-wise
-    minimum of one degree table per element, built by doubling.  One 256-byte
-    map sends each state to 0 where the bound is not stated (m <= 1, or
-    d = 0: not full support), 1 where it holds and 2 where it fails, and one
-    ``translate`` applies it.  ``min_degree_bound_check`` is the
-    family-at-a-time oracle the tests compare against.
+    minimum of one degree table per element.  One 256-byte map sends each
+    state to 0 where the bound is not stated (m <= 1, or d = 0: not full
+    support), 1 where it holds and 2 where it fails, and one ``translate``
+    applies it.  As in ``_clause_blocks``, the tables are built on blocks of
+    2^16 patterns: per element, a degree table over the low positions and
+    one 256-byte map per block composing the high positions' steps.
+    ``min_degree_bound_check`` is the family-at-a-time oracle the tests
+    compare against.
     """
     if not n > k > 1:
         raise ValueError("the minimum-degree bound needs n > k > 1")
     layer = _sweep_layer(n, k)
     pop, _ = layer.counts()
-    high = _fill(0x80, len(pop))
-    least = _fill(0x7F, len(pop))
+    low = min(layer.size, _BLOCK_POSITIONS)
+    block_size = 1 << low
+    high = _fill(0x80, block_size)
+    elements = []
     for x in range(1, n + 1):
         steps = [_PLUS_ONE if h else _IDENTITY for h in _element_flags(layer.masks, x)]
-        least = _field_min(least, _fields(_doubled(steps)), high)
+        elements.append((_doubled(steps[:low]), _doubled(steps[low:], _IDENTITY)))
     degree = binom(n - 1, k - 1)  # of every element in the whole layer
     width = layer.size - degree + 1  # the values of rest
     verdicts = bytearray(256)
@@ -715,8 +720,17 @@ def min_degree_sweep(n: int, k: int) -> int:
             b = decompose(rest, k)
             held = b.terms and lex_cmp(b, seq_minus(decompose(d + rest, k), 1)) >= 0
             verdicts[state] = 1 if held else 2
-    table = (_fields(pop) + (width - 1) * least).to_bytes(len(pop), "little").translate(verdicts)
-    failed = table.find(2)
-    if failed != -1:
-        raise RuntimeError(f"minimum-degree bound failed at pattern {failed}")
-    return len(table) - table.count(0)
+    checked = 0
+    for block in range(1 << (layer.size - low)):
+        start = block << low
+        maps = slice(256 * block, 256 * (block + 1))
+        least = _fill(0x7F, block_size)
+        for degrees, composed in elements:
+            least = _field_min(least, _fields(degrees.translate(composed[maps])), high)
+        states = _fields(pop[start : start + block_size]) + (width - 1) * least
+        table = states.to_bytes(block_size, "little").translate(verdicts)
+        failed = table.find(2)
+        if failed != -1:
+            raise RuntimeError(f"minimum-degree bound failed at pattern {start + failed}")
+        checked += block_size - table.count(0)
+    return checked

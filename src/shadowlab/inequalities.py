@@ -8,8 +8,10 @@ scale and are the acceptance oracles.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
+from operator import add, le
 
 from .exact import Seq, binom, lex_cmp, seq_minus, seq_shift, seq_value
 
@@ -130,7 +132,8 @@ def _admissible(level: int, cap: int) -> list[tuple[tuple[int, ...], int]]:
     j - 1 and at most level + 1 terms: a term past index ``level`` is
     evaluated at a negative level and contributes zero to every row, so
     longer tails would be representation noise.  Entries are (terms, value
-    at ``level``) in depth-first order, the empty tuple first.  This is the
+    at ``level``) in depth-first order with ascending terms, which is tuple
+    order, the empty tuple first; the sweeps bisect on it.  This is the
     one enumerator behind every split sweep; a caller that needs a smaller
     cap may keep the entries of value at most that cap, which are exactly
     the entries the smaller cap yields, in the same order.
@@ -191,12 +194,66 @@ def _split_universe(k: int, cap: int):
     return bs, c_by_value
 
 
+def _grouped(entries) -> dict[int, tuple[list, list]]:
+    """Entries (terms, rows) grouped by their value rows[0]: per value, the
+    terms and the row vectors, in the entries' order."""
+    groups: dict[int, tuple[list, list]] = {}
+    for terms, rows in entries:
+        group = groups.setdefault(rows[0], ([], []))
+        group[0].append(terms)
+        group[1].append(rows)
+    return groups
+
+
+def _column_minima(rows: list[tuple[int, ...]]) -> tuple[int, ...]:
+    return tuple(min(column) for column in zip(*rows))
+
+
+def _suffix_bounds(rows: list[tuple[int, ...]]) -> tuple[list, list]:
+    """Two exact column bounds for every suffix rows[j:]: the column minima,
+    and the column maxima over the suffix's rows at its level-1 minimum
+    (column 1)."""
+    minima, tops = rows[:], rows[:]
+    for j in range(len(rows) - 2, -1, -1):
+        minima[j] = tuple(map(min, rows[j], minima[j + 1]))
+        if rows[j][1] == minima[j + 1][1]:
+            tops[j] = tuple(map(max, rows[j], tops[j + 1]))
+        elif rows[j][1] > minima[j + 1][1]:
+            tops[j] = tops[j + 1]
+    return minima, tops
+
+
+def _violation(arows: tuple, brows: tuple, crows: tuple) -> tuple[str, int] | None:
+    """What one triple's rows violate: the first failed inequality, else a
+    level-1 equality that does not propagate to every level."""
+    sums = tuple(map(add, brows, crows))
+    for i in range(1, len(arows)):
+        if arows[i] > sums[i]:
+            return "inequality", i
+    if arows[1] == sums[1] and arows[2:] != sums[2:]:
+        return "propagation", 0
+    return None
+
+
 def lemma_sweep(k: int, amax: int) -> dict:
     """Exhaustively verify the inequality family and equality propagation.
 
     Sweeps every cascade a with a_0 <= amax against every admissible (b, c)
     with value(b, k) + value(c, k-1) = value(a, k) and b at least a - 1 in
     lex order; records any failed inequality or failed propagation.
+
+    The triples are verified block by block.  For one a, a block holds the
+    b of one value that are at least a - 1, a suffix of that value's group
+    since the split universe is in tuple order, and every c of the
+    complementary value.  If a's row is at most the b suffix's column minima
+    plus the c group's in every column, it is at most every b's row plus
+    every c's, so every inequality of the block holds.  Then a's row equals
+    b's plus c's at level 1 only where both are at their level-1 minimum,
+    and equality propagates for all those pairs when, at every other level,
+    the sum of their column maxima is at most a's row.  A block whose
+    bounds fail is checked triple by triple: all of it, or those level-1
+    pairs.  ``checked`` counts triples; violations are sorted by b's terms,
+    then c's, which is the order of b in the universe and of c in its group.
     """
     if k < 2:
         raise ValueError("the sweep needs k >= 2")
@@ -204,29 +261,50 @@ def lemma_sweep(k: int, amax: int) -> dict:
         raise ValueError("the sweep needs amax >= 2")
     cap = seq_value(Seq(tuple(range(amax, amax - k, -1)), k), k)
     bs, c_by_value = _split_universe(k, cap)
+    b_groups = [
+        (v, terms, rows, *_suffix_bounds(rows))
+        for v, (terms, rows) in sorted(_grouped(bs).items())
+    ]
+    c_groups = {}
+    for v, group in c_by_value.items():
+        minima, tops = _suffix_bounds([crows for _t, crows in group])
+        c_groups[v] = (group, minima[0], tops[0])
     checked = 0
     violations: list[tuple] = []
     for a in _cascades(k, amax):
         arows = _row_vector(a.terms, k, k)
         m = arows[0]
         a1 = tuple(x - 1 for x in a.terms)
-        for b_terms, brows in bs:
-            if not b_terms or brows[0] > m or b_terms < a1:
+        found = []
+        for v, b_terms, b_rows, b_minima, b_tops in b_groups:
+            if v > m:
+                break
+            if m - v not in c_groups:
                 continue
-            for c_terms, crows in c_by_value.get(m - brows[0], ()):
-                checked += 1
-                rows_ok = True
-                for i in range(1, k + 1):
-                    if arows[i] > brows[i] + crows[i]:
-                        rows_ok = False
-                        violations.append((a.terms, b_terms, c_terms, "inequality", i))
-                        break
-                if not rows_ok:
-                    continue
-                if arows[1] == brows[1] + crows[1] and any(
-                    arows[i] != brows[i] + crows[i] for i in range(2, k + 1)
-                ):
-                    violations.append((a.terms, b_terms, c_terms, "propagation", 0))
+            first = bisect_left(b_terms, a1)  # a1 is nonempty, so b is too
+            if first == len(b_terms):
+                continue
+            cs, c_min, c_top = c_groups[m - v]
+            checked += (len(b_terms) - first) * len(cs)
+            b_min = b_minima[first]
+            floor = tuple(map(add, b_min, c_min))
+            if not all(map(le, arows, floor)):
+                pairs = product(range(first, len(b_terms)), cs)
+            elif arows[1] < floor[1] or all(
+                map(le, map(add, b_tops[first][2:], c_top[2:]), arows[2:])
+            ):
+                continue
+            else:
+                pairs = product(
+                    [j for j in range(first, len(b_terms)) if b_rows[j][1] == b_min[1]],
+                    [c for c in cs if c[1][1] == c_min[1]],
+                )
+            for j, (c_terms, crows) in pairs:
+                violation = _violation(arows, b_rows[j], crows)
+                if violation:
+                    found.append((b_terms[j], c_terms) + violation)
+        found.sort()
+        violations += [(a.terms,) + violation for violation in found]
     return {"k": k, "amax": amax, "checked": checked, "violations": violations}
 
 
@@ -234,38 +312,50 @@ def general_level_sweep(k: int, amax: int, kmax_shift: int = 2) -> dict:
     """Verify the generalized-level inequalities for all k1, k2 >= k.
 
     Each level in k..k+kmax_shift is enumerated once, with every sequence's
-    value, its value one level down and its (1, 1)-shifted value, so the
-    loop over (a, b, c) triples only adds and compares.
+    value, its value one level down and its (1, 1)-shifted value, grouped by
+    value.  For one a, the b of one value at level k1 and the c of the
+    complementary value at level k2 form a block: when a's two left sides
+    are at most the sums of the two groups' column minima, every triple of
+    the block holds, and otherwise the block is checked triple by triple.
+    ``checked`` counts triples; violations are listed by (k1, k2), a, then
+    b's terms and c's, the order of each level's enumeration.
     """
     a_rows = [
-        (a.terms, seq_value(a, k), seq_value(a, k - 1), seq_shift(a, 1, 1, k))
+        (a.terms, (seq_value(a, k), seq_value(a, k - 1), seq_shift(a, 1, 1, k)))
         for a in _cascades(k, amax)
     ]
-    cap = max(m for _t, m, _lhs, _s in a_rows)
+    cap = max(rows[0] for _t, rows in a_rows)
     levels = range(k, k + kmax_shift + 1)
-    rows: dict[int, list[tuple[tuple[int, ...], int, int, int]]] = {}
-    by_value: dict[int, dict[int, list[tuple[tuple[int, ...], int, int]]]] = {}
+    groups = {}
     for level in levels:
-        rows[level] = []
-        by_value[level] = {}
+        entries = []
         for t, v in _admissible(level, cap):
             s = Seq(t, level)
-            down, shifted = seq_value(s, level - 1), seq_shift(s, 1, 1, level)
-            rows[level].append((t, v, down, shifted))
-            by_value[level].setdefault(v, []).append((t, down, shifted))
+            entries.append((t, (v, seq_value(s, level - 1), seq_shift(s, 1, 1, level))))
+        groups[level] = {
+            v: (terms, rows, _column_minima(rows))
+            for v, (terms, rows) in _grouped(entries).items()
+        }
     checked = 0
     violations: list[tuple] = []
     for k1 in levels:
         for k2 in levels:
-            c_by_value = by_value[k2]
-            for a_terms, m, lhs, s_lhs in a_rows:
-                for b_terms, b_val, b_down, b_shift in rows[k1]:
-                    if b_val > m:
+            c_groups = groups[k2]
+            for a_terms, (m, lhs, s_lhs) in a_rows:
+                found = []
+                for v, (b_terms, b_rows, b_min) in groups[k1].items():
+                    if v > m or m - v not in c_groups:
                         continue
-                    for c_terms, c_down, c_shift in c_by_value.get(m - b_val, ()):
-                        checked += 1
-                        if lhs > b_down + c_down or s_lhs > b_shift + c_shift:
-                            violations.append((a_terms, b_terms, c_terms, k1, k2))
+                    c_terms, c_rows, c_min = c_groups[m - v]
+                    checked += len(b_terms) * len(c_terms)
+                    if lhs <= b_min[1] + c_min[1] and s_lhs <= b_min[2] + c_min[2]:
+                        continue
+                    for bt, (_, b_down, b_shift) in zip(b_terms, b_rows):
+                        for ct, (_, c_down, c_shift) in zip(c_terms, c_rows):
+                            if lhs > b_down + c_down or s_lhs > b_shift + c_shift:
+                                found.append((bt, ct))
+                found.sort()
+                violations += [(a_terms, bt, ct, k1, k2) for bt, ct in found]
     return {"checked": checked, "violations": violations}
 
 
@@ -331,12 +421,23 @@ def brute_force_equality_splits(a: Seq, k: int) -> list[tuple[Seq, Seq]]:
         raise ValueError("the split search needs k >= 2")
     if not (a.terms and a.is_k_binomial(k)):
         raise ValueError("a must be the cascade decomposition of a positive integer")
-    return _equality_splits_in(_split_universe(k, seq_value(a, k)), a, k)
+    return [
+        (Seq(b_terms, k), Seq(c_terms, k - 1))
+        for (b_terms, _), (c_terms, _) in _equality_splits_in(
+            _split_universe(k, seq_value(a, k)), a, k
+        )
+    ]
 
 
-def _equality_splits_in(universe, a: Seq, k: int) -> list[tuple[Seq, Seq]]:
+def _equality_splits_in(universe, a: Seq, k: int) -> list[tuple[tuple, tuple]]:
     """The brute-force search for a's equality splits within a split universe
-    built at any cap of at least the value of a."""
+    built at any cap of at least the value of a.
+
+    Returns the universe's (terms, rows) entries of b and c for each split,
+    ordered by b's terms, then c's: both sides of the universe are in tuple
+    order.  The rows are the values at every level the inequalities
+    evaluate, so each pair of rows is the split's ``split_profile``.
+    """
     m = seq_value(a, k)
     bound = seq_value(a, k - 1)
     a1 = tuple(x - 1 for x in a.terms)
@@ -347,8 +448,8 @@ def _equality_splits_in(universe, a: Seq, k: int) -> list[tuple[Seq, Seq]]:
             continue
         for c_terms, crows in c_by_value.get(m - brows[0], ()):
             if brows[1] + crows[1] == bound:
-                out.append((Seq(b_terms, k), Seq(c_terms, k - 1)))
-    return sorted(out, key=lambda bc: (bc[0].terms, bc[1].terms))
+                out.append(((b_terms, brows), (c_terms, crows)))
+    return out
 
 
 def splits_comparison(amax: int, kmax: int) -> dict:
@@ -356,7 +457,8 @@ def splits_comparison(amax: int, kmax: int) -> dict:
 
     Compared by value profile; an "extra" is an exhaustive split whose
     profile no formula pair matches, a "missing" entry the converse.  The
-    split universe is built once per k, at the largest cascade value.
+    split universe is built once per k, at the largest cascade value, and
+    its row vectors are the brute-force splits' profiles.
     """
     if kmax < 2 or amax < 2:
         raise ValueError("the comparison needs kmax >= 2 and amax >= 2")
@@ -372,7 +474,7 @@ def splits_comparison(amax: int, kmax: int) -> dict:
             checked += 1
             formula = {split_profile(b, c, k) for b, c in equality_splits(a, k)}
             brute = {
-                split_profile(b, c, k) for b, c in _equality_splits_in(universe, a, k)
+                (brows, crows) for (_, brows), (_, crows) in _equality_splits_in(universe, a, k)
             }
             for pair in brute - formula:
                 extras.append((k, a.terms, pair))

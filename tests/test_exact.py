@@ -92,6 +92,43 @@ def test_binom_overflow_checked():
     assert binom(120, 4) == binom_oracle(120, 4)
 
 
+def _checked_binom_loop(n: int, k: int) -> int:
+    """The checked multiply-then-divide loop, raising at the first
+    intermediate outside the signed 128-bit range (0 <= k <= n)."""
+    k = min(k, n - k)
+    result = 1
+    for i in range(1, k + 1):
+        product = result * (n - i + 1)
+        if product > 2**127 - 1:
+            raise ExactOverflowError(f"{product} exceeds the signed 128-bit range")
+        result = product // i
+    return result
+
+
+def test_binom_fast_path_matches_checked_loop_at_the_overflow_edge():
+    # around the first n where k * C(n, k) passes 2^127 - 1, the point
+    # where the loop's largest intermediate stops fitting, both the values
+    # and the overflow messages must be the loop's
+    for k in range(1, 65):
+        n = k
+        while k * math.comb(n, k) <= 2**127 - 1:
+            n *= 2
+        lo = k
+        while n - lo > 1:  # the crossing lies in (lo, n]
+            mid = (lo + n) // 2
+            lo, n = (mid, n) if k * math.comb(mid, k) <= 2**127 - 1 else (lo, mid)
+        for x in range(max(n - 4, k), n + 5):
+            for j in (k, x - k):
+                try:
+                    expected = _checked_binom_loop(x, j)
+                except ExactOverflowError as exc:
+                    with pytest.raises(ExactOverflowError) as got:
+                        binom(x, j)
+                    assert str(got.value) == str(exc), (x, j)
+                else:
+                    assert binom(x, j) == expected, (x, j)
+
+
 def test_pascal_recurrence_window():
     for n in range(-20, 121):
         for k in range(-2, 13):

@@ -545,6 +545,18 @@ def test_min_degree_sweep_reports_first_failing_pattern(monkeypatch):
         )
         with pytest.raises(RuntimeError, match=f"failed at pattern {first}$"):
             min_degree_sweep(6, 4)
+    # (6,3) is swept in blocks of 2^16 patterns: the first family of 19 sets
+    # misses the last set and has minimum degree 9, the whole layer has
+    # degree 10; both lie past the first block
+    for m, d, first in ((19, 9, (1 << 19) - 1), (20, 10, (1 << 20) - 1)):
+        failing = (decompose(m - d, 3), seq_minus(decompose(m, 3), 1))
+        monkeypatch.setattr(
+            extremal,
+            "lex_cmp",
+            lambda b, floor, failing=failing: -1 if (b, floor) == failing else 1,
+        )
+        with pytest.raises(RuntimeError, match=f"failed at pattern {first}$"):
+            min_degree_sweep(6, 3)
 
 
 def test_enumerate_extremal_examples():

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
+from shadowlab import inequalities
 from shadowlab.exact import EMPTY, Seq, seq_value
 from shadowlab.inequalities import (
     brute_force_equality_splits,
@@ -14,6 +17,7 @@ from shadowlab.inequalities import (
     general_level_sweep,
     lemma_sweep,
     real_binom,
+    split_profile,
     splits_comparison,
 )
 
@@ -132,8 +136,6 @@ def test_equality_splits_examples():
 
 
 def test_equality_splits_match_brute_force_small():
-    from shadowlab.inequalities import split_profile
-
     for k in (3, 4):
         for terms in [(5,), (6, 3), (6, 4, 2) if k == 4 else (5, 2)]:
             a = Seq(terms, k)
@@ -195,3 +197,148 @@ def test_conjecture_scan_grid():
         conjecture_scan(1, [3.0])
     with pytest.raises(ValueError):
         conjecture_scan(3, [2.0])
+
+
+def _cascade_terms(k, amax):
+    """Every cascade at level k with a_0 <= amax, in the sweeps' order."""
+    return [
+        terms
+        for length in range(1, k + 1)
+        for terms in combinations(range(amax, 0, -1), length)
+        if Seq(terms, k).is_k_binomial(k)
+    ]
+
+
+def _lemma_triple_loop(k, amax, universe):
+    """The lemma sweep one triple at a time, over a given split universe."""
+    bs, c_by_value = universe
+    checked = 0
+    violations = []
+    for terms in _cascade_terms(k, amax):
+        a = Seq(terms, k)
+        arows = tuple(seq_value(a, k - i) for i in range(k + 1))
+        a1 = tuple(x - 1 for x in terms)
+        for b_terms, brows in bs:
+            if not b_terms or brows[0] > arows[0] or b_terms < a1:
+                continue
+            for c_terms, crows in c_by_value.get(arows[0] - brows[0], ()):
+                checked += 1
+                sums = [brows[i] + crows[i] for i in range(k + 1)]
+                failed = [i for i in range(1, k + 1) if arows[i] > sums[i]]
+                if failed:
+                    violations.append((terms, b_terms, c_terms, "inequality", failed[0]))
+                elif arows[1] == sums[1] and any(
+                    arows[i] != sums[i] for i in range(2, k + 1)
+                ):
+                    violations.append((terms, b_terms, c_terms, "propagation", 0))
+    return {"k": k, "amax": amax, "checked": checked, "violations": violations}
+
+
+def _swapped_values(entries, value_of, with_value):
+    """Entries with the values of entries 4i and 4i + 1 exchanged, so that
+    values no longer grow with tuple order and one value's entries
+    interleave with another's."""
+    out = list(entries)
+    for j in range(0, len(out) - 1, 4):
+        first, second = out[j], out[j + 1]
+        out[j], out[j + 1] = with_value(first, value_of(second)), with_value(second, value_of(first))
+    return out
+
+
+def test_lemma_sweep_fallback_matches_triple_loop(monkeypatch):
+    # no real input fails a block's certificate, so planted rows stand in:
+    # some c lose one at level 1 (inequality violations), some b gain one
+    # at level 2 (propagation violations where level 1 stays tight), and
+    # swapped b values make the blocks' order differ from the universe's
+    real = inequalities._split_universe
+
+    def bump(rows, i, d):
+        return rows[:i] + (rows[i] + d,) + rows[i + 1 :]
+
+    for k, amax in ((3, 6), (4, 7)):
+        cap = seq_value(Seq(tuple(range(amax, amax - k, -1)), k), k)
+        bs, c_by_value = real(k, cap)
+        planted_bs = _swapped_values(
+            [(t, bump(rows, 2, 1) if j % 7 == 3 else rows) for j, (t, rows) in enumerate(bs)],
+            lambda entry: entry[1][0],
+            lambda entry, v: (entry[0], (v,) + entry[1][1:]),
+        )
+        planted_cs = {
+            v: [(t, bump(rows, 1, -1) if j % 5 == 2 else rows) for j, (t, rows) in enumerate(group)]
+            for v, group in c_by_value.items()
+        }
+        planted = (planted_bs, planted_cs)
+        monkeypatch.setattr(inequalities, "_split_universe", lambda kk, cc: planted)
+        expected = _lemma_triple_loop(k, amax, planted)
+        assert {v[3] for v in expected["violations"]} == {"inequality", "propagation"}
+        assert lemma_sweep(k, amax) == expected
+
+
+def test_general_level_sweep_fallback_matches_triple_loop(monkeypatch):
+    # planted shifted and one-level-down values fail the certificate of some
+    # blocks, where both left-hand sides must be checked triple by triple;
+    # swapped values make the blocks' order differ from the enumeration's
+    real_shift, real_value = inequalities.seq_shift, inequalities.seq_value
+    real_admissible = inequalities._admissible
+
+    def planted_shift(s, i, j, level=None):
+        return real_shift(s, i, j, level) - (sum(s.terms) % 4 == 1)
+
+    def planted_value(s, level=None):
+        lower = level is not None and level != s.level and sum(s.terms) % 6 == 2
+        return real_value(s, level) - lower
+
+    def planted_admissible(level, cap):
+        return _swapped_values(
+            real_admissible(level, cap), lambda entry: entry[1], lambda entry, v: (entry[0], v)
+        )
+
+    monkeypatch.setattr(inequalities, "seq_shift", planted_shift)
+    monkeypatch.setattr(inequalities, "seq_value", planted_value)
+    monkeypatch.setattr(inequalities, "_admissible", planted_admissible)
+    for k, amax, shift in ((2, 6, 2), (3, 6, 1)):
+        rows = [
+            (t, real_value(Seq(t, k), k), planted_value(Seq(t, k), k - 1),
+             planted_shift(Seq(t, k), 1, 1, k))
+            for t in _cascade_terms(k, amax)
+        ]
+        cap = max(m for _t, m, _lhs, _s in rows)
+        levels = range(k, k + shift + 1)
+        entries = {
+            level: [
+                (t, v, planted_value(Seq(t, level), level - 1),
+                 planted_shift(Seq(t, level), 1, 1, level))
+                for t, v in planted_admissible(level, cap)
+            ]
+            for level in levels
+        }
+        checked = 0
+        violations = []
+        for k1 in levels:
+            for k2 in levels:
+                for a_terms, m, lhs, s_lhs in rows:
+                    for b_terms, b_val, b_down, b_shift in entries[k1]:
+                        for c_terms, c_val, c_down, c_shift in entries[k2]:
+                            if b_val + c_val != m:
+                                continue
+                            checked += 1
+                            if lhs > b_down + c_down or s_lhs > b_shift + c_shift:
+                                violations.append((a_terms, b_terms, c_terms, k1, k2))
+        got = general_level_sweep(k, amax, kmax_shift=shift)
+        assert violations and got == {"checked": checked, "violations": violations}
+
+
+def test_split_universe_rows_are_split_profiles():
+    # splits_comparison reads the brute-force profiles from the universe's
+    # row vectors; at every cap splits_comparison(8, 5) builds they must be
+    # split_profile's values for b and for c
+    for k in range(2, 6):
+        cascades = [
+            Seq(t, k) for t in _cascade_terms(k, 8) if len(t) < k
+        ]
+        bs, c_by_value = inequalities._split_universe(k, max(seq_value(a, k) for a in cascades))
+        for terms, rows in bs:
+            assert rows == split_profile(Seq(terms, k), EMPTY, k)[0], (k, terms)
+        for group in c_by_value.values():
+            for terms, rows in group:
+                assert rows == split_profile(EMPTY, Seq(terms, k - 1), k)[1], (k, terms)
