@@ -15,48 +15,9 @@ import math
 import re
 import sys
 
-from .exact import ExactOverflowError, Seq, binom, decompose
-from .families import (
-    BudgetError,
-    KFamily,
-    compact_support,
-    read_family,
-    to_dict,
-    write_family,
-)
-from . import families as fam_ops
-from .extremal import (
-    brute_force_min_shadow,
-    certify_by_witness,
-    characterize,
-    enumerate_extremal,
-    extremal_iso_classes,
-    is_extremal,
-    kk_bound,
-    min_degree_sweep,
-    shadow_chain_check,
-    uniqueness_predicate,
-)
-from .identities import (
-    BinomialSum,
-    Wall,
-    is_invariantly_zero,
-    is_zero_on_grid,
-    recursive_reduce,
-)
-from .inequalities import (
-    conjecture_scan,
-    lemma_sweep,
-    splits_comparison,
-)
-from .constructions import (
-    ForbiddenPairSpec,
-    example_32_family,
-    example_33_family,
-    forbidden_pair_cardinalities,
-    forbidden_pair_family,
-    perturbed_colex,
-)
+# only the standard library and the arithmetic load with this module: each
+# subcommand imports the engines it calls, so a request compiles no other
+from .exact import BudgetError, ExactOverflowError, Seq, binom, decompose, kk_bound
 
 
 _command_echo: list[str] = []
@@ -69,12 +30,16 @@ def _emit(report: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _load_family(path: str) -> KFamily:
+def _load_family(path: str):
+    from .families import read_family
+
     with open(path, "r", encoding="utf-8") as fp:
         return read_family(fp)
 
 
-def _save_family(family: KFamily, path: str) -> None:
+def _save_family(family, path: str) -> None:
+    from .families import write_family
+
     text = io.StringIO()
     write_family(family, text)  # refuses k < 1 before the file is opened
     with open(path, "w", encoding="utf-8") as fp:
@@ -94,11 +59,13 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_shadow(args) -> int:
+    from .families import iterated_shadow, to_dict, upper_shadow
+
     family = _load_family(args.infile)
     if args.upper:
-        result = fam_ops.upper_shadow(family, args.upper)
+        result = upper_shadow(family, args.upper)
     else:
-        result = fam_ops.iterated_shadow(family, args.iter)
+        result = iterated_shadow(family, args.iter)
     report = {"input_size": len(family), "result": to_dict(result)}
     if args.out:
         _save_family(result, args.out)
@@ -107,6 +74,9 @@ def _cmd_shadow(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .extremal import certify_by_witness, characterize, is_extremal, shadow_chain_check
+    from .families import compact_support
+
     family = _load_family(args.infile)
     if args.compact:
         family = compact_support(family)
@@ -138,6 +108,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .extremal import enumerate_extremal
+    from .families import to_dict
+
     families = enumerate_extremal(
         args.n, args.k, args.m, up_to_iso=args.up_to_iso, method=args.method
     )
@@ -156,6 +129,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .extremal import brute_force_min_shadow
+
     value = brute_force_min_shadow(args.n, args.k, args.m)
     bound = kk_bound(args.m, args.k, 1)
     _emit(
@@ -172,16 +147,25 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from .extremal import is_extremal
+    from .families import initial_segment, to_dict
+
     report: dict
-    family: KFamily | None = None
+    family = None
     if args.what == "colex":
-        family = fam_ops.initial_segment(args.n, args.k, args.m)
+        family = initial_segment(args.n, args.k, args.m)
         report = {
             "kind": "colex",
             "family": to_dict(family),
             "extremal": is_extremal(family),
         }
     elif args.what == "forbidden-pairs":
+        from .constructions import (
+            ForbiddenPairSpec,
+            forbidden_pair_cardinalities,
+            forbidden_pair_family,
+        )
+
         if (args.t is None) != (args.r is None):
             raise ValueError("--t and --r go together: give both or neither")
         deletion = (args.t, args.r) if args.t is not None else None
@@ -195,6 +179,8 @@ def _cmd_construct(args) -> int:
             report["family"] = to_dict(family)
             report["materialized_size"] = len(family)
     elif args.what == "example32":
+        from .constructions import example_32_family
+
         family = example_32_family(args.n, args.k, args.variant)
         designated = args.n if args.variant == "b" else args.n + 1
         report = {
@@ -204,6 +190,8 @@ def _cmd_construct(args) -> int:
             "extremal": is_extremal(family),
         }
     elif args.what == "example33":
+        from .constructions import example_33_family
+
         family = example_33_family(args.n, args.k)
         report = {
             "kind": "example33",
@@ -212,6 +200,8 @@ def _cmd_construct(args) -> int:
             "extremal": is_extremal(family),
         }
     elif args.what == "perturbed":
+        from .constructions import perturbed_colex
+
         result = perturbed_colex(args.n, args.k, args.m)
         report = {
             "kind": "perturbed",
@@ -233,6 +223,8 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.what == "lemma-abc":
+        from .inequalities import lemma_sweep
+
         if args.kmax < 2:
             raise ValueError("the sweep needs kmax >= 2")
         results = [lemma_sweep(k, args.amax) for k in range(2, args.kmax + 1)]
@@ -247,14 +239,20 @@ def _cmd_verify(args) -> int:
         )
         return 0 if not violations else 1
     if args.what == "splits":
+        from .inequalities import splits_comparison
+
         result = splits_comparison(args.amax, args.kmax)
         _emit(result)
         return 0 if not result["extras"] and not result["missing"] else 1
     if args.what == "min-degree":
+        from .extremal import min_degree_sweep
+
         checked = min_degree_sweep(args.n, args.k)
         _emit({"n": args.n, "k": args.k, "checked": checked, "violations": []})
         return 0
     if args.what == "uniqueness":
+        from .extremal import extremal_iso_classes, uniqueness_predicate
+
         if not args.n >= args.k >= 2:
             raise ValueError("the uniqueness check needs n >= k >= 2")
         rows = []
@@ -270,6 +268,8 @@ def _cmd_verify(args) -> int:
         _emit({"n": args.n, "k": args.k, "rows": rows, "equivalence": ok})
         return 0 if ok else 1
     if args.what == "conjecture":
+        from .inequalities import conjecture_scan
+
         if not (math.isfinite(args.xmax) and math.isfinite(args.step) and args.step > 0):
             raise ValueError("need a finite --xmax and a finite --step > 0")
         steps = int(round((args.xmax - args.k) / args.step))
@@ -296,7 +296,9 @@ def _parse_seq(text: str, level: int) -> Seq:
     return Seq(tuple(int(x) for x in text.split(",")), level)
 
 
-def _parse_wall(text: str) -> Wall:
+def _parse_wall(text: str):
+    from .identities import Wall
+
     body, _, level = text.partition(":")
     if not level:
         raise ValueError("wall format is w0,w1,..:level")
@@ -305,6 +307,8 @@ def _parse_wall(text: str) -> Wall:
 
 
 def _cmd_reduce(args) -> int:
+    from .identities import recursive_reduce
+
     wall = _parse_wall(args.wall)
     b = _parse_seq(args.b, args.k)
     c = _parse_seq(args.c, args.k)
@@ -329,8 +333,11 @@ _TERM_RE = re.compile(
 )
 
 
-def parse_binomial_sum(text: str) -> BinomialSum:
-    """Parse sums like ``C(1,0) - C(0,0) - C(0,-1)`` or ``2*C(5,3) + C(4,2)``."""
+def parse_binomial_sum(text: str):
+    """Parse sums like ``C(1,0) - C(0,0) - C(0,-1)`` or ``2*C(5,3) + C(4,2)``
+    into an ``identities.BinomialSum``."""
+    from .identities import BinomialSum
+
     pos = 0
     terms = []
     while pos < len(text):
@@ -351,6 +358,8 @@ def parse_binomial_sum(text: str) -> BinomialSum:
 
 
 def _cmd_identity(args) -> int:
+    from .identities import is_invariantly_zero, is_zero_on_grid
+
     total = parse_binomial_sum(args.sum)
     invariant = is_invariantly_zero(total)
     _emit(
@@ -500,11 +509,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options whose values may start with "-" (a negated term, a negative wall
+# entry); argparse would read such a value as an option
+_SIGNED_VALUE_OPTIONS = ("--sum", "--wall", "--b", "--c")
+
+
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """``--sum -C(1,0)`` as ``--sum=-C(1,0)``: each option above takes the
+    next token as its value when that token starts with one "-"."""
+    joined: list[str] = []
+    for token in argv:
+        if (
+            joined
+            and joined[-1] in _SIGNED_VALUE_OPTIONS
+            and token.startswith("-")
+            and not token.startswith("--")
+        ):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    _command_echo[:] = sys.argv[1:] if argv is None else argv
+    argv = sys.argv[1:] if argv is None else argv
+    _command_echo[:] = argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_signed_values(argv))
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .exact import binom, decompose, seq_value
+from .exact import binom, decompose, kk_bound, seq_value
 from .families import (
     KFamily,
     _layer_masks,
@@ -19,7 +19,6 @@ from .families import (
     join,
     shadow,
 )
-from .extremal import kk_bound
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,10 @@ class ExactOverflowError(OverflowError):
     """A checked operation left the signed 128-bit range."""
 
 
+class BudgetError(RuntimeError):
+    """A search or enumeration exceeded its configured budget."""
+
+
 def _checked(value: int) -> int:
     if not INT128_MIN <= value <= INT128_MAX:
         raise ExactOverflowError(f"{value} exceeds the signed 128-bit range")
@@ -40,20 +44,11 @@ def binom(n: int, k: int) -> int:
     if k > n:
         return 0
     k = min(k, n - k)
-    # The loop's intermediates are i * C(n, i), largest at i = k since
-    # k <= n / 2.  When that one fits, the loop cannot overflow and
-    # math.comb gives its value.  It never fits for k >= 128 (then
-    # C(n, k) >= 2^k) or n > INT128_MAX (step 1 is n), so those skip
-    # math.comb and the loop raises naming the intermediate that overflows.
-    if k < 128 and n <= INT128_MAX:
-        value = math.comb(n, k)
-        if k * value <= INT128_MAX:
-            return value
-    result = 1
-    for i in range(1, k + 1):
-        # multiply-then-divide keeps every intermediate equal to C(n, i)
-        result = _checked(result * (n - i + 1)) // i
-    return result
+    # C(n, k) >= n for k >= 1, and C(n, k) >= 2^k since k <= n / 2, so
+    # n > INT128_MAX and k >= 128 are refused before math.comb does the work
+    if k >= 128 or (k and n > INT128_MAX):
+        raise ExactOverflowError(f"C({n}, {k}) exceeds the signed 128-bit range")
+    return _checked(math.comb(n, k))
 
 
 @dataclass(frozen=True)
@@ -170,3 +165,16 @@ def decompose(m: int, k: int) -> Seq:
     if not (seq.is_k_binomial(k) and seq_value(seq, k) == m):
         raise RuntimeError(f"greedy decomposition of {m} at level {k} is not a cascade")
     return seq
+
+
+def kk_bound(m: int, k: int, i: int = 1) -> int:
+    """Lower bound for the i-iterated shadow of any m-member k-family."""
+    if m < 0:
+        raise ValueError("family size must be nonnegative")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not 0 <= i <= k - 1:
+        raise ValueError("iteration out of range")
+    if i == 0:
+        return m
+    return seq_value(decompose(m, k), k - i)

@@ -20,9 +20,17 @@ from itertools import combinations
 from math import comb
 from operator import or_
 
-from .exact import Seq, binom, decompose, lex_cmp, seq_minus, seq_value
-from .families import (
+from .exact import (
     BudgetError,
+    Seq,
+    binom,
+    decompose,
+    kk_bound,
+    lex_cmp,
+    seq_minus,
+    seq_value,
+)
+from .families import (
     KFamily,
     _element_flags,
     _layer_masks,
@@ -39,19 +47,6 @@ from .families import (
 
 SWEEP_LAYER_LIMIT = 20  # 2^20 table entries; larger layers take slower paths
 COMBINATION_BUDGET = 3_000_000
-
-
-def kk_bound(m: int, k: int, i: int = 1) -> int:
-    """Lower bound for the i-iterated shadow of any m-member k-family."""
-    if m < 0:
-        raise ValueError("family size must be nonnegative")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not 0 <= i <= k - 1:
-        raise ValueError("iteration out of range")
-    if i == 0:
-        return m
-    return seq_value(decompose(m, k), k - i)
 
 
 def is_extremal(family: KFamily) -> bool:
@@ -202,6 +197,9 @@ def min_degree_bound_check(family: KFamily) -> bool:
 _IDENTITY = bytes(range(256))
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
 _POPCOUNT = bytes(b.bit_count() for b in range(256))
+# Whole-table temporaries are built on blocks of 2^16 patterns: at (6,3) a
+# 1 MiB temporary per step would set the process's peak memory
+_BLOCK_POSITIONS = 16
 
 
 def _doubled(steps: list[bytes], start: bytes = b"\0") -> bytearray:
@@ -281,15 +279,26 @@ class _Layer:
         self._counts: tuple[bytes, bytes] | None = None
 
     def counts(self) -> tuple[bytes, bytes]:
-        """Per-subfamily member counts and shadow sizes, one byte each."""
+        """Per-subfamily member counts and shadow sizes, one byte each.
+
+        The shadow sizes are built a block of 2^16 patterns at a time: each
+        plane is doubled over the low positions only, and the high
+        positions of a block compose into one 256-byte map per plane, with
+        the popcount composed in, as in ``_clause_blocks``."""
         if self._counts is None:
-            planes = [
-                _doubled([_or_step(bits >> shift & 0xFF) for bits in self.shed])
-                for shift in range(0, len(self.sub_masks), 8)
-            ]
-            sizes = sum(_fields(plane.translate(_POPCOUNT)) for plane in planes)
             pop = bytes(_doubled([_PLUS_ONE] * self.size))
-            self._counts = pop, sizes.to_bytes(len(pop), "little")
+            low = min(self.size, _BLOCK_POSITIONS)
+            planes = []
+            for shift in range(0, len(self.sub_masks), 8):
+                ors = [_or_step(bits >> shift & 0xFF) for bits in self.shed]
+                counts = _doubled(ors[low:], _IDENTITY).translate(_POPCOUNT)
+                planes.append((_doubled(ors[:low]), counts))
+            blocks = []
+            for block in range(1 << (self.size - low)):
+                maps = slice(256 * block, 256 * (block + 1))
+                sizes = sum(_fields(p.translate(c[maps])) for p, c in planes)
+                blocks.append(sizes.to_bytes(1 << low, "little"))
+            self._counts = pop, b"".join(blocks)
         return self._counts
 
     def family(self, pattern: int) -> KFamily:
@@ -324,7 +333,11 @@ def _min_shadows(n: int, k: int) -> list[int]:
     pop, sizes = layer.counts()
     best = [0] + [1 << 62] * layer.size
     # each distinct (member count, shadow size) pair once, as pop << 8 | size
-    for key in set(_pairs(pop, sizes)):
+    width = 1 << _BLOCK_POSITIONS
+    keys: set[int] = set()
+    for start in range(0, len(pop), width):
+        keys.update(_pairs(pop[start : start + width], sizes[start : start + width]))
+    for key in keys:
         m, count = key >> 8, key & 0xFF
         if count < best[m]:
             best[m] = count
@@ -372,9 +385,14 @@ def _extremal_flags(layer: _Layer) -> bytes:
     else 0.  The empty pattern 0 is flagged too."""
     pop, sizes = layer.counts()
     bounds = bytes(_shadow_bounds(layer.k, layer.size)).ljust(256, b"\0")
-    high = _fill(0x80, len(pop))
-    differ = _nonzero(_fields(sizes) ^ _fields(pop.translate(bounds)), high)
-    return (high ^ differ).to_bytes(len(pop), "little")
+    width = min(len(pop), 1 << _BLOCK_POSITIONS)
+    high = _fill(0x80, width)
+    blocks = []
+    for start in range(0, len(pop), width):
+        block = slice(start, start + width)
+        differ = _nonzero(_fields(sizes[block]) ^ _fields(pop[block].translate(bounds)), high)
+        blocks.append((high ^ differ).to_bytes(width, "little"))
+    return b"".join(blocks)
 
 
 @lru_cache(maxsize=4)
@@ -531,8 +549,6 @@ def uniqueness_predicate(n: int, k: int, m: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # flat-table sweeps over every subfamily of one layer
-
-_BLOCK_POSITIONS = 16  # the clause tables work on blocks of 2^16 patterns
 
 
 def _clause_blocks(layer: _Layer) -> Iterator[tuple[int, list[int]]]:

@@ -15,16 +15,12 @@ from itertools import combinations
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .exact import binom
+from .exact import BudgetError, binom
 
 MAX_GROUND = 64
 ISO_SUPPORT_LIMIT = 10
 _ISO_BUDGET = 2_000_000
 SHADOW_BUDGET = 2_000_000  # sets one step of an iterated or upper shadow may reach
-
-
-class BudgetError(RuntimeError):
-    """A search or enumeration exceeded its configured budget."""
 
 
 def _mask_of(elements: Iterable[int], n: int) -> int:

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping
 
-from .exact import Seq, binom, _checked
-from .families import BudgetError
+from .exact import BudgetError, Seq, _checked, binom
 
 # empirical invariance window used by grid cross-checks; wide enough to expose
 # every hidden term of the desk-scale sums exercised here

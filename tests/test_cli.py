@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,13 @@ def test_bound(capsys):
     code, report = run(capsys, "bound", "11", "3")
     assert code == 0
     assert report["bound"] == 12
+
+
+def test_bound_at_the_top_of_the_range(capsys):
+    # 2^127 - 1 = C(2^64, 2) + C(2^63 - 1, 1), whose shadow bound is 2^64 + 1
+    code, report = run(capsys, "bound", str(2**127 - 1), "2")
+    assert code == 0
+    assert report["bound"] == 2**64 + 1
 
 
 def test_shadow_and_check_round_trip(tmp_path, capsys):
@@ -190,16 +199,22 @@ def test_shadow_refuses_an_unbounded_reach(tmp_path, capsys):
 
 
 def test_option_values_with_a_leading_minus(capsys):
-    # such a value reads as an option unless it is joined by "=", as the
-    # README says
+    # a value that starts with one "-" is the option's value, given apart or
+    # joined by "="; the echoed command is the argv as given
     text = "-C(1,0)+C(0,0)+C(0,-1)"
-    assert main(["identity", "check", "--sum", text]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: argument --sum: expected one argument\n"
-    code, report = run(capsys, "identity", "check", f"--sum={text}")
+    code, apart = run(capsys, "identity", "check", "--sum", text)
     assert code == 0
-    assert report["sum"] == text and report["invariantly_zero"]
+    assert apart.pop("command") == ["identity", "check", "--sum", text]
+    code, joined = run(capsys, "identity", "check", f"--sum={text}")
+    assert code == 0
+    assert joined.pop("command") == ["identity", "check", f"--sum={text}"]
+    assert apart == joined and joined["sum"] == text and joined["invariantly_zero"]
+    # a negative wall entry reaches the reduction's own check either way
+    for wall in (["--wall", "-1:0"], ["--wall=-1:0"]):
+        assert main(["reduce", *wall, "--b", "2", "--k", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: wall entries must be nonnegative\n"
 
 
 def test_construct_perturbed(capsys):
@@ -224,17 +239,75 @@ def test_verify_subcommands(capsys):
     assert code == 0 and report["min_slack"] >= -1e-9
 
 
-def test_import_leaves_out_process_pool():
-    code = (
-        "import sys, shadowlab.cli; "
-        "print('concurrent.futures.process' in sys.modules)"
-    )
+# runs cli.main on its arguments in a fresh process, then reports on stderr
+# the shadowlab modules loaded and whether the process pool was
+_LOADED = (
+    "import sys\n"
+    "from shadowlab.cli import main\n"
+    "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "names = [m for m in sys.modules if m == 'shadowlab' or m.startswith('shadowlab.')]\n"
+    "print(*sorted(names), file=sys.stderr)\n"
+    "print('concurrent.futures.process' in sys.modules, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+# every example of the README's CLI section, in order, with the engines it
+# loads besides shadowlab, shadowlab.cli and shadowlab.exact
+_README_EXAMPLES = [
+    ("decompose 14 4", ()),
+    ("bound 11 3", ()),
+    ("construct colex 6 3 12 --out seg.json", ("families", "extremal")),
+    ("check --in seg.json --mode both --chain", ("families", "extremal")),
+    ("shadow --in seg.json --iter 2", ("families",)),
+    ("enumerate 6 3 12 --up-to-iso", ("families", "extremal")),
+    ("oracle min-shadow 6 3 12", ("families", "extremal")),
+    (
+        "construct forbidden-pairs 120 4 4 --t 29 --r 2",
+        ("families", "extremal", "constructions"),
+    ),
+    ("construct perturbed 6 3 12", ("families", "extremal", "constructions")),
+    ("verify lemma-abc --amax 10 --kmax 5", ("inequalities",)),
+    ("verify splits --amax 8 --kmax 5", ("inequalities",)),
+    ("verify uniqueness 6 3", ("families", "extremal")),
+    ("verify min-degree 6 3", ("families", "extremal")),
+    ("verify conjecture --k 3 --xmax 12 --step 0.25", ("inequalities",)),
+    ("reduce --wall 2,1:3 --b 5,4 --c 4 --k 3", ("identities",)),
+    ("identity check --sum 'C(1,0)-C(0,0)-C(0,-1)'", ("identities",)),
+]
+
+
+def _loaded_modules(argv: list[str], cwd) -> tuple[int, list[str], bool]:
     src = os.path.dirname(os.path.dirname(shadowlab.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    ).stdout
-    assert out == "False\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED, *argv], capture_output=True, text=True, env=env, cwd=cwd
+    )
+    modules, pool = proc.stderr.splitlines()[-2:]
+    return proc.returncode, modules.split(), pool == "True"
+
+
+def test_import_leaves_out_process_pool(tmp_path):
+    code, modules, pool = _loaded_modules([], tmp_path)
+    assert code == 0
+    assert modules == ["shadowlab", "shadowlab.cli", "shadowlab.exact"]
+    assert not pool
+
+
+def test_each_readme_example_loads_only_its_engines(tmp_path):
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```")[1]
+    listed = [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("shadowlab ")
+    ]
+    assert listed == [shlex.split(example) for example, _ in _README_EXAMPLES]
+    for example, engines in _README_EXAMPLES:
+        code, modules, pool = _loaded_modules(shlex.split(example), tmp_path)
+        assert code == 0, example
+        expected = {"shadowlab", "shadowlab.cli", "shadowlab.exact"}
+        assert set(modules) == expected | {f"shadowlab.{e}" for e in engines}, example
+        assert not pool, example
 
 
 def test_reduce(capsys):

@@ -92,41 +92,38 @@ def test_binom_overflow_checked():
     assert binom(120, 4) == binom_oracle(120, 4)
 
 
-def _checked_binom_loop(n: int, k: int) -> int:
-    """The checked multiply-then-divide loop, raising at the first
-    intermediate outside the signed 128-bit range (0 <= k <= n)."""
-    k = min(k, n - k)
-    result = 1
-    for i in range(1, k + 1):
-        product = result * (n - i + 1)
-        if product > 2**127 - 1:
-            raise ExactOverflowError(f"{product} exceeds the signed 128-bit range")
-        result = product // i
-    return result
+def test_binom_matches_math_comb_at_the_overflow_edge():
+    # binom returns C(n, k) exactly when it fits the signed 128-bit range.
+    # Two windows per k: around the first n where k * C(n, k) passes
+    # 2^127 - 1 (an old checked loop refused the values that fit there) and
+    # around the first n where C(n, k) itself passes it
+    top = 2**127 - 1
 
-
-def test_binom_fast_path_matches_checked_loop_at_the_overflow_edge():
-    # around the first n where k * C(n, k) passes 2^127 - 1, the point
-    # where the loop's largest intermediate stops fitting, both the values
-    # and the overflow messages must be the loop's
-    for k in range(1, 65):
+    def crossing(k: int, factor: int) -> int:
         n = k
-        while k * math.comb(n, k) <= 2**127 - 1:
+        while factor * math.comb(n, k) <= top:
             n *= 2
         lo = k
         while n - lo > 1:  # the crossing lies in (lo, n]
             mid = (lo + n) // 2
-            lo, n = (mid, n) if k * math.comb(mid, k) <= 2**127 - 1 else (lo, mid)
-        for x in range(max(n - 4, k), n + 5):
-            for j in (k, x - k):
-                try:
-                    expected = _checked_binom_loop(x, j)
-                except ExactOverflowError as exc:
-                    with pytest.raises(ExactOverflowError) as got:
-                        binom(x, j)
-                    assert str(got.value) == str(exc), (x, j)
-                else:
-                    assert binom(x, j) == expected, (x, j)
+            lo, n = (mid, n) if factor * math.comb(mid, k) <= top else (lo, mid)
+        return n
+
+    for k in range(1, 65):
+        for n in (crossing(k, k), crossing(k, 1)):
+            for x in range(max(n - 4, k), n + 5):
+                for j in (k, x - k):
+                    expected = math.comb(x, j)
+                    if expected <= top:
+                        assert binom(x, j) == expected, (x, j)
+                    else:
+                        with pytest.raises(ExactOverflowError, match="128-bit range"):
+                            binom(x, j)
+    # refused without computing the value: C(n, k') >= 2^k' and >= n
+    for x, j in ((256, 128), (2**127, 1), (2**127, 2**127 - 1)):
+        with pytest.raises(ExactOverflowError, match=rf"^C\({x}, "):
+            binom(x, j)
+    assert binom(2**128, 2**128) == binom(2**128, 0) == 1
 
 
 def test_pascal_recurrence_window():
@@ -171,6 +168,14 @@ def test_decompose_examples():
     assert decompose(14, 4).terms == (5, 4, 3, 2)
     assert decompose(11, 3).terms == (5, 2)
     assert decompose(0, 5).terms == ()
+
+
+def test_decompose_round_trip_at_the_top_of_the_range():
+    m = 2**127 - 1
+    assert decompose(m, 2).terms == (2**64, 2**63 - 1)  # C(2^64, 2) = 2^127 - 2^63
+    for k in range(1, 9):
+        s = decompose(m, k)
+        assert s.is_k_binomial(k) and seq_value(s, k) == m, k
 
 
 def test_decompose_rejects_bad_input():
