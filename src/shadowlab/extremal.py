@@ -7,6 +7,11 @@ subfamily are whole-table byte operations.  The characterization sweep
 evaluates every condition of the characterization at every element the same
 way, on blocks of 2^16 patterns; ``characterize`` is its family-at-a-time
 oracle.
+
+Minimum shadows also come from the shadow side: a byte table over the
+families T of (k-1)-sets holds |K(T)|, the number of k-sets all of whose
+(k-1)-subsets lie in T.  Where C(n, k-1) < C(n, k) it is the smaller table,
+and it answers ``brute_force_min_shadow`` there.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from .families import (
     shadow,
 )
 
-SWEEP_LAYER_LIMIT = 20  # 2^20 table entries; larger layers take slower paths
+SWEEP_LAYER_LIMIT = 21  # 2^21 table entries; larger layers take slower paths
 COMBINATION_BUDGET = 3_000_000
 
 
@@ -257,6 +262,21 @@ def _field_min(a: int, b: int, high: int) -> int:
     return a ^ ((a ^ b) & (ge - (ge >> 7)))
 
 
+def _block_sums(parts: list[tuple[bytes, bytes]], positions: int) -> bytes:
+    """One byte per pattern over the given number of positions, built a
+    block of 2^16 patterns at a time (one block if there are fewer
+    positions): the field sum, over the parts (table, maps), of the table
+    over the low positions translated through the block's 256-byte map in
+    maps.  Every sum must stay below 256."""
+    low = min(positions, _BLOCK_POSITIONS)
+    blocks = []
+    for block in range(1 << (positions - low)):
+        maps = slice(256 * block, 256 * (block + 1))
+        sums = sum(_fields(table.translate(m[maps])) for table, m in parts)
+        blocks.append(sums.to_bytes(1 << low, "little"))
+    return b"".join(blocks)
+
+
 class _Layer:
     """Shared tables for exhaustive sweeps over subfamilies of C([n], k).
 
@@ -264,7 +284,8 @@ class _Layer:
     entries for patterns in [2^i, 2^(i+1)) are those of [0, 2^i) with set i
     added.  Shadow masks are built as 8-bit planes, each doubled with one
     ``translate`` through an "OR set i's shed byte" table, and kept only as
-    their popcount: one shadow-size byte per pattern.
+    their popcount: one shadow-size byte per pattern.  ``closures`` builds
+    the dual table over patterns of the (k-1)-sets in ``sub_masks``.
     """
 
     def __init__(self, n: int, k: int):
@@ -293,13 +314,33 @@ class _Layer:
                 ors = [_or_step(bits >> shift & 0xFF) for bits in self.shed]
                 counts = _doubled(ors[low:], _IDENTITY).translate(_POPCOUNT)
                 planes.append((_doubled(ors[:low]), counts))
-            blocks = []
-            for block in range(1 << (self.size - low)):
-                maps = slice(256 * block, 256 * (block + 1))
-                sizes = sum(_fields(p.translate(c[maps])) for p, c in planes)
-                blocks.append(sizes.to_bytes(1 << low, "little"))
-            self._counts = pop, b"".join(blocks)
+            self._counts = pop, _block_sums(planes, self.size)
         return self._counts
+
+    def closures(self) -> bytes:
+        """|K(T)| per pattern T over the (k-1)-sets, one byte each, where
+        K(T) is the k-sets all of whose (k-1)-subsets lie in T.
+
+        Each k-set counts its subsets in T by doubling, ``_PLUS_ONE`` at its
+        k subset positions and ``_IDENTITY`` elsewhere; that count is
+        translated to 1 where it reaches k, and the k-sets' 0/1 tables are
+        summed as fields.  As in ``counts``, the table is built a block of
+        2^16 patterns at a time: per k-set, a count table over the low
+        positions and one 256-byte map per block, composing the high
+        positions' steps and the translation to 0/1."""
+        if self.size > 255:
+            raise BudgetError(
+                f"closure counts of C({self.n}, {self.k}) sets do not fit one byte"
+            )
+        positions = len(self.sub_masks)
+        low = min(positions, _BLOCK_POSITIONS)
+        closed = bytes(b == self.k for b in range(256))
+        parts = []
+        for bits in self.shed:
+            steps = [_PLUS_ONE if bits >> j & 1 else _IDENTITY for j in range(positions)]
+            maps = _doubled(steps[low:], _IDENTITY).translate(closed)
+            parts.append((_doubled(steps[:low]), maps))
+        return _block_sums(parts, positions)
 
     def family(self, pattern: int) -> KFamily:
         chosen = [self.masks[i] for i in range(self.size) if pattern >> i & 1]
@@ -313,8 +354,9 @@ def _layer(n: int, k: int) -> _Layer:
 
 def _sweep_layer(n: int, k: int) -> _Layer:
     """The layer C([n], k) for table sweeps, refused before it is built when
-    its 2^C(n, k) tables exceed the sweep limit.  Every table read goes
-    through here, so the byte tables' counts stay within their fields."""
+    its 2^C(n, k) tables exceed the sweep limit.  Every read of the k-side
+    tables goes through here, so their counts stay within their fields; the
+    closure table is checked in ``_min_shadows`` and ``_Layer.closures``."""
     size = binom(n, k)
     if size > SWEEP_LAYER_LIMIT:
         raise BudgetError(
@@ -326,32 +368,98 @@ def _sweep_layer(n: int, k: int) -> _Layer:
     return _layer(n, k)
 
 
-@lru_cache(maxsize=8)
-def _min_shadows(n: int, k: int) -> list[int]:
-    """min |shadow| per family size over all subfamilies of C([n], k)."""
-    layer = _sweep_layer(n, k)
-    pop, sizes = layer.counts()
-    best = [0] + [1 << 62] * layer.size
-    # each distinct (member count, shadow size) pair once, as pop << 8 | size
-    width = 1 << _BLOCK_POSITIONS
-    keys: set[int] = set()
-    for start in range(0, len(pop), width):
-        keys.update(_pairs(pop[start : start + width], sizes[start : start + width]))
-    for key in keys:
-        m, count = key >> 8, key & 0xFF
-        if count < best[m]:
-            best[m] = count
+def _least_low_bytes(blocks: Iterator[tuple[int, array]], top: int) -> list[int]:
+    """For each high byte h = 0..top, the least low byte plus offset over the
+    16-bit keys h << 8 | low of the (offset, keys) blocks; 1 << 62 where h
+    never occurs.  Each block's distinct keys are found once, with a set."""
+    best = [1 << 62] * (top + 1)
+    for offset, keys in blocks:
+        for key in set(keys):
+            h, low = key >> 8, (key & 0xFF) + offset
+            if low < best[h]:
+                best[h] = low
     return best
 
 
+def _member_min_shadows(layer: _Layer) -> list[int]:
+    """min |shadow| per family size m = 0..C(n, k) over all subfamilies of
+    C([n], k), from the member-count and shadow-size tables: the least
+    shadow size paired with each member count.
+
+    This is the k-side table.  Where both tables fit it is the oracle that
+    ``test_min_shadow_sides_agree`` compares ``_closure_min_shadows`` with,
+    and the closure side is its oracle in turn."""
+    pop, sizes = layer.counts()
+    width = 1 << _BLOCK_POSITIONS
+    return _least_low_bytes(
+        (
+            (0, _pairs(pop[start : start + width], sizes[start : start + width]))
+            for start in range(0, len(pop), width)
+        ),
+        layer.size,
+    )
+
+
+def _closure_min_shadows(layer: _Layer) -> list[int]:
+    """min |shadow| per family size m = 0..C(n, k) over all subfamilies of
+    C([n], k), from the closure table over the (k-1)-set patterns T.
+
+    shadow(F) lies in T iff F lies in K(T), so the least shadow of m sets
+    is s(m) = min{|T| : |K(T)| >= m}, with no appeal to Kruskal-Katona: the
+    least |T| paired with each closure size c, then the least over c >= m.
+    |T| is a block's low-position popcount plus the popcount of its block
+    number.  ``_member_min_shadows`` is the k-side oracle it is compared
+    with."""
+    closures = layer.closures()
+    low = min(len(layer.sub_masks), _BLOCK_POSITIONS)
+    width = 1 << low
+    low_members = bytes(_doubled([_PLUS_ONE] * low))
+    best = _least_low_bytes(
+        (
+            (block.bit_count(), _pairs(closures[start : start + width], low_members))
+            for block, start in enumerate(range(0, len(closures), width))
+        ),
+        layer.size,
+    )
+    for m in range(layer.size - 1, -1, -1):
+        best[m] = min(best[m], best[m + 1])
+    return best
+
+
+@lru_cache(maxsize=8)
+def _min_shadows(n: int, k: int) -> list[int]:
+    """min |shadow| per family size m = 0..C(n, k) over all subfamilies of
+    C([n], k), k >= 2, from the smaller of two exact tables.
+
+    The closure table over C([n], k-1) serves where C(n, k-1) < C(n, k),
+    that is k <= n/2; the k-side tables serve otherwise, ties included.
+    Either side is refused, before the layer is built, when its table
+    exceeds the sweep limit."""
+    shadow_layer = binom(n, k - 1)
+    if shadow_layer >= binom(n, k):
+        return _member_min_shadows(_sweep_layer(n, k))
+    if shadow_layer > SWEEP_LAYER_LIMIT:
+        raise BudgetError(
+            f"shadow layer of {shadow_layer} sets exceeds the sweep limit of "
+            f"{SWEEP_LAYER_LIMIT} sets"
+        )
+    return _closure_min_shadows(_layer(n, k))
+
+
 def brute_force_min_shadow(n: int, k: int, m: int) -> int:
-    """Minimum shadow size over all m-subsets of C([n], k), by enumeration."""
+    """Minimum shadow size over all m-subsets of C([n], k), exactly.
+
+    Where C(n, k) or C(n, k-1) fits the sweep limit, the smaller of the
+    k-side and closure tables answers (``_min_shadows``); both range over
+    every subfamily and neither assumes the bound.  Otherwise it enumerates
+    the C(C(n, k), m) combinations, at most ``COMBINATION_BUDGET``."""
     layer_size = binom(n, k)
     if not 1 <= m <= layer_size:
         raise ValueError("family size out of range")
     if k == 1:
         return 1
-    if layer_size <= SWEEP_LAYER_LIMIT:
+    # the k-side test first: a cached lookup pays no second binom
+    if layer_size <= SWEEP_LAYER_LIMIT or binom(n, k - 1) <= SWEEP_LAYER_LIMIT:
         return _min_shadows(n, k)[m]
     # math.comb: the count is compared, never used, so it may leave 128 bits
     count = comb(layer_size, m)

@@ -132,6 +132,10 @@ def test_oracle(capsys):
     code, report = run(capsys, "oracle", "min-shadow", "5", "3", "4")
     assert code == 0
     assert report["min_shadow"] == 6 and report["matches_bound"]
+    # (7,3) is answered from its closure table over the 21 pairs of [7]
+    for m in range(1, 36):
+        code, report = run(capsys, "oracle", "min-shadow", "7", "3", str(m))
+        assert code == 0 and report["matches_bound"], m
 
 
 def test_construct_forbidden_pairs(capsys):
@@ -395,7 +399,7 @@ def test_usage_and_overflow_exit_codes(tmp_path, capsys):
     # refused before the C(20, 10)-set layer is built
     assert main(["enumerate", "20", "10", "5"]) == 3
     assert capsys.readouterr().err == (
-        "error: layer of 184756 sets exceeds the sweep limit of 20 sets\n"
+        "error: layer of 184756 sets exceeds the sweep limit of 21 sets\n"
     )
     assert main(["check", "--in", "/nonexistent/family.json"]) == 2
     capsys.readouterr()

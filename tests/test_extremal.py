@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
@@ -88,6 +90,61 @@ def test_brute_force_min_shadow_examples():
     assert brute_force_min_shadow(6, 3, 12) == 13
     for n, k in ((5, 3), (6, 2), (4, 2)):
         assert brute_force_min_shadow(n, k, binom(n, k)) == binom(n, k - 1)
+
+
+def test_min_shadow_sides_agree():
+    # the closure side over C([n], k - 1) and the k-side over C([n], k) are
+    # each other's oracle: both range over every subfamily and neither reads
+    # the bound, so wherever both tables fit they must agree, and with it
+    both = [
+        (n, k)
+        for n in range(2, 8)
+        for k in range(2, n + 1)
+        if max(binom(n, k), binom(n, k - 1)) <= extremal.SWEEP_LAYER_LIMIT
+    ]
+    assert {(5, 3), (6, 3), (6, 4), (7, 2), (7, 6)} <= set(both)
+    for n, k in both:
+        layer = _layer(n, k)
+        closure = extremal._closure_min_shadows(layer)
+        assert closure == extremal._member_min_shadows(layer), (n, k)
+        assert closure == [0] + [kk_bound(m, k, 1) for m in range(1, layer.size + 1)], (n, k)
+
+
+def closure_counts(n, k):
+    """The number of extremal m-subsets of C([n], k) per size m, from the
+    histogram of (|T|, |K(T)|) over the closure table's patterns T."""
+    layer = _layer(n, k)
+    members = extremal._doubled([extremal._PLUS_ONE] * len(layer.sub_masks))
+    histogram = Counter(extremal._pairs(members, layer.closures()))
+    counts = {}
+    for m in range(1, layer.size + 1):
+        least = min(key >> 8 for key in histogram if key & 0xFF >= m)
+        assert least == kk_bound(m, k, 1), (n, k, m)
+        counts[m] = sum(
+            comb(key & 0xFF, m) * count
+            for key, count in histogram.items()
+            if key >> 8 == least
+        )
+    return counts
+
+
+def test_extremal_counts_from_closure_histogram():
+    # with s(m) the least shadow of m sets: an extremal m-family F lies in
+    # K(T) for T = shadow(F), and |T| = s(m).  Conversely, an m-subset F of
+    # K(T) with |T| = s(m) has shadow(F) inside T, so |shadow(F)| <= s(m);
+    # minimality makes the sizes equal, so F is extremal and shadow(F) = T.
+    # So every extremal m-family is counted exactly once, under T = its
+    # shadow, by the sum over |T| = s(m) of C(|K(T)|, m)
+    from shadowlab.extremal import _extremal_patterns_by_size
+
+    for n, k in ((5, 3), (6, 2), (6, 3), (6, 4)):
+        expected = {m: len(p) for m, p in _extremal_patterns_by_size(n, k).items()}
+        assert closure_counts(n, k) == expected, (n, k)
+    # one layer past the k-side sweeps, against the paper's recursive
+    # characterization run forwards
+    counts = closure_counts(7, 3)
+    assert counts == {m: len(_enum_recursive(7, 3, m)) for m in range(1, 36)}
+    assert sum(counts.values()) == 232555 and max(counts.values()) == 85260
 
 
 def test_oracle_equivalence_small():
@@ -193,24 +250,29 @@ SWEEP_COUNTS = {
     (6, 3): (1048575, 5532),
     (6, 4): (32767, 1032),
     (6, 5): (63, 63),
+    (7, 2): (2097151, 46110),
+    (7, 5): (2097151, 4124),
 }
 
 
 def test_characterization_sweep_every_layer():
     assert sorted(SWEEP_COUNTS) == [
         (n, k) for n in range(3, 7) for k in range(2, n)
-    ]
+    ] + [(7, 2), (7, 5)]
     for (n, k), (checked, extremal) in SWEEP_COUNTS.items():
         result = characterization_sweep(n, k)
         assert (result["checked"], result["extremal"]) == (checked, extremal), (n, k)
         assert result["mismatches"] == [], (n, k)
-    # the verdict reads no layer but its own, so (7,6) fits although its
-    # (7,5) link layer does not; every one of its subfamilies is extremal
-    assert characterization_sweep(7, 6) == {
-        "n": 7, "k": 6, "checked": 127, "extremal": 127, "mismatches": []
-    }
-    with pytest.raises(BudgetError, match="limit of 20"):
-        characterization_sweep(7, 5)
+    # the verdict reads no layer but its own, so (8,7) fits although its
+    # (8,6) link layer does not; every subfamily of (7,6) and (8,7) is
+    # extremal
+    for n in (7, 8):
+        full = 2**n - 1
+        assert characterization_sweep(n, n - 1) == {
+            "n": n, "k": n - 1, "checked": full, "extremal": full, "mismatches": []
+        }
+    with pytest.raises(BudgetError, match="layer of 35 sets exceeds the sweep limit of 21"):
+        characterization_sweep(7, 3)
     for n, k in ((3, 3), (4, 1), (2, 1)):
         with pytest.raises(ValueError):
             characterization_sweep(n, k)
@@ -220,8 +282,8 @@ def test_extremal_counts_match_shadow_oracle():
     # independent of the layer tables and of the bound: a family is
     # extremal iff its shadow is the smallest among families of its size
     for (n, k), (checked, extremal) in SWEEP_COUNTS.items():
-        if (n, k) == (6, 3):
-            continue  # 2^20 families; the sweep itself is pinned above
+        if binom(n, k) >= 20:
+            continue  # 2^20 families or more; the sweeps are pinned above
         pool = sorted(
             sum(1 << (e - 1) for e in s) for s in combinations(range(1, n + 1), k)
         )
@@ -269,8 +331,11 @@ def test_sweep_limit_refuses_before_building_the_layer():
     misses = _layer.cache_info().misses
     with pytest.raises(BudgetError, match="layer of 184756 sets exceeds the sweep limit"):
         enumerate_extremal(20, 10, 5)
-    with pytest.raises(BudgetError, match="layer of 21 sets exceeds the sweep limit"):
-        min_degree_sweep(7, 5)
+    with pytest.raises(BudgetError, match="layer of 35 sets exceeds the sweep limit"):
+        min_degree_sweep(7, 3)
+    # the closure side refuses its own table over C([8], 2) the same way
+    with pytest.raises(BudgetError, match="shadow layer of 28 sets exceeds the sweep limit"):
+        extremal._min_shadows(8, 3)
     assert _layer.cache_info().misses == misses
 
 
@@ -300,6 +365,8 @@ CLAUSE_COUNTS = {
     (6, 3): 31806,
     (6, 4): 6006,
     (6, 5): 372,
+    (7, 2): 298816,
+    (7, 5): 28427,
     (7, 6): 882,
 }
 
@@ -481,6 +548,8 @@ MIN_DEGREE_COUNTS = {
     (6, 3): 1042642,
     (6, 4): 32596,
     (6, 5): 57,
+    (7, 2): 1887284,
+    (7, 5): 2096731,
     (7, 6): 120,
 }
 
@@ -585,7 +654,7 @@ def test_enumerate_methods_agree():
         rec = {f.masks for f in enumerate_extremal(6, 3, m, method="recursive")}
         assert ex == rec, m
     # every size of the other layers the characterization sweep covers
-    for n, k in ((3, 2), (4, 2), (4, 3), (5, 2), (5, 4), (6, 2), (6, 4), (6, 5)):
+    for n, k in ((3, 2), (4, 2), (4, 3), (5, 2), (5, 4), (6, 2), (6, 4), (6, 5), (7, 2), (7, 5)):
         for m in range(1, binom(n, k) + 1):
             ex = {f.masks for f in enumerate_extremal(n, k, m, method="exhaustive")}
             rec = {f.masks for f in enumerate_extremal(n, k, m, method="recursive")}
