@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb
-from operator import or_
+from operator import getitem, or_
 
 from .exact import (
     BudgetError,
@@ -41,7 +41,7 @@ from .families import (
     _layer_masks,
     _lifted,
     _shadow_masks,
-    _transposed,
+    _swapped,
     canonical_form,
     degree,
     delete_star,
@@ -285,7 +285,8 @@ class _Layer:
     added.  Shadow masks are built as 8-bit planes, each doubled with one
     ``translate`` through an "OR set i's shed byte" table, and kept only as
     their popcount: one shadow-size byte per pattern.  ``closures`` builds
-    the dual table over patterns of the (k-1)-sets in ``sub_masks``.
+    the dual table over patterns of the (k-1)-sets in ``sub_masks``, and
+    ``relabelings`` the action of S_n on the patterns.
     """
 
     def __init__(self, n: int, k: int):
@@ -294,10 +295,12 @@ class _Layer:
         self.n, self.k = n, k
         self.masks = _layer_masks(n, k)
         self.size = len(self.masks)
+        self.index = {m: i for i, m in enumerate(self.masks)}
         self.sub_masks = _layer_masks(n, k - 1)
         sub_index = {m: i for i, m in enumerate(self.sub_masks)}
         self.shed = [sum(1 << sub_index[f] for f in _shadow_masks((m,))) for m in self.masks]
         self._counts: tuple[bytes, bytes] | None = None
+        self._relabelings: list[list[list[int]]] | None = None
 
     def counts(self) -> tuple[bytes, bytes]:
         """Per-subfamily member counts and shadow sizes, one byte each.
@@ -341,6 +344,30 @@ class _Layer:
             maps = _doubled(steps[low:], _IDENTITY).translate(closed)
             parts.append((_doubled(steps[:low]), maps))
         return _block_sums(parts, positions)
+
+    def relabelings(self) -> list[list[list[int]]]:
+        """Per adjacent transposition (x x+1) of [n], x = 1..n-1, its action
+        on the patterns: per run of 8 positions, the image patterns of the
+        run's 256 bit patterns, built by doubling as ``_doubled`` builds
+        byte tables.  The image of a pattern is the sum over runs of the
+        entry its byte in that run selects; a relabeling sends distinct
+        positions to distinct positions, so that sum is the OR of the
+        images."""
+        if self._relabelings is None:
+            self._relabelings = []
+            for x in range(1, self.n):
+                images = [1 << self.index[m] for m in _swapped(self.masks, x, x + 1)]
+                runs = []
+                for start in range(0, self.size, 8):
+                    run = [0]
+                    for bit in images[start : start + 8]:
+                        run += [r | bit for r in run]
+                    runs.append(run)
+                self._relabelings.append(runs)
+        return self._relabelings
+
+    def pattern(self, masks: tuple[int, ...]) -> int:
+        return sum(1 << self.index[m] for m in masks)
 
     def family(self, pattern: int) -> KFamily:
         chosen = [self.masks[i] for i in range(self.size) if pattern >> i & 1]
@@ -451,18 +478,25 @@ def brute_force_min_shadow(n: int, k: int, m: int) -> int:
 
     Where C(n, k) or C(n, k-1) fits the sweep limit, the smaller of the
     k-side and closure tables answers (``_min_shadows``); both range over
-    every subfamily and neither assumes the bound.  Otherwise it enumerates
-    the C(C(n, k), m) combinations, at most ``COMBINATION_BUDGET``."""
+    every subfamily and neither assumes the bound.  Otherwise, and where
+    that table has more than 2^16 entries but the C(C(n, k), m)
+    combinations are at most 2^16, it enumerates the combinations, at most
+    ``COMBINATION_BUDGET``."""
     layer_size = binom(n, k)
     if not 1 <= m <= layer_size:
         raise ValueError("family size out of range")
     if k == 1:
         return 1
-    # the k-side test first: a cached lookup pays no second binom
-    if layer_size <= SWEEP_LAYER_LIMIT or binom(n, k - 1) <= SWEEP_LAYER_LIMIT:
+    # a table of at most 2^16 entries always serves.  The k-side test goes
+    # first, so a cached lookup there computes nothing more; math.comb skips
+    # binom's range checks, which a value only compared with 16 needs not
+    if layer_size <= _BLOCK_POSITIONS or comb(n, k - 1) <= _BLOCK_POSITIONS:
         return _min_shadows(n, k)[m]
     # math.comb: the count is compared, never used, so it may leave 128 bits
     count = comb(layer_size, m)
+    # a larger table serves where it fits, unless the combinations are fewer
+    if min(layer_size, binom(n, k - 1)) <= SWEEP_LAYER_LIMIT and count > 1 << _BLOCK_POSITIONS:
+        return _min_shadows(n, k)[m]
     if count > COMBINATION_BUDGET:
         raise BudgetError(
             f"C({layer_size}, {m}) = {count} combinations exceed the "
@@ -515,12 +549,6 @@ def _extremal_patterns_by_size(n: int, k: int) -> dict[int, list[int]]:
         out[pop[f]].append(f)
         f = flags.find(0x80, f + 1)
     return out
-
-
-def _enum_exhaustive(n: int, k: int, m: int) -> list[KFamily]:
-    patterns = _extremal_patterns_by_size(n, k).get(m, [])
-    layer = _layer(n, k)
-    return [layer.family(p) for p in patterns]
 
 
 @lru_cache(maxsize=None)
@@ -581,7 +609,10 @@ def enumerate_extremal(
     if not 1 <= m <= binom(n, k):
         raise ValueError("family size out of range")
     if method == "exhaustive":
-        families = _enum_exhaustive(n, k, m)
+        patterns = _extremal_patterns_by_size(n, k).get(m, [])
+        layer = _layer(n, k)
+        if not up_to_iso:
+            return [layer.family(p) for p in patterns]
     elif method == "recursive":
         if n > 10:
             raise BudgetError("recursive enumeration bounded at n <= 10")
@@ -591,45 +622,52 @@ def enumerate_extremal(
         bad = next((f for f in families if not is_extremal(f)), None)
         if bad is not None:
             raise RuntimeError(f"recursive enumeration generated non-extremal {bad.sets()}")
+        if not up_to_iso:
+            return families
+        layer = _layer(n, k)
+        patterns = [layer.pattern(f.masks) for f in families]
     else:
         raise ValueError(f"unknown method {method!r}")
-    return _iso_classes(families) if up_to_iso else families
+    return _orbit_classes(layer, patterns)
 
 
-def _iso_classes(families: list[KFamily]) -> list[KFamily]:
-    """One canonical form per isomorphism class, in first-seen order.
+def _orbit_classes(layer: _Layer, patterns: list[int]) -> list[KFamily]:
+    """One canonical form per isomorphism class of the families given as
+    bit patterns of the layer, in first-seen order.
 
-    Requires distinct families on one ground set [n], closed under every
-    relabeling of [n]; the full extremal list of one size is, since
-    relabeling preserves extremality.  The classes are then the orbits of
-    S_n on the list.  The adjacent transpositions (x x+1) generate S_n, so
-    joining each family to its image under each of them leaves one
-    union-find tree per orbit, rooted at the orbit's first family, and only
-    the roots are canonicalized.  An image missing from the list raises
-    ``RuntimeError``, which also checks that the enumerator was complete.
-    ``test_iso_classes_match_dedup_oracle`` compares the result with the
-    per-family ``canonical_form`` deduplication it replaces.
+    Requires distinct patterns closed under every relabeling of [n]; the
+    full extremal list of one size is, since relabeling preserves
+    extremality.  The classes are then the orbits of S_n on the list.  The
+    adjacent transpositions (x x+1) generate S_n, so each orbit is walked
+    from its first pattern in list order through their images, read from
+    ``_Layer.relabelings``, and only that root becomes a ``KFamily`` and is
+    canonicalized.  Every image of every pattern is looked up, and one
+    missing from the list raises ``RuntimeError``, which also checks that
+    the enumerator was complete.  ``test_iso_classes_match_dedup_oracle``
+    compares the result with the per-family ``canonical_form``
+    deduplication it replaces.
     """
-    if not families:
-        return []
-    index = {family.masks: i for i, family in enumerate(families)}
-    parent = list(range(len(families)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for x in range(1, families[0].n):
-        for i, family in enumerate(families):
-            j = index.get(_transposed(family.masks, x, x + 1))
-            if j is None:
-                raise RuntimeError("family list is not closed under relabeling")
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    return [canonical_form(families[r]) for r in range(len(families)) if parent[r] == r]
+    tables = layer.relabelings()
+    width = (layer.size + 7) // 8
+    listed = set(patterns)
+    seen: set[int] = set()
+    roots = []
+    for root in patterns:
+        if root in seen:
+            continue
+        roots.append(root)
+        seen.add(root)
+        stack = [root]
+        while stack:
+            runs = stack.pop().to_bytes(width, "little")
+            for table in tables:
+                image = sum(map(getitem, table, runs))
+                if image not in seen:
+                    if image not in listed:
+                        raise RuntimeError("family list is not closed under relabeling")
+                    seen.add(image)
+                    stack.append(image)
+    return [canonical_form(layer.family(r)) for r in roots]
 
 
 def uniqueness_predicate(n: int, k: int, m: int) -> bool:

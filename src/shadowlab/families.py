@@ -5,7 +5,8 @@ masks coincides with colex order on the sets.  All operations are pure and
 return new families.  This module owns that format: other modules build,
 read, lift and relabel masks through its private helpers (``_mask_of``,
 ``_layer_masks``, ``_shadow_masks``, ``_element_flags``, ``_lifted``,
-``_transposed``), and ``tests/test_source.py`` checks that none spells it.
+``_swapped``, ``_transposed``), and ``tests/test_source.py`` checks that
+none spells it.
 """
 
 from __future__ import annotations
@@ -127,11 +128,17 @@ def _lifted(masks: Iterable[int], x: int) -> tuple[int, ...]:
     return tuple(m | bit for m in masks)
 
 
-def _transposed(masks: Iterable[int], x: int, y: int) -> tuple[int, ...]:
-    """The masks relabeled by the transposition of elements x and y, ascending."""
+def _swapped(masks: Iterable[int], x: int, y: int) -> list[int]:
+    """Each mask relabeled by the transposition of elements x and y, in
+    the order given."""
     bx, by = 1 << (x - 1), 1 << (y - 1)
     both = bx | by
-    return tuple(sorted(m ^ both if (m & both) in (bx, by) else m for m in masks))
+    return [m ^ both if (m & both) in (bx, by) else m for m in masks]
+
+
+def _transposed(masks: Iterable[int], x: int, y: int) -> tuple[int, ...]:
+    """The masks relabeled by the transposition of elements x and y, ascending."""
+    return tuple(sorted(_swapped(masks, x, y)))
 
 
 def shadow(family: KFamily) -> KFamily:

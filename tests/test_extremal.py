@@ -13,6 +13,7 @@ from shadowlab.exact import binom, decompose, lex_cmp, seq_minus, seq_value
 from shadowlab.families import (
     BudgetError,
     KFamily,
+    _transposed,
     are_isomorphic,
     canonical_form,
     initial_segment,
@@ -22,8 +23,8 @@ from shadowlab import extremal
 from shadowlab.extremal import (
     _clause_blocks,
     _enum_recursive,
-    _iso_classes,
     _layer,
+    _orbit_classes,
     brute_force_min_shadow,
     certify_by_witness,
     characterization_sweep,
@@ -108,6 +109,19 @@ def test_min_shadow_sides_agree():
         closure = extremal._closure_min_shadows(layer)
         assert closure == extremal._member_min_shadows(layer), (n, k)
         assert closure == [0] + [kk_bound(m, k, 1) for m in range(1, layer.size + 1)], (n, k)
+
+
+def test_small_sizes_on_large_tables_are_enumerated():
+    # a table of more than 2^16 entries is not built for at most 2^16
+    # combinations: the k-side at (7,5) and (21,20), the closure side at
+    # (7,3) and (18,2); the answers are the Kruskal-Katona bound
+    cases = [(7, 5, m) for m in (1, 2, 6, 21)]
+    cases += [(7, 3, m) for m in (1, 3, 4, 34, 35)]
+    cases += [(21, 20, 1), (21, 20, 2), (21, 20, 21), (18, 2, 1), (18, 2, 2)]
+    before = extremal._min_shadows.cache_info()
+    for n, k, m in cases:
+        assert brute_force_min_shadow(n, k, m) == kk_bound(m, k, 1), (n, k, m)
+    assert extremal._min_shadows.cache_info() == before
 
 
 def closure_counts(n, k):
@@ -766,16 +780,60 @@ def test_iso_classes_match_dedup_oracle():
 
 
 def test_iso_classes_reject_lists_not_closed_under_relabeling():
+    layer = _layer(3, 2)
+
+    def patterns(*families):
+        return [layer.pattern(KFamily.from_sets(3, 2, sets).masks) for sets in families]
+
     with pytest.raises(RuntimeError, match="not closed"):
-        _iso_classes([KFamily.from_sets(3, 2, [(1, 2)])])
+        _orbit_classes(layer, patterns([(1, 2)]))
     # one transposition image present, the other missing
     with pytest.raises(RuntimeError, match="not closed"):
-        _iso_classes(
-            [KFamily.from_sets(3, 2, [(1, 2)]), KFamily.from_sets(3, 2, [(1, 3)])]
-        )
+        _orbit_classes(layer, patterns([(1, 2)], [(1, 3)]))
     triangle = KFamily.from_sets(3, 2, [(1, 2), (1, 3), (2, 3)])
-    assert _iso_classes([triangle]) == [triangle]
-    assert _iso_classes([]) == []
+    assert _orbit_classes(layer, patterns(triangle.sets())) == [triangle]
+    assert _orbit_classes(layer, []) == []
+
+
+def test_relabeling_tables_match_transposed():
+    # each table entry is the pattern of a run's families relabeled by
+    # _transposed, positions read from the layer's colex order; layers of
+    # 10, 20 and 35 sets end in a run of fewer than 8 positions
+    rng = random.Random(18)
+    for n, k in ((5, 2), (6, 3), (7, 3)):
+        layer = _layer(n, k)
+        position = {mask: i for i, mask in enumerate(layer.masks)}
+        tables = layer.relabelings()
+        assert len(tables) == n - 1, (n, k)
+        for x, runs in enumerate(tables, start=1):
+            assert [len(run) for run in runs] == [
+                1 << min(8, layer.size - start) for start in range(0, layer.size, 8)
+            ], (n, k)
+
+            def image(pattern):
+                masks = tuple(m for i, m in enumerate(layer.masks) if pattern >> i & 1)
+                return sum(1 << position[m] for m in _transposed(masks, x, x + 1))
+
+            for r, run in enumerate(runs):
+                assert run == [image(b << 8 * r) for b in range(len(run))], (n, k, x, r)
+            for pattern in [rng.getrandbits(layer.size) for _ in range(50)]:
+                runs_of = pattern.to_bytes(len(runs), "little")
+                assert sum(run[b] for run, b in zip(runs, runs_of)) == image(pattern)
+
+
+def test_iso_classes_of_both_methods_agree():
+    # the recursive path maps its mask tuples to layer patterns before the
+    # orbit walk; both must give the same classes.  Each keeps its own
+    # first-seen order (ascending patterns, ascending mask tuples), which
+    # differ, so the classes are compared in canonical-mask order
+    def classes(n, k, m, method):
+        found = enumerate_extremal(n, k, m, up_to_iso=True, method=method)
+        return sorted(found, key=lambda family: family.masks)
+
+    for n, k in ((6, 3), (6, 2), (6, 4)):
+        for m in range(1, binom(n, k) + 1):
+            exhaustive = classes(n, k, m, "exhaustive")
+            assert exhaustive == classes(n, k, m, "recursive"), (n, k, m)
 
 
 def test_uniqueness_predicate_examples():
