@@ -147,12 +147,13 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    from .extremal import is_extremal
     from .families import initial_segment, to_dict
 
     report: dict
     family = None
     if args.what == "colex":
+        from .extremal import is_extremal
+
         family = initial_segment(args.n, args.k, args.m)
         report = {
             "kind": "colex",
@@ -180,6 +181,7 @@ def _cmd_construct(args) -> int:
             report["materialized_size"] = len(family)
     elif args.what == "example32":
         from .constructions import example_32_family
+        from .extremal import is_extremal
 
         family = example_32_family(args.n, args.k, args.variant)
         designated = args.n if args.variant == "b" else args.n + 1
@@ -191,6 +193,7 @@ def _cmd_construct(args) -> int:
         }
     elif args.what == "example33":
         from .constructions import example_33_family
+        from .extremal import is_extremal
 
         family = example_33_family(args.n, args.k)
         report = {
@@ -201,6 +204,7 @@ def _cmd_construct(args) -> int:
         }
     elif args.what == "perturbed":
         from .constructions import perturbed_colex
+        from .extremal import is_extremal
 
         result = perturbed_colex(args.n, args.k, args.m)
         report = {

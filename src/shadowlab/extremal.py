@@ -616,16 +616,18 @@ def enumerate_extremal(
     elif method == "recursive":
         if n > 10:
             raise BudgetError("recursive enumeration bounded at n <= 10")
-        families = [
-            KFamily(n, k, masks) for masks in sorted(_enum_recursive(n, k, m))
-        ]
-        bad = next((f for f in families if not is_extremal(f)), None)
+        generated = sorted(_enum_recursive(n, k, m))
+        # is_extremal of each family, with the bound computed once per size;
+        # a 1-family's shadow is the single empty set
+        bound = kk_bound(m, k, 1) if k > 1 else 1
+        bad = next((masks for masks in generated if len(_shadow_masks(masks)) != bound), None)
         if bad is not None:
-            raise RuntimeError(f"recursive enumeration generated non-extremal {bad.sets()}")
+            bad_sets = KFamily(n, k, bad).sets()
+            raise RuntimeError(f"recursive enumeration generated non-extremal {bad_sets}")
         if not up_to_iso:
-            return families
+            return [KFamily(n, k, masks) for masks in generated]
         layer = _layer(n, k)
-        patterns = [layer.pattern(f.masks) for f in families]
+        patterns = [layer.pattern(masks) for masks in generated]
     else:
         raise ValueError(f"unknown method {method!r}")
     return _orbit_classes(layer, patterns)

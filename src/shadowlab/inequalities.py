@@ -8,10 +8,10 @@ scale and are the acceptance oracles.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations, product
-from operator import add, le
+from itertools import accumulate, combinations, compress, product, repeat
+from operator import add, gt, le, sub
 
 from .exact import Seq, binom, lex_cmp, seq_minus, seq_shift, seq_value
 
@@ -125,50 +125,44 @@ def check_abck(a: Seq, b: Seq, c: Seq, k: int, k1: int, k2: int) -> AbcReport:
     return report
 
 
-def _admissible(level: int, cap: int) -> list[tuple[tuple[int, ...], int]]:
+def _admissible(level: int, cap: int, depth: int = 0, cascades: bool = False) -> list[tuple]:
     """Every sequence admissible at ``level`` whose value there is at most cap.
 
     Admissible means strictly decreasing and nonnegative with s_j >= level -
     j - 1 and at most level + 1 terms: a term past index ``level`` is
     evaluated at a negative level and contributes zero to every row, so
-    longer tails would be representation noise.  Entries are (terms, value
-    at ``level``) in depth-first order with ascending terms, which is tuple
-    order, the empty tuple first; the sweeps bisect on it.  This is the
-    one enumerator behind every split sweep; a caller that needs a smaller
-    cap may keep the entries of value at most that cap, which are exactly
-    the entries the smaller cap yields, in the same order.
+    longer tails would be representation noise; ``cascades`` keeps the
+    cascades, s_j >= level - j and at most level terms.  Entries are (terms,
+    row), the row holding the values at levels level, ..., level - depth,
+    summed as the descent adds one precomputed column of binomials per term,
+    depth first with ascending terms: tuple order, the empty tuple first;
+    the sweeps bisect on it.  This one enumerator serves every split sweep;
+    a caller that needs a smaller cap may keep the entries of value at most
+    that cap, exactly the smaller cap's entries, in order.
     """
     top = 0
     while binom(top + 1, level) <= cap:
         top += 1
+    slack = 0 if cascades else 1  # how far below its cascade bound a term may sit
+    binoms = [[binom(x, r) for r in range(level, -depth - 1, -1)] for x in range(top + 1)]
+    # columns[j][x]: what the term x at index j adds to a row
+    columns = [[tuple(b[j : j + depth + 1]) for b in binoms] for j in range(level + 1)]
+    out: list[tuple] = [((), (0,) * (depth + 1))]
 
-    out: list[tuple[tuple[int, ...], int]] = [((), 0)]
-
-    def rec(prefix: list[int], value: int) -> None:
+    def rec(prefix: list[int], row: tuple[int, ...]) -> None:
         j = len(prefix)
-        if j > level:
-            return
-        lo = max(level - j - 1, 0)
-        hi = (prefix[-1] - 1) if prefix else top
-        for term in range(lo, hi + 1):
-            v = value + binom(term, level - j)
-            if v > cap:
+        for term in range(max(level - j - slack, 0), prefix[-1] if prefix else top + 1):
+            child = tuple(map(add, row, columns[j][term]))
+            if child[0] > cap:
                 break
             prefix.append(term)
-            out.append((tuple(prefix), v))
-            rec(prefix, v)
+            out.append((tuple(prefix), child))
+            if j < level - 1 + slack:
+                rec(prefix, child)
             prefix.pop()
 
-    rec([], 0)
+    rec([], out[0][1])
     return out
-
-
-def _row_vector(terms: tuple[int, ...], base: int, k: int) -> tuple[int, ...]:
-    """Sequence values at levels base, base - 1, ..., base - k."""
-    return tuple(
-        sum(binom(x, base - i - j) for j, x in enumerate(terms))
-        for i in range(k + 1)
-    )
 
 
 def _cascades(k: int, amax: int) -> list[Seq]:
@@ -181,17 +175,21 @@ def _cascades(k: int, amax: int) -> list[Seq]:
     return out
 
 
-def _split_universe(k: int, cap: int):
-    """The admissible (b, c) space for level-k splits, with row vectors.
+def _cascade_rows(k: int, cap: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The level-k cascades of the values 1..cap with their rows, in tuple order."""
+    out = _admissible(k, cap, k, cascades=True)[1:]  # past the empty tuple
+    if [row[0] for _t, row in out] != list(range(1, cap + 1)):
+        raise RuntimeError(f"the level-{k} cascades in tuple order are not the values 1..{cap}")
+    return out
 
-    b is admissible at level k and c at level k - 1, each with value at most
-    cap; c is grouped by its value at level k - 1.
-    """
-    bs = [(t, _row_vector(t, k, k)) for t, _v in _admissible(k, cap)]
+
+def _split_universe(k: int, cap: int):
+    """The admissible b at level k and c at level k - 1, grouped by value,
+    each of value at most cap and with a row of k + 1 values."""
     c_by_value: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-    for t, v in _admissible(k - 1, cap):
-        c_by_value.setdefault(v, []).append((t, _row_vector(t, k - 1, k)))
-    return bs, c_by_value
+    for entry in _admissible(k - 1, cap, k):
+        c_by_value.setdefault(entry[1][0], []).append(entry)
+    return _admissible(k, cap, k), c_by_value
 
 
 def _grouped(entries) -> dict[int, tuple[list, list]]:
@@ -242,69 +240,70 @@ def lemma_sweep(k: int, amax: int) -> dict:
     with value(b, k) + value(c, k-1) = value(a, k) and b at least a - 1 in
     lex order; records any failed inequality or failed propagation.
 
-    The triples are verified block by block.  For one a, a block holds the
-    b of one value that are at least a - 1, a suffix of that value's group
-    since the split universe is in tuple order, and every c of the
-    complementary value.  If a's row is at most the b suffix's column minima
-    plus the c group's in every column, it is at most every b's row plus
-    every c's, so every inequality of the block holds.  Then a's row equals
-    b's plus c's at level 1 only where both are at their level-1 minimum,
-    and equality propagates for all those pairs when, at every other level,
-    the sum of their column maxima is at most a's row.  A block whose
-    bounds fail is checked triple by triple: all of it, or those level-1
-    pairs.  ``checked`` counts triples; violations are sorted by b's terms,
-    then c's, which is the order of b in the universe and of c in its group.
+    For one a, a block holds the b of one value that are at least a - 1 and
+    every c of the complementary value.  If a's row is at most the b's
+    column minima plus the c's, every inequality of the block holds, and if
+    it is below them at level 1, no triple is tight there.  As cascades and
+    their a - 1 in tuple order are in value order, a b value's first and
+    last terms cut the cascades into a range where the block is the whole
+    group, certified column by column over value-indexed lists, a lex-
+    boundary range and a range with no block.  Other blocks are checked
+    alone: equality at level 1 needs b and c at their level-1 minima and
+    propagates if those pairs' column maxima sum to at most a's row, and a
+    block whose bounds fail is checked triple by triple.  ``checked`` counts
+    triples; violations are listed by a, then by b's terms and c's.
     """
     if k < 2:
         raise ValueError("the sweep needs k >= 2")
     if amax < 2:
         raise ValueError("the sweep needs amax >= 2")
-    cap = seq_value(Seq(tuple(range(amax, amax - k, -1)), k), k)
+    cap = max(seq_value(Seq(tuple(range(amax, amax - k, -1)), k), k), 0)  # 0 if amax < k
     bs, c_by_value = _split_universe(k, cap)
-    b_groups = [
-        (v, terms, rows, *_suffix_bounds(rows))
-        for v, (terms, rows) in sorted(_grouped(bs).items())
-    ]
-    c_groups = {}
-    for v, group in c_by_value.items():
-        minima, tops = _suffix_bounds([crows for _t, crows in group])
-        c_groups[v] = (group, minima[0], tops[0])
-    checked = 0
-    violations: list[tuple] = []
-    for a in _cascades(k, amax):
-        arows = _row_vector(a.terms, k, k)
-        m = arows[0]
-        a1 = tuple(x - 1 for x in a.terms)
-        found = []
-        for v, b_terms, b_rows, b_minima, b_tops in b_groups:
-            if v > m:
-                break
-            if m - v not in c_groups:
-                continue
-            first = bisect_left(b_terms, a1)  # a1 is nonempty, so b is too
-            if first == len(b_terms):
-                continue
-            cs, c_min, c_top = c_groups[m - v]
-            checked += (len(b_terms) - first) * len(cs)
-            b_min = b_minima[first]
-            floor = tuple(map(add, b_min, c_min))
+    cascades = _cascade_rows(k, cap)  # position p holds the value p + 1
+    a1s = [tuple(x - 1 for x in terms) for terms, _row in cascades]
+    a_columns = [[row[i] for _terms, row in cascades] for i in range(k + 1)]
+    c_groups = [c_by_value[w] for w in range(cap + 1)]  # each value has a (k-1)-cascade
+    c_bounds = [[bound[0] for bound in _suffix_bounds([r for _t, r in cs])] for cs in c_groups]
+    c_columns = list(zip(*(c_min for c_min, _top in c_bounds)))
+    c_before = list(accumulate(map(len, c_groups), initial=0))
+    checked, found = 0, {}  # found: a's position -> its violations
+    for v, (b_terms, b_rows) in sorted(_grouped(bs).items()):
+        b_minima, b_tops = _suffix_bounds(b_rows)
+        start = max(v, 1) - 1
+        whole = max(start, bisect_right(a1s, b_terms[0]))
+        end = max(whole, bisect_right(a1s, b_terms[-1]))
+        w0, w1 = start + 1 - v, whole + 1 - v  # the c values of start and whole
+        checked += len(b_terms) * (c_before[w1] - c_before[w0])
+        fails = set()
+        for i in range(1, k + 1):
+            excess = map(sub, a_columns[i][start:whole], c_columns[i][w0:w1])
+            bound = repeat(b_minima[0][i] - (i == 1))  # level 1 must hold strictly
+            fails.update(compress(range(start, whole), map(gt, excess, bound)))
+        blocks = [(p, 0) for p in fails]
+        for p in range(whole, end):
+            blocks.append((p, bisect_left(b_terms, a1s[p])))
+            checked += (len(b_terms) - blocks[-1][1]) * len(c_groups[p + 1 - v])
+        for p, first in blocks:
+            arows = cascades[p][1]
+            cs, (c_min, c_top) = c_groups[p + 1 - v], c_bounds[p + 1 - v]
+            floor = tuple(map(add, b_minima[first], c_min))
+            tops = map(add, b_tops[first][2:], c_top[2:])
             if not all(map(le, arows, floor)):
                 pairs = product(range(first, len(b_terms)), cs)
-            elif arows[1] < floor[1] or all(
-                map(le, map(add, b_tops[first][2:], c_top[2:]), arows[2:])
-            ):
+            elif arows[1] < floor[1] or all(map(le, tops, arows[2:])):
                 continue
             else:
                 pairs = product(
-                    [j for j in range(first, len(b_terms)) if b_rows[j][1] == b_min[1]],
+                    [j for j in range(first, len(b_terms)) if b_rows[j][1] == b_minima[first][1]],
                     [c for c in cs if c[1][1] == c_min[1]],
                 )
             for j, (c_terms, crows) in pairs:
                 violation = _violation(arows, b_rows[j], crows)
                 if violation:
-                    found.append((b_terms[j], c_terms) + violation)
-        found.sort()
-        violations += [(a.terms,) + violation for violation in found]
+                    found.setdefault(p, []).append((b_terms[j], c_terms) + violation)
+    rank = {a.terms: i for i, a in enumerate(_cascades(k, amax))} if found else {}
+    order = sorted(found, key=lambda p: rank[cascades[p][0]])
+    violations = [(cascades[p][0],) + violation for p in order for violation in sorted(found[p])]
     return {"k": k, "amax": amax, "checked": checked, "violations": violations}
 
 
@@ -329,7 +328,7 @@ def general_level_sweep(k: int, amax: int, kmax_shift: int = 2) -> dict:
     groups = {}
     for level in levels:
         entries = []
-        for t, v in _admissible(level, cap):
+        for t, (v,) in _admissible(level, cap):
             s = Seq(t, level)
             entries.append((t, (v, seq_value(s, level - 1), seq_shift(s, 1, 1, level))))
         groups[level] = {

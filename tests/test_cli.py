@@ -265,10 +265,7 @@ _README_EXAMPLES = [
     ("shadow --in seg.json --iter 2", ("families",)),
     ("enumerate 6 3 12 --up-to-iso", ("families", "extremal")),
     ("oracle min-shadow 6 3 12", ("families", "extremal")),
-    (
-        "construct forbidden-pairs 120 4 4 --t 29 --r 2",
-        ("families", "extremal", "constructions"),
-    ),
+    ("construct forbidden-pairs 120 4 4 --t 29 --r 2", ("families", "constructions")),
     ("construct perturbed 6 3 12", ("families", "extremal", "constructions")),
     ("verify lemma-abc --amax 10 --kmax 5", ("inequalities",)),
     ("verify splits --amax 8 --kmax 5", ("inequalities",)),

@@ -234,6 +234,31 @@ def _lemma_triple_loop(k, amax, universe):
     return {"k": k, "amax": amax, "checked": checked, "violations": violations}
 
 
+def _lemma_cap(k, amax):
+    """The largest cascade value at level k with a_0 <= amax, the cap
+    lemma_sweep builds its universe at."""
+    return seq_value(Seq(tuple(range(amax, amax - k, -1)), k), k)
+
+
+def test_lemma_sweep_matches_triple_loop():
+    # the value-range certification and the per-block path against the plain
+    # triple loop over the real universe: the same triple count, no violation
+    for k, amax in ((2, 6), (3, 6), (4, 6), (3, 8)):
+        universe = inequalities._split_universe(k, _lemma_cap(k, amax))
+        expected = _lemma_triple_loop(k, amax, universe)
+        assert expected["checked"] > 0 and expected["violations"] == []
+        assert lemma_sweep(k, amax) == expected, (k, amax)
+
+
+def test_cascade_rows_refuse_an_order_other_than_value_order(monkeypatch):
+    # the value ranges rest on cascades in tuple order being in value order;
+    # an enumerator that breaks it is refused, not swept
+    real = inequalities._admissible
+    monkeypatch.setattr(inequalities, "_admissible", lambda *args, **kw: real(*args, **kw)[::-1])
+    with pytest.raises(RuntimeError, match="tuple order"):
+        lemma_sweep(3, 6)
+
+
 def _swapped_values(entries, value_of, with_value):
     """Entries with the values of entries 4i and 4i + 1 exchanged, so that
     values no longer grow with tuple order and one value's entries
@@ -247,30 +272,43 @@ def _swapped_values(entries, value_of, with_value):
 
 def test_lemma_sweep_fallback_matches_triple_loop(monkeypatch):
     # no real input fails a block's certificate, so planted rows stand in:
-    # some c lose one at level 1 (inequality violations), some b gain one
+    # some c lose one at level 1 and others at their last level, where only
+    # the deepest column shows it (inequality violations), some b gain one
     # at level 2 (propagation violations where level 1 stays tight), and
-    # swapped b values make the blocks' order differ from the universe's
+    # swapped b values make the blocks' order differ from the universe's.
+    # Violations land both where a b value's whole group is at least a - 1
+    # and where the group holds a - 1's lex boundary
     real = inequalities._split_universe
 
     def bump(rows, i, d):
         return rows[:i] + (rows[i] + d,) + rows[i + 1 :]
 
     for k, amax in ((3, 6), (4, 7)):
-        cap = seq_value(Seq(tuple(range(amax, amax - k, -1)), k), k)
-        bs, c_by_value = real(k, cap)
+        bs, c_by_value = real(k, _lemma_cap(k, amax))
         planted_bs = _swapped_values(
             [(t, bump(rows, 2, 1) if j % 7 == 3 else rows) for j, (t, rows) in enumerate(bs)],
             lambda entry: entry[1][0],
             lambda entry, v: (entry[0], (v,) + entry[1][1:]),
         )
         planted_cs = {
-            v: [(t, bump(rows, 1, -1) if j % 5 == 2 else rows) for j, (t, rows) in enumerate(group)]
+            v: [
+                (t, bump(rows, 1, -1) if j % 5 == 2 else bump(rows, k, -1) if j % 7 == 4 else rows)
+                for j, (t, rows) in enumerate(group)
+            ]
             for v, group in c_by_value.items()
         }
         planted = (planted_bs, planted_cs)
         monkeypatch.setattr(inequalities, "_split_universe", lambda kk, cc: planted)
         expected = _lemma_triple_loop(k, amax, planted)
         assert {v[3] for v in expected["violations"]} == {"inequality", "propagation"}
+        assert {v[4] for v in expected["violations"] if v[3] == "inequality"} >= {1, k}
+        b_value = {t: rows[0] for t, rows in planted_bs}
+        ranges = set()
+        for a_terms, b_terms, *_ in expected["violations"]:
+            group = [t for t, rows in planted_bs if rows[0] == b_value[b_terms]]
+            whole = tuple(x - 1 for x in a_terms) <= group[0]
+            ranges.add("whole group" if whole else "lex boundary")
+        assert ranges == {"whole group", "lex boundary"}
         assert lemma_sweep(k, amax) == expected
 
 
@@ -308,7 +346,7 @@ def test_general_level_sweep_fallback_matches_triple_loop(monkeypatch):
             level: [
                 (t, v, planted_value(Seq(t, level), level - 1),
                  planted_shift(Seq(t, level), 1, 1, level))
-                for t, v in planted_admissible(level, cap)
+                for t, (v,) in planted_admissible(level, cap)
             ]
             for level in levels
         }
@@ -329,16 +367,24 @@ def test_general_level_sweep_fallback_matches_triple_loop(monkeypatch):
 
 
 def test_split_universe_rows_are_split_profiles():
-    # splits_comparison reads the brute-force profiles from the universe's
-    # row vectors; at every cap splits_comparison(8, 5) builds they must be
-    # split_profile's values for b and for c
+    # splits_comparison and lemma_sweep read the profiles from the row
+    # vectors the enumerator sums as it descends; at every cap that
+    # splits_comparison(8, 5) and lemma_sweep(k, 10) build they must be
+    # split_profile's values for b and for c, and the cascade rows the
+    # cascades' values at levels k..0
     for k in range(2, 6):
         cascades = [
             Seq(t, k) for t in _cascade_terms(k, 8) if len(t) < k
         ]
-        bs, c_by_value = inequalities._split_universe(k, max(seq_value(a, k) for a in cascades))
-        for terms, rows in bs:
-            assert rows == split_profile(Seq(terms, k), EMPTY, k)[0], (k, terms)
-        for group in c_by_value.values():
-            for terms, rows in group:
-                assert rows == split_profile(EMPTY, Seq(terms, k - 1), k)[1], (k, terms)
+        for cap in (max(seq_value(a, k) for a in cascades), _lemma_cap(k, 10)):
+            bs, c_by_value = inequalities._split_universe(k, cap)
+            for terms, rows in bs:
+                assert rows == split_profile(Seq(terms, k), EMPTY, k)[0], (k, cap, terms)
+            for value, group in c_by_value.items():
+                for terms, rows in group:
+                    assert rows == split_profile(EMPTY, Seq(terms, k - 1), k)[1], (k, cap, terms)
+                    assert rows[0] == value
+        cascade_rows = inequalities._cascade_rows(k, _lemma_cap(k, 10))
+        assert [terms for terms, _ in cascade_rows] == sorted(_cascade_terms(k, 10))
+        for terms, rows in cascade_rows:
+            assert rows == tuple(seq_value(Seq(terms, k), k - i) for i in range(k + 1)), terms
