@@ -277,6 +277,20 @@ def _block_sums(parts: list[tuple[bytes, bytes]], positions: int) -> bytes:
     return b"".join(blocks)
 
 
+def _shadow_planes(sheds: list[int], width: int) -> list[tuple[bytearray, bytes]]:
+    """The parts ``_block_sums`` adds up to the shadow size of every pattern
+    over the positions of ``sheds``, bit masks over ``width`` sets: per 8-bit
+    plane, the shadow byte over the low positions, doubled, and the
+    per-block maps of the high positions with the popcount composed in."""
+    low = min(len(sheds), _BLOCK_POSITIONS)
+    planes = []
+    for shift in range(0, width, 8):
+        ors = [_or_step(bits >> shift & 0xFF) for bits in sheds]
+        counts = _doubled(ors[low:], _IDENTITY).translate(_POPCOUNT)
+        planes.append((_doubled(ors[:low]), counts))
+    return planes
+
+
 class _Layer:
     """Shared tables for exhaustive sweeps over subfamilies of C([n], k).
 
@@ -308,15 +322,11 @@ class _Layer:
         The shadow sizes are built a block of 2^16 patterns at a time: each
         plane is doubled over the low positions only, and the high
         positions of a block compose into one 256-byte map per plane, with
-        the popcount composed in, as in ``_clause_blocks``."""
+        the popcount composed in, by ``_shadow_planes`` as in
+        ``_clause_blocks``."""
         if self._counts is None:
             pop = bytes(_doubled([_PLUS_ONE] * self.size))
-            low = min(self.size, _BLOCK_POSITIONS)
-            planes = []
-            for shift in range(0, len(self.sub_masks), 8):
-                ors = [_or_step(bits >> shift & 0xFF) for bits in self.shed]
-                counts = _doubled(ors[low:], _IDENTITY).translate(_POPCOUNT)
-                planes.append((_doubled(ors[:low]), counts))
+            planes = _shadow_planes(self.shed, len(self.sub_masks))
             self._counts = pop, _block_sums(planes, self.size)
         return self._counts
 
@@ -779,12 +789,7 @@ def _clause_blocks(layer: _Layer) -> Iterator[tuple[int, list[int]]]:
                 sum(1 << j for j, i in enumerate(subs) if bits >> i & 1) if h == side else 0
                 for bits, h in zip(layer.shed, holds)
             ]
-            planes = []
-            for shift in range(0, len(subs), 8):
-                ors = [_or_step(bits >> shift & 0xFF) for bits in sheds]
-                counts = _doubled(ors[low:], _IDENTITY).translate(_POPCOUNT)
-                planes.append((_doubled(ors[:low]), counts))
-            parts.append(planes)
+            parts.append(_shadow_planes(sheds, len(subs)))
         elements.append((_doubled(steps[:low]), targets, parts))
     for block in range(1 << (layer.size - low)):
         start = block << low

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations, compress, product, repeat
+from itertools import accumulate, compress, product, repeat
 from operator import add, gt, le, sub
 
 from .exact import Seq, binom, lex_cmp, seq_minus, seq_shift, seq_value
@@ -165,14 +165,17 @@ def _admissible(level: int, cap: int, depth: int = 0, cascades: bool = False) ->
     return out
 
 
-def _cascades(k: int, amax: int) -> list[Seq]:
-    out = []
-    for length in range(1, k + 1):
-        for terms in combinations(range(amax, 0, -1), length):
-            seq = Seq(terms, k)
-            if seq.is_k_binomial(k):
-                out.append(seq)
-    return out
+def _cascade_cap(k: int, amax: int) -> int:
+    """The largest level-k value of a cascade with a_0 <= amax, that of
+    (amax, amax - 1, ..., amax - k + 1): C(amax + 1, k) - 1, and 0 if amax < k,
+    where there is no cascade."""
+    return binom(amax + 1, k) - 1 if amax >= k else 0
+
+
+def _listing_order(terms: tuple[int, ...]) -> tuple:
+    """Sort key of the order the reports list cascades in: shorter first,
+    then larger terms first."""
+    return len(terms), tuple(-x for x in terms)
 
 
 def _cascade_rows(k: int, cap: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -257,7 +260,7 @@ def lemma_sweep(k: int, amax: int) -> dict:
         raise ValueError("the sweep needs k >= 2")
     if amax < 2:
         raise ValueError("the sweep needs amax >= 2")
-    cap = max(seq_value(Seq(tuple(range(amax, amax - k, -1)), k), k), 0)  # 0 if amax < k
+    cap = _cascade_cap(k, amax)
     bs, c_by_value = _split_universe(k, cap)
     cascades = _cascade_rows(k, cap)  # position p holds the value p + 1
     a1s = [tuple(x - 1 for x in terms) for terms, _row in cascades]
@@ -301,36 +304,47 @@ def lemma_sweep(k: int, amax: int) -> dict:
                 violation = _violation(arows, b_rows[j], crows)
                 if violation:
                     found.setdefault(p, []).append((b_terms[j], c_terms) + violation)
-    rank = {a.terms: i for i, a in enumerate(_cascades(k, amax))} if found else {}
-    order = sorted(found, key=lambda p: rank[cascades[p][0]])
+    order = sorted(found, key=lambda p: _listing_order(cascades[p][0]))
     violations = [(cascades[p][0],) + violation for p in order for violation in sorted(found[p])]
     return {"k": k, "amax": amax, "checked": checked, "violations": violations}
+
+
+def _general_row(row: tuple[int, ...]) -> tuple[int, int, int]:
+    """A row's value, its value one level down and its (1, 1)-shifted value,
+    read as in ``general_level_sweep``; the row must reach level 0."""
+    return row[0], row[1], sum(row[1::2]) - sum(row[2::2])
 
 
 def general_level_sweep(k: int, amax: int, kmax_shift: int = 2) -> dict:
     """Verify the generalized-level inequalities for all k1, k2 >= k.
 
-    Each level in k..k+kmax_shift is enumerated once, with every sequence's
-    value, its value one level down and its (1, 1)-shifted value, grouped by
-    value.  For one a, the b of one value at level k1 and the c of the
-    complementary value at level k2 form a block: when a's two left sides
-    are at most the sums of the two groups' column minima, every triple of
-    the block holds, and otherwise the block is checked triple by triple.
-    ``checked`` counts triples; violations are listed by (k1, k2), a, then
-    b's terms and c's, the order of each level's enumeration.
+    Sweeps every cascade a with a_0 <= amax and every level in
+    k..k+kmax_shift, each enumerated once with rows down to level 0.  A
+    row gives both left-hand sides: the value one level down is row[1],
+    and the (1, 1)-shifted value is the alternating sum row[1] - row[2] +
+    row[3] - ..., since C(x - 1, j) is the sum over i = 0..j of (-1)^i
+    C(x, j - i).  For one a, the b of one value at level k1 and the c of
+    the complementary value at level k2 form a block: when a's two left
+    sides are at most the sums of the two groups' column minima, every
+    triple of the block holds, and otherwise the block is checked triple
+    by triple.  ``checked`` counts triples; violations are listed by (k1,
+    k2), a (shorter first, then larger terms first), then b's terms and
+    c's.  Needs k >= 1 and kmax_shift >= 0; with amax < k there is no
+    cascade and nothing to check.
     """
-    a_rows = [
-        (a.terms, (seq_value(a, k), seq_value(a, k - 1), seq_shift(a, 1, 1, k)))
-        for a in _cascades(k, amax)
-    ]
-    cap = max(rows[0] for _t, rows in a_rows)
+    if k < 1:
+        raise ValueError("the sweep needs k >= 1")
+    if kmax_shift < 0:
+        raise ValueError("the sweep needs kmax_shift >= 0")
+    cap = _cascade_cap(k, amax)
+    a_rows = sorted(
+        ((terms, _general_row(row)) for terms, row in _cascade_rows(k, cap)),
+        key=lambda entry: _listing_order(entry[0]),
+    )
     levels = range(k, k + kmax_shift + 1)
     groups = {}
     for level in levels:
-        entries = []
-        for t, (v,) in _admissible(level, cap):
-            s = Seq(t, level)
-            entries.append((t, (v, seq_value(s, level - 1), seq_shift(s, 1, 1, level))))
+        entries = [(t, _general_row(row)) for t, row in _admissible(level, cap, level)]
         groups[level] = {
             v: (terms, rows, _column_minima(rows))
             for v, (terms, rows) in _grouped(entries).items()
@@ -456,8 +470,9 @@ def splits_comparison(amax: int, kmax: int) -> dict:
 
     Compared by value profile; an "extra" is an exhaustive split whose
     profile no formula pair matches, a "missing" entry the converse.  The
-    split universe is built once per k, at the largest cascade value, and
-    its row vectors are the brute-force splits' profiles.
+    cascades shorter than k come from ``_cascade_rows``; the split universe
+    is built once per k, at their largest value, and its row vectors are the
+    brute-force splits' profiles.
     """
     if kmax < 2 or amax < 2:
         raise ValueError("the comparison needs kmax >= 2 and amax >= 2")
@@ -465,11 +480,12 @@ def splits_comparison(amax: int, kmax: int) -> dict:
     missing: list[tuple] = []
     checked = 0
     for k in range(2, kmax + 1):
-        cascades = [a for a in _cascades(k, amax) if len(a.terms) < k]
-        if not cascades:
+        short = [(t, row[0]) for t, row in _cascade_rows(k, _cascade_cap(k, amax)) if len(t) < k]
+        if not short:
             continue
-        universe = _split_universe(k, max(seq_value(a, k) for a in cascades))
-        for a in cascades:
+        universe = _split_universe(k, max(value for _t, value in short))
+        for terms in sorted((t for t, _value in short), key=_listing_order):
+            a = Seq(terms, k)
             checked += 1
             formula = {split_profile(b, c, k) for b, c in equality_splits(a, k)}
             brute = {

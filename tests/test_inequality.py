@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from shadowlab import inequalities
-from shadowlab.exact import EMPTY, Seq, seq_value
+from shadowlab.exact import EMPTY, Seq, seq_shift, seq_value
 from shadowlab.inequalities import (
     brute_force_equality_splits,
     check_abc,
@@ -120,6 +120,18 @@ def test_general_level_sweep():
         assert result["checked"] == checked
 
 
+def test_general_level_sweep_checks_its_inputs():
+    for k, amax, shift in ((0, 5, 1), (-1, 5, 1), (3, 8, -1)):
+        with pytest.raises(ValueError):
+            general_level_sweep(k, amax, kmax_shift=shift)
+    # no cascade has a_0 < k, so there is nothing to check, as in lemma_sweep(3, 2)
+    for k, amax in ((3, 2), (2, 1), (2, -4)):
+        assert general_level_sweep(k, amax, kmax_shift=2) == {"checked": 0, "violations": []}
+    assert lemma_sweep(3, 2)["checked"] == 0
+    result = general_level_sweep(1, 5, kmax_shift=1)
+    assert result == {"checked": 378, "violations": []}
+
+
 def test_equality_splits_examples():
     a = Seq((5, 3), 3)
     got = {(b.terms, c.terms) for b, c in equality_splits(a, 3)}
@@ -200,7 +212,10 @@ def test_conjecture_scan_grid():
 
 
 def _cascade_terms(k, amax):
-    """Every cascade at level k with a_0 <= amax, in the sweeps' order."""
+    """Every cascade at level k with a_0 <= amax, in the order the sweeps
+    list them: shorter first, then larger terms first.  Built from
+    ``combinations`` and ``is_k_binomial``, this is the independent oracle
+    for the cascades the sweeps take from ``_cascade_rows``."""
     return [
         terms
         for length in range(1, k + 1)
@@ -255,8 +270,13 @@ def test_cascade_rows_refuse_an_order_other_than_value_order(monkeypatch):
     # an enumerator that breaks it is refused, not swept
     real = inequalities._admissible
     monkeypatch.setattr(inequalities, "_admissible", lambda *args, **kw: real(*args, **kw)[::-1])
-    with pytest.raises(RuntimeError, match="tuple order"):
-        lemma_sweep(3, 6)
+    for sweep in (
+        lambda: lemma_sweep(3, 6),
+        lambda: general_level_sweep(3, 6, kmax_shift=1),
+        lambda: splits_comparison(6, 3),
+    ):
+        with pytest.raises(RuntimeError, match="tuple order"):
+            sweep()
 
 
 def _swapped_values(entries, value_of, with_value):
@@ -313,56 +333,67 @@ def test_lemma_sweep_fallback_matches_triple_loop(monkeypatch):
 
 
 def test_general_level_sweep_fallback_matches_triple_loop(monkeypatch):
-    # planted shifted and one-level-down values fail the certificate of some
-    # blocks, where both left-hand sides must be checked triple by triple;
-    # swapped values make the blocks' order differ from the enumeration's
-    real_shift, real_value = inequalities.seq_shift, inequalities.seq_value
+    # planted rows fail the certificate of some blocks, on the value one
+    # level down (row[1]) and on the (1, 1)-shifted value (the alternating
+    # sum of row[1:]), where both left-hand sides must be checked triple by
+    # triple; swapped values make the blocks' order differ from the
+    # enumeration's.  The triple loop takes its left-hand sides from
+    # seq_value and seq_shift, less the planted amounts
     real_admissible = inequalities._admissible
 
-    def planted_shift(s, i, j, level=None):
-        return real_shift(s, i, j, level) - (sum(s.terms) % 4 == 1)
+    def lowered(terms):
+        # what the plant takes off the value one level down and off the shifted value
+        return int(sum(terms) % 6 == 2), int(sum(terms) % 4 == 1)
 
-    def planted_value(s, level=None):
-        lower = level is not None and level != s.level and sum(s.terms) % 6 == 2
-        return real_value(s, level) - lower
+    def planted_row(terms, row):
+        down, shifted = lowered(terms)
+        return row[:1] + (row[1] - down, row[2] + shifted - down) + row[3:]
 
-    def planted_admissible(level, cap):
+    def planted_admissible(level, cap, depth):
         return _swapped_values(
-            real_admissible(level, cap), lambda entry: entry[1], lambda entry, v: (entry[0], v)
+            [(t, planted_row(t, row)) for t, row in real_admissible(level, cap, depth)],
+            lambda entry: entry[1][0],
+            lambda entry, v: (entry[0], (v,) + entry[1][1:]),
         )
 
-    monkeypatch.setattr(inequalities, "seq_shift", planted_shift)
-    monkeypatch.setattr(inequalities, "seq_value", planted_value)
-    monkeypatch.setattr(inequalities, "_admissible", planted_admissible)
+    def sides(terms, level):
+        down, shifted = lowered(terms)
+        s = Seq(terms, level)
+        return seq_value(s, level - 1) - down, seq_shift(s, 1, 1, level) - shifted
+
     for k, amax, shift in ((2, 6, 2), (3, 6, 1)):
-        rows = [
-            (t, real_value(Seq(t, k), k), planted_value(Seq(t, k), k - 1),
-             planted_shift(Seq(t, k), 1, 1, k))
-            for t in _cascade_terms(k, amax)
-        ]
-        cap = max(m for _t, m, _lhs, _s in rows)
+        cap = _lemma_cap(k, amax)
+        planted_as = [(t, planted_row(t, row)) for t, row in inequalities._cascade_rows(k, cap)]
         levels = range(k, k + shift + 1)
-        entries = {
-            level: [
-                (t, v, planted_value(Seq(t, level), level - 1),
-                 planted_shift(Seq(t, level), 1, 1, level))
-                for t, (v,) in planted_admissible(level, cap)
-            ]
-            for level in levels
-        }
+        entries = {level: planted_admissible(level, cap, level) for level in levels}
+        for level in levels:  # values no longer grow with tuple order
+            values = [row[0] for _t, row in entries[level]]
+            assert values != sorted(values)
         checked = 0
         violations = []
+        failed_sides = set()
         for k1 in levels:
             for k2 in levels:
-                for a_terms, m, lhs, s_lhs in rows:
-                    for b_terms, b_val, b_down, b_shift in entries[k1]:
-                        for c_terms, c_val, c_down, c_shift in entries[k2]:
+                for a_terms in _cascade_terms(k, amax):
+                    m = seq_value(Seq(a_terms, k), k)
+                    lhs, s_lhs = sides(a_terms, k)
+                    for b_terms, (b_val, *_) in entries[k1]:
+                        b_down, b_shift = sides(b_terms, k1)
+                        for c_terms, (c_val, *_) in entries[k2]:
                             if b_val + c_val != m:
                                 continue
                             checked += 1
-                            if lhs > b_down + c_down or s_lhs > b_shift + c_shift:
+                            c_down, c_shift = sides(c_terms, k2)
+                            failed = (lhs > b_down + c_down, s_lhs > b_shift + c_shift)
+                            if any(failed):
                                 violations.append((a_terms, b_terms, c_terms, k1, k2))
-        got = general_level_sweep(k, amax, kmax_shift=shift)
+                                failed_sides.add(failed)
+        # some triples fail on the value one level down only, some on the shifted value only
+        assert {(True, False), (False, True)} <= failed_sides
+        with monkeypatch.context() as patch:
+            patch.setattr(inequalities, "_cascade_rows", lambda kk, cc: planted_as)
+            patch.setattr(inequalities, "_admissible", planted_admissible)
+            got = general_level_sweep(k, amax, kmax_shift=shift)
         assert violations and got == {"checked": checked, "violations": violations}
 
 
@@ -371,7 +402,9 @@ def test_split_universe_rows_are_split_profiles():
     # vectors the enumerator sums as it descends; at every cap that
     # splits_comparison(8, 5) and lemma_sweep(k, 10) build they must be
     # split_profile's values for b and for c, and the cascade rows the
-    # cascades' values at levels k..0
+    # cascades' values at levels k..0.  general_level_sweep reads the
+    # (1, 1)-shifted value as the alternating sum of row[1:]; at the levels
+    # and caps of its benchmark scales that must be seq_shift's value
     for k in range(2, 6):
         cascades = [
             Seq(t, k) for t in _cascade_terms(k, 8) if len(t) < k
@@ -388,3 +421,8 @@ def test_split_universe_rows_are_split_profiles():
         assert [terms for terms, _ in cascade_rows] == sorted(_cascade_terms(k, 10))
         for terms, rows in cascade_rows:
             assert rows == tuple(seq_value(Seq(terms, k), k - i) for i in range(k + 1)), terms
+    for k, amax, shift in ((2, 10, 3), (3, 8, 2), (5, 8, 1)):
+        for level in range(k, k + shift + 1):
+            for terms, rows in inequalities._admissible(level, _lemma_cap(k, amax), level):
+                alternating = sum(rows[1::2]) - sum(rows[2::2])
+                assert alternating == seq_shift(Seq(terms, level), 1, 1, level), (level, terms)
