@@ -8,7 +8,6 @@ budget or overflow errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import io
 import json
 import math
@@ -74,6 +73,8 @@ def _cmd_shadow(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from dataclasses import asdict
+
     from .extremal import certify_by_witness, characterize, is_extremal, shadow_chain_check
     from .families import compact_support
 
@@ -92,7 +93,7 @@ def _cmd_check(args) -> int:
             "verdict": char.verdict,
             "cascade": list(char.cascade),
             "witnesses": list(char.witnesses),
-            "elements": [dataclasses.asdict(e) for e in char.elements],
+            "elements": [asdict(e) for e in char.elements],
         }
         verdicts.append(char.verdict)
     if args.witness is not None:

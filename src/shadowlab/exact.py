@@ -8,7 +8,6 @@ instead of a silently huge number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 INT128_MAX = 2**127 - 1
 INT128_MIN = -(2**127)
@@ -51,23 +50,47 @@ def binom(n: int, k: int) -> int:
     return _checked(math.comb(n, k))
 
 
-@dataclass(frozen=True)
 class Seq:
     """Integer sequence (a_0, ..., a_t) anchored at a level k.
 
     Evaluated at level j it means C(a_0, j) + C(a_1, j-1) + ... ; the stored
     level is the anchor the sequence was built for (a cascade decomposition
     at level k, say) and is the default evaluation level.
+
+    Immutable, and equal and hashed by (terms, level).  A plain class rather
+    than a frozen dataclass, so importing this module, as every CLI request
+    does, does not load ``dataclasses`` and the modules it imports.
     """
 
+    __slots__ = ("terms", "level")
     terms: tuple[int, ...]
     level: int
 
-    def __post_init__(self) -> None:
-        if self.level < 0:
+    def __init__(self, terms, level: int) -> None:
+        if level < 0:
             raise ValueError("level must be nonnegative")
-        if not isinstance(self.terms, tuple):
-            object.__setattr__(self, "terms", tuple(self.terms))
+        object.__setattr__(self, "terms", terms if isinstance(terms, tuple) else tuple(terms))
+        object.__setattr__(self, "level", level)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.terms, self.level) == (other.terms, other.level)
+
+    def __hash__(self) -> int:
+        return hash((self.terms, self.level))
+
+    def __repr__(self) -> str:
+        return f"Seq(terms={self.terms!r}, level={self.level!r})"
+
+    def __reduce__(self):
+        return Seq, (self.terms, self.level)
 
     def __len__(self) -> int:
         return len(self.terms)

@@ -4,9 +4,12 @@ The exhaustive machinery indexes families of a small layer C([n], k) by the
 bit pattern of chosen positions and keeps shared per-pattern byte tables of
 member counts and shadow sizes, built by doubling.  The sweeps over every
 subfamily are whole-table byte operations.  The characterization sweep
-evaluates every condition of the characterization at every element the same
-way, on blocks of 2^16 patterns; ``characterize`` is its family-at-a-time
-oracle.
+evaluates every condition of the characterization at element n the same
+way, on blocks of 2^16 patterns.  The conditions are invariant under
+relabeling, so a pattern P passes at element n - j iff c^j P passes at n,
+with c the n-cycle i -> i+1; the other elements' verdicts are read through
+c for the few patterns that pass at n.  ``characterize`` is the
+family-at-a-time oracle for every element.
 
 Minimum shadows also come from the shadow side: a byte table over the
 families T of (k-1)-sets holds |K(T)|, the number of k-sets all of whose
@@ -20,10 +23,10 @@ import sys
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
 from math import comb
-from operator import getitem, or_
+from operator import getitem
 
 from .exact import (
     BudgetError,
@@ -37,6 +40,7 @@ from .exact import (
 )
 from .families import (
     KFamily,
+    _cycled,
     _element_flags,
     _layer_masks,
     _lifted,
@@ -300,7 +304,7 @@ class _Layer:
     ``translate`` through an "OR set i's shed byte" table, and kept only as
     their popcount: one shadow-size byte per pattern.  ``closures`` builds
     the dual table over patterns of the (k-1)-sets in ``sub_masks``, and
-    ``relabelings`` the action of S_n on the patterns.
+    ``relabelings`` the action on the patterns of two generators of S_n.
     """
 
     def __init__(self, n: int, k: int):
@@ -356,17 +360,23 @@ class _Layer:
         return _block_sums(parts, positions)
 
     def relabelings(self) -> list[list[list[int]]]:
-        """Per adjacent transposition (x x+1) of [n], x = 1..n-1, its action
-        on the patterns: per run of 8 positions, the image patterns of the
-        run's 256 bit patterns, built by doubling as ``_doubled`` builds
-        byte tables.  The image of a pattern is the sum over runs of the
-        entry its byte in that run selects; a relabeling sends distinct
-        positions to distinct positions, so that sum is the OR of the
-        images."""
+        """The action on the patterns of two permutations that generate S_n:
+        the transposition (1 2) and the n-cycle c: i -> i+1, n -> 1, in that
+        order (neither for n = 1).  Per generator and per run of 8
+        positions, the image patterns of the run's 256 bit patterns, built
+        by doubling as ``_doubled`` builds byte tables.  The image of a
+        pattern is the sum over runs of the entry its byte in that run
+        selects; a relabeling sends distinct positions to distinct
+        positions, so that sum is the OR of the images.  ``_orbit_classes``
+        walks orbits on both tables, and ``characterization_sweep`` reads
+        the other elements' clauses through the cycle."""
         if self._relabelings is None:
+            generators = (
+                [_swapped(self.masks, 1, 2), _cycled(self.masks, self.n)] if self.n > 1 else []
+            )
             self._relabelings = []
-            for x in range(1, self.n):
-                images = [1 << self.index[m] for m in _swapped(self.masks, x, x + 1)]
+            for masks in generators:
+                images = [1 << self.index[m] for m in masks]
                 runs = []
                 for start in range(0, self.size, 8):
                     run = [0]
@@ -650,12 +660,14 @@ def _orbit_classes(layer: _Layer, patterns: list[int]) -> list[KFamily]:
     Requires distinct patterns closed under every relabeling of [n]; the
     full extremal list of one size is, since relabeling preserves
     extremality.  The classes are then the orbits of S_n on the list.  The
-    adjacent transpositions (x x+1) generate S_n, so each orbit is walked
-    from its first pattern in list order through their images, read from
-    ``_Layer.relabelings``, and only that root becomes a ``KFamily`` and is
-    canonicalized.  Every image of every pattern is looked up, and one
-    missing from the list raises ``RuntimeError``, which also checks that
-    the enumerator was complete.  ``test_iso_classes_match_dedup_oracle``
+    transposition (1 2) and the n-cycle generate S_n, so each orbit is
+    walked from its first pattern in list order through their two images
+    per pattern, read from ``_Layer.relabelings``, and only that root
+    becomes a ``KFamily`` and is canonicalized.  Both images of every
+    pattern are looked up, and one missing from the list raises
+    ``RuntimeError``: a list closed under both generators is closed under
+    S_n, which also checks that the enumerator was complete.
+    ``test_iso_classes_match_dedup_oracle``
     compares the result with the per-family ``canonical_form``
     deduplication it replaces.
     """
@@ -709,13 +721,13 @@ def uniqueness_predicate(n: int, k: int, m: int) -> bool:
 # flat-table sweeps over every subfamily of one layer
 
 
-def _clause_blocks(layer: _Layer) -> Iterator[tuple[int, list[int]]]:
-    """The characterization's conditions at every element of every subfamily
-    of C([n], k), k >= 2, block by block.  For each run of 2^16 consecutive
+def _clause_blocks(layer: _Layer, x: int) -> Iterator[tuple[int, int]]:
+    """The characterization's conditions at element x of every subfamily of
+    C([n], k), k >= 2, block by block.  For each run of 2^16 consecutive
     patterns (one run if the layer is smaller) it yields the run's first
-    pattern and, per element x = 1..n, one field int (see ``_fields``) whose
-    field for a pattern is zero exactly when every condition holds at x.  An
-    element outside the pattern's support passes, as compacting removes it.
+    pattern and one field int (see ``_fields``) whose field for a pattern is
+    zero exactly when every condition holds at x.  An element outside the
+    pattern's support passes, as compacting removes it.
 
     At element x of a pattern P, let L be the link, d = |L|, and R the
     deleted part, of rest sets, m = d + rest and t the threshold for m.  The
@@ -732,18 +744,24 @@ def _clause_blocks(layer: _Layer) -> Iterator[tuple[int, list[int]]]:
 
     Every target is a function of (d, rest), held in a state byte
     d * (W + 1) + rest, where W sets of the layer avoid x; it fits a byte on
-    every layer of at most 30 sets (see ``SWEEP_LAYER_LIMIT``).  Per element,
-    tables over the low 16 positions are built once by doubling: the state
-    byte, and the shadows of L and of R as 8-bit planes.  The high positions
-    of a block compose into one 256-byte map per table, each target and mask
-    is composed into the state's maps, and a block costs one ``translate``
-    per table.  The targets are 0xFF where the threshold or the numeric
-    identity fails, which no size reaches: sizes are at most C(n, k - 1),
+    every layer of at most 30 sets (see ``SWEEP_LAYER_LIMIT``).  Tables over
+    the low 16 positions are built once by doubling: the state byte, and the
+    shadows of L and of R as 8-bit planes.  The high positions of a block
+    compose into one 256-byte map per table, each target and mask is
+    composed into the state's maps, and a block costs one ``translate`` per
+    table.  The targets are 0xFF where the threshold or the numeric identity
+    fails, which no size reaches: sizes are at most C(n, k - 1),
     ``_sweep_layer`` refuses more than 255, and with n > k >= 2 it is 255
-    only at (255, 2), far over the sweep limit.  ``characterize`` stays the
-    family-at-a-time oracle the tests compare every element against.
+    only at (255, 2), far over the sweep limit.
+
+    Every quantity above is a size, and d and W are the same at every
+    element, so a relabeling sigma of [n] maps the table of x onto that of
+    sigma(x): the field of P at x equals the field of sigma(P) at sigma(x).
+    ``characterization_sweep`` builds element n's table only, for that
+    reason.  ``characterize`` stays the family-at-a-time oracle the tests
+    compare every element's table against.
     """
-    n, k = layer.n, layer.k
+    k = layer.k
     _, sizes = layer.counts()
     bound = _shadow_bounds(k, layer.size)
     link_bound = _shadow_bounds(k - 1, layer.size)
@@ -751,64 +769,58 @@ def _clause_blocks(layer: _Layer) -> Iterator[tuple[int, list[int]]]:
         seq_value(seq_minus(decompose(m, k), 1), k) for m in range(1, layer.size + 1)
     ]
     low = min(layer.size, _BLOCK_POSITIONS)
-    elements = []
-    for x in range(1, n + 1):
-        holds = _element_flags(layer.masks, x)
-        degree = sum(holds)
-        width = layer.size - degree + 1  # the values of rest
-        # per state: the targets of |shadow(L)| and |U|, and the masks 0xFF on
-        # the strict branch and where |U| is compared, d > 0 with the
-        # threshold met; all 0 where d = 0
-        link_target, union_target, strict, applies = (bytearray(256) for _ in range(4))
-        for s in range(width, (degree + 1) * width):
-            d, rest = divmod(s, width)
-            m = d + rest
-            if rest < thresholds[m]:
-                link_target[s] = 0xFF
-                continue
-            link_target[s] = link_bound[d]
-            applies[s] = 0xFF
-            if rest == thresholds[m]:
-                union_target[s] = d
-            else:
-                numeric = bound[m] == bound[rest] + link_bound[d]
-                union_target[s] = bound[rest] if numeric else 0xFF
-                strict[s] = 0xFF
-        add_d = bytes((b + width) & 0xFF for b in range(256))
-        steps = [add_d if h else _PLUS_ONE for h in holds]
-        maps = _doubled(steps[low:], _IDENTITY)
-        targets = [maps.translate(t) for t in (link_target, union_target, strict, applies)]
-        # shadow(L) and shadow(R) in plane bits of the (k-1)-sets that hold x
-        # and that avoid it: a set holding x adds its subsets with x, one
-        # avoiding x all of its subsets
-        parts = []
-        sub_holds = _element_flags(layer.sub_masks, x)
-        for side in (1, 0):
-            subs = [i for i, h in enumerate(sub_holds) if h == side]
-            sheds = [
-                sum(1 << j for j, i in enumerate(subs) if bits >> i & 1) if h == side else 0
-                for bits, h in zip(layer.shed, holds)
-            ]
-            parts.append(_shadow_planes(sheds, len(subs)))
-        elements.append((_doubled(steps[:low]), targets, parts))
+    holds = _element_flags(layer.masks, x)
+    degree = sum(holds)
+    width = layer.size - degree + 1  # the values of rest
+    # per state: the targets of |shadow(L)| and |U|, and the masks 0xFF on
+    # the strict branch and where |U| is compared, d > 0 with the threshold
+    # met; all 0 where d = 0
+    link_target, union_target, strict, applies = (bytearray(256) for _ in range(4))
+    for s in range(width, (degree + 1) * width):
+        d, rest = divmod(s, width)
+        m = d + rest
+        if rest < thresholds[m]:
+            link_target[s] = 0xFF
+            continue
+        link_target[s] = link_bound[d]
+        applies[s] = 0xFF
+        if rest == thresholds[m]:
+            union_target[s] = d
+        else:
+            numeric = bound[m] == bound[rest] + link_bound[d]
+            union_target[s] = bound[rest] if numeric else 0xFF
+            strict[s] = 0xFF
+    add_d = bytes((b + width) & 0xFF for b in range(256))
+    steps = [add_d if h else _PLUS_ONE for h in holds]
+    state = _doubled(steps[:low])
+    maps = _doubled(steps[low:], _IDENTITY)
+    targets = [maps.translate(t) for t in (link_target, union_target, strict, applies)]
+    # shadow(L) and shadow(R) in plane bits of the (k-1)-sets that hold x and
+    # that avoid it: a set holding x adds its subsets with x, one avoiding x
+    # all of its subsets
+    parts = []
+    sub_holds = _element_flags(layer.sub_masks, x)
+    for side in (1, 0):
+        subs = [i for i, h in enumerate(sub_holds) if h == side]
+        sheds = [
+            sum(1 << j for j, i in enumerate(subs) if bits >> i & 1) if h == side else 0
+            for bits, h in zip(layer.shed, holds)
+        ]
+        parts.append(_shadow_planes(sheds, len(subs)))
     for block in range(1 << (layer.size - low)):
         start = block << low
         maps = slice(256 * block, 256 * (block + 1))
-        whole = _fields(sizes[start : start + (1 << low)])
-        bad = []
-        for state, targets, parts in elements:
-            link_target, union_target, strict, applies = (
-                _fields(state.translate(t[maps])) for t in targets
-            )
-            link_sizes, deleted_sizes = (
-                sum(_fields(p.translate(c[maps])) for p, c in planes) for planes in parts
-            )
-            union = whole - link_sizes
-            bad.append(
-                link_sizes ^ link_target
-                | (union ^ union_target | (union - deleted_sizes) & strict) & applies
-            )
-        yield start, bad
+        link_target, union_target, strict, applies = (
+            _fields(state.translate(t[maps])) for t in targets
+        )
+        link_sizes, deleted_sizes = (
+            sum(_fields(p.translate(c[maps])) for p, c in planes) for planes in parts
+        )
+        union = _fields(sizes[start : start + (1 << low)]) - link_sizes
+        yield start, (
+            link_sizes ^ link_target
+            | (union ^ union_target | (union - deleted_sizes) & strict) & applies
+        )
 
 
 def characterization_sweep(n: int, k: int = 3) -> dict:
@@ -816,33 +828,61 @@ def characterization_sweep(n: int, k: int = 3) -> dict:
     nonempty subfamily of C([n], k), n > k >= 2; returns counts and any
     mismatches, in ascending pattern order.
 
-    The verdict is the conjunction over elements of ``_clause_blocks``, which
-    evaluates every condition of the characterization as whole byte tables
-    built from this layer's shadow sizes and shed bits, so no other layer is
-    built.  The mismatches are the nonzero bytes of the verdict XOR the
-    extremal flags, found with ``bytes.find``.  ``characterize`` stays the
-    family-at-a-time oracle the tests compare the verdict against.
+    The verdict is the conjunction over elements of the clauses of
+    ``_clause_blocks``, which evaluates every condition of the
+    characterization as whole byte tables built from this layer's shadow
+    sizes and shed bits, so no other layer is built.  Only element n's table
+    is built.  With c the n-cycle i -> i+1 of [n], c^j maps element n - j
+    to n, and the clauses are invariant under relabeling, so P passes at
+    n - j iff c^j P passes at n.  P is thus accepted iff P, c P, ...,
+    c^(n-1) P all pass at n, that is iff its whole c-orbit does (c^n is
+    the identity).
+
+    Each pattern P that passes at n (6,325 of 2^20 at (6,3)) gets one image
+    c P, read from the cycle table of ``_Layer.relabelings``.  Where c P
+    fails at n, P fails at n - 1, and each passing c^-j P before it in its
+    orbit, up to the first that fails at n, fails at n - 1 - j.  Walking
+    back from every such P rejects, once each, exactly the passing patterns
+    whose chain leaves the patterns that pass at n; the rest are accepted.
+    The mismatches are the accepted patterns that are not extremal and the
+    extremal ones that are not accepted, with the extremal patterns read
+    from ``_extremal_patterns_by_size``, which the isomorphism sweeps share.
+    ``characterize`` stays the family-at-a-time oracle the tests compare
+    each element's table against.
     """
     if not n > k >= 2:
         raise ValueError("the characterization sweep needs n > k >= 2")
     layer = _sweep_layer(n, k)
-    flags = _extremal_flags(layer)
-    width = min(len(flags), 1 << _BLOCK_POSITIONS)
-    high = _fill(0x80, width)
-    mismatches = []
-    for start, bad in _clause_blocks(layer):
-        failed = _nonzero(reduce(or_, bad), high)
-        differ = (high ^ failed ^ _fields(flags[start : start + width])).to_bytes(width, "little")
-        p = differ.find(0x80)  # the empty pattern is flagged and passes
+    passed = []
+    for start, bad in _clause_blocks(layer, n):
+        table = bad.to_bytes(min(1 << layer.size, 1 << _BLOCK_POSITIONS), "little")
+        p = table.find(0)
         while p != -1:
-            mismatches.append(start + p)
-            p = differ.find(0x80, p + 1)
+            passed.append(start + p)
+            p = table.find(0, p + 1)
+    # c P per passing pattern P, OR-ed from the cycle table's runs
+    _, cycle = layer.relabelings()
+    images = [0] * len(passed)
+    for r, run in enumerate(cycle):
+        images = [i | run[p >> 8 * r & 0xFF] for i, p in zip(images, passed)]
+    at_n = set(passed)
+    before = dict(zip(images, passed))  # c^-1 Q, where it passes at n
+    rejected = []
+    for p, image in zip(passed, images):
+        if image not in at_n:
+            # P fails at n - 1; so does each passing c^-j P before it
+            while p is not None:
+                rejected.append(p)
+                p = before.get(p)
+    accepted = at_n.difference(rejected)
+    accepted.discard(0)  # the empty pattern
+    extremal = {p for patterns in _extremal_patterns_by_size(n, k).values() for p in patterns}
     return {
         "n": n,
         "k": k,
-        "checked": len(flags) - 1,
-        "extremal": flags.count(0x80) - 1,  # not the empty pattern
-        "mismatches": mismatches,
+        "checked": (1 << layer.size) - 1,
+        "extremal": len(extremal),
+        "mismatches": sorted(accepted ^ extremal),
     }
 
 

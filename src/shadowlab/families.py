@@ -136,6 +136,13 @@ def _swapped(masks: Iterable[int], x: int, y: int) -> list[int]:
     return [m ^ both if (m & both) in (bx, by) else m for m in masks]
 
 
+def _cycled(masks: Iterable[int], n: int) -> list[int]:
+    """Each mask relabeled by the n-cycle i -> i+1, n -> 1 of [n], in the
+    order given."""
+    full = (1 << n) - 1
+    return [(m << 1 | m >> (n - 1)) & full for m in masks]
+
+
 def _transposed(masks: Iterable[int], x: int, y: int) -> tuple[int, ...]:
     """The masks relabeled by the transposition of elements x and y, ascending."""
     return tuple(sorted(_swapped(masks, x, y)))

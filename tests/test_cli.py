@@ -294,6 +294,26 @@ def test_import_leaves_out_process_pool(tmp_path):
     assert not pool
 
 
+def test_import_and_arithmetic_requests_leave_out_dataclasses(tmp_path):
+    # Seq is a plain class, and check imports asdict only when it runs
+    script = (
+        "import sys\n"
+        "import shadowlab.cli\n"
+        "print('dataclasses' in sys.modules)\n"
+        "shadowlab.cli.main(['decompose', '14', '4'])\n"
+        "shadowlab.cli.main(['bound', '11', '3'])\n"
+        "print('dataclasses' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(shadowlab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False", "False")
+
+
 def test_each_readme_example_loads_only_its_engines(tmp_path):
     text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = text.split("\n## CLI\n", 1)[1].split("```")[1]

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 from itertools import product
 
@@ -279,3 +281,21 @@ def test_seq_predicates():
     assert not Seq((5, 2, 1, 0), 3).is_k_binomial(3)  # too long
     assert not Seq((5, 1), 3).is_k_binomial(3)  # last term below its index
     assert EMPTY.is_k_binomial(4)
+
+
+def test_seq_is_an_immutable_value():
+    s = Seq([3, 2], 3)
+    assert s.terms == (3, 2) and isinstance(s.terms, tuple)
+    assert repr(s) == "Seq(terms=(3, 2), level=3)"
+    assert s == Seq((3, 2), 3) and hash(s) == hash(Seq((3, 2), 3))
+    assert s != Seq((3, 2), 2) and s != Seq((3,), 3) and s != (3, 2)
+    assert len({s, Seq((3, 2), 3), Seq(terms=(3, 2), level=2)}) == 2
+    for name, value in (("terms", (1,)), ("level", 1), ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(s, name, value)
+    with pytest.raises(AttributeError):
+        del s.level
+    assert s == Seq((3, 2), 3)
+    assert copy.deepcopy(s) == s and pickle.loads(pickle.dumps(s)) == s
+    with pytest.raises(ValueError, match="level must be nonnegative"):
+        Seq((1,), -1)

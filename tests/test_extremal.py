@@ -353,18 +353,30 @@ def test_sweep_limit_refuses_before_building_the_layer():
     assert _layer.cache_info().misses == misses
 
 
-def clause_tables(n, k):
-    """Per element x, at index x - 1: one byte per pattern of the layer, zero
-    exactly where every condition of the characterization holds at x."""
-    layer = _layer(n, k)
+def clause_table(layer, x):
+    """One byte per pattern of the layer, zero exactly where every condition
+    of the characterization holds at element x."""
     width = min(1 << layer.size, 1 << 16)
-    tables = [bytearray() for _ in range(n)]
-    for start, bad in _clause_blocks(layer):
-        assert start == len(tables[0]) and len(bad) == n, (n, k, start)
-        for table, fields in zip(tables, bad):
-            table += fields.to_bytes(width, "little")
-    assert len(tables[0]) == 1 << layer.size, (n, k)
-    return tables
+    table = bytearray()
+    for start, bad in _clause_blocks(layer, x):
+        assert start == len(table), (layer.n, layer.k, x, start)
+        table += bad.to_bytes(width, "little")
+    assert len(table) == 1 << layer.size, (layer.n, layer.k, x)
+    return table
+
+
+def clause_tables(n, k):
+    """Per element x, at index x - 1: its ``clause_table``."""
+    layer = _layer(n, k)
+    return [clause_table(layer, x) for x in range(1, n + 1)]
+
+
+def cycled(masks, n, j):
+    """The masks relabeled by c^j, c the n-cycle i -> i+1 of [n], in the
+    order given: element e goes to (e - 1 + j) mod n + 1."""
+    return [
+        sum(1 << (e + j) % n for e in range(n) if mask >> e & 1) for mask in masks
+    ]
 
 
 # (nonempty pattern, support element) pairs at which every condition holds
@@ -430,42 +442,87 @@ def test_clause_counts_per_support_element():
         assert held == count, (n, k)
 
 
+# patterns, the empty one included, at which every condition holds at
+# element n; the sweep walks only these through the n-cycle
+PASSING_AT_N = {(6, 3): 6325, (7, 5): 4125, (7, 2): 75456}
+
+
+def test_clause_tables_are_relabelings_of_element_n():
+    # the identity the sweep relies on: with c the n-cycle i -> i+1, the
+    # table of element x at P is element n's table at c^(n-x) P.  Images
+    # come from relabeling the masks, not from the layer's relabeling tables
+    rng = random.Random(21)
+    for n, k in CLAUSE_COUNTS:
+        layer = _layer(n, k)
+        position = {mask: i for i, mask in enumerate(layer.masks)}
+        tables = clause_tables(n, k)
+        at_n = tables[-1]
+        passing = at_n.count(0)
+        # by symmetry every element passes at count / n nonempty patterns
+        # of its support; the patterns that avoid n pass at n
+        assert passing == CLAUSE_COUNTS[n, k] // n + 2 ** binom(n - 1, k), (n, k)
+        assert passing == PASSING_AT_N.get((n, k), passing), (n, k)
+        for x in range(1, n + 1):
+            moved = [position[m] for m in cycled(layer.masks, n, n - x)]
+            if layer.size <= 15:
+                images = [0]
+                for i in moved:
+                    images += [image | 1 << i for image in images]
+                assert tables[x - 1] == bytes(at_n[q] for q in images), (n, k, x)
+            if (n, k) in ((6, 3), (6, 4), (7, 5)):
+                for pattern in (rng.getrandbits(layer.size) for _ in range(2000)):
+                    image = sum(1 << i for b, i in enumerate(moved) if pattern >> b & 1)
+                    assert tables[x - 1][pattern] == at_n[image], (n, k, x, pattern)
+    assert set(PASSING_AT_N) < set(CLAUSE_COUNTS)
+
+
 def test_characterization_sweep_reports_mismatches_in_order(monkeypatch):
-    # verdicts made false at two extremal patterns, one flag set on a
-    # non-extremal pattern and one cleared: four mismatches in four blocks,
-    # reported in ascending order
+    # verdicts made false at element 6 at two extremal patterns, one flag set
+    # on a non-extremal pattern and one cleared: four mismatches in four
+    # blocks.  A pattern whose chain c P, ..., c^5 P reaches a planted
+    # failure fails too, so every pattern of those two c-orbits (all
+    # extremal, as relabeling keeps extremality) is a mismatch; the report
+    # lists them all, in ascending order
     from shadowlab import extremal
     from shadowlab.extremal import _extremal_patterns_by_size
 
+    layer = _layer(6, 3)
     by_size = _extremal_patterns_by_size(6, 3)
     flagged = sorted(p for patterns in by_size.values() for p in patterns)
     failing = {flagged[0], next(p for p in flagged if p >= 9 << 16)}
     raised = next(p for p in range(3 << 16, 4 << 16) if p not in set(flagged))
     cleared = flagged[-2]
-    expected = sorted(failing | {raised, cleared})
-    assert len({p >> 16 for p in expected}) == 4
+    planted = sorted(failing | {raised, cleared})
+    assert len({p >> 16 for p in planted}) == 4
+    orbits = {
+        layer.pattern(tuple(cycled(layer.family(p).masks, 6, j)))
+        for p in failing
+        for j in range(6)
+    }
+    assert failing < orbits <= set(flagged) and not {raised, cleared} & orbits
+    expected = sorted(orbits | {raised, cleared})
 
     blocks = extremal._clause_blocks
 
-    def blocks_with_failures(layer):
-        for start, bad in blocks(layer):
+    def blocks_with_failures(layer, x):
+        for start, bad in blocks(layer, x):
             for p in failing:
-                if start <= p < start + (1 << 16):
-                    bad[-1] |= 1 << 8 * (p - start)
+                if x == layer.n and start <= p < start + (1 << 16):
+                    bad |= 1 << 8 * (p - start)
             yield start, bad
 
-    flags = extremal._extremal_flags
-
-    def flags_changed(layer):
-        table = bytearray(flags(layer))
-        table[raised], table[cleared] = 0x80, 0
-        return table
+    def patterns_changed(n, k):
+        changed = {m: list(patterns) for m, patterns in by_size.items()}
+        changed[len(layer.family(raised))].append(raised)
+        changed[len(layer.family(cleared))].remove(cleared)
+        return changed
 
     monkeypatch.setattr(extremal, "_clause_blocks", blocks_with_failures)
-    monkeypatch.setattr(extremal, "_extremal_flags", flags_changed)
+    monkeypatch.setattr(extremal, "_extremal_patterns_by_size", patterns_changed)
     result = characterization_sweep(6, 3)
     assert result["extremal"] == 5532
     assert result["mismatches"] == expected
+    assert set(planted) <= set(expected) and len(expected) > len(planted)
 
 
 def test_extremal_families_realize_equality_splits():
@@ -793,32 +850,49 @@ def test_iso_classes_reject_lists_not_closed_under_relabeling():
     triangle = KFamily.from_sets(3, 2, [(1, 2), (1, 3), (2, 3)])
     assert _orbit_classes(layer, patterns(triangle.sets())) == [triangle]
     assert _orbit_classes(layer, []) == []
+    # closed under one generator but not the other: {12} is fixed by (1 2)
+    # but the 4-cycle moves it; the four edges of the 4-cycle are closed
+    # under it but (1 2) sends {2,3} to {1,3}
+    layer = _layer(4, 2)
+
+    def at4(*families):
+        return [layer.pattern(KFamily.from_sets(4, 2, sets).masks) for sets in families]
+
+    with pytest.raises(RuntimeError, match="not closed"):
+        _orbit_classes(layer, at4([(1, 2)]))
+    with pytest.raises(RuntimeError, match="not closed"):
+        _orbit_classes(layer, at4([(1, 2)], [(2, 3)], [(3, 4)], [(1, 4)]))
+    edges = at4(*([s] for s in combinations(range(1, 5), 2)))
+    assert _orbit_classes(layer, edges) == [canonical_form(KFamily.from_sets(4, 2, [(1, 2)]))]
 
 
 def test_relabeling_tables_match_transposed():
-    # each table entry is the pattern of a run's families relabeled by
-    # _transposed, positions read from the layer's colex order; layers of
-    # 10, 20 and 35 sets end in a run of fewer than 8 positions
+    # the two generator tables, entry by entry: the transposition (1 2)
+    # against _transposed, and the n-cycle against an explicit rotation of
+    # the masks, positions read from the layer's colex order; layers of 10,
+    # 20 and 35 sets end in a run of fewer than 8 positions
     rng = random.Random(18)
     for n, k in ((5, 2), (6, 3), (7, 3)):
         layer = _layer(n, k)
         position = {mask: i for i, mask in enumerate(layer.masks)}
         tables = layer.relabelings()
-        assert len(tables) == n - 1, (n, k)
-        for x, runs in enumerate(tables, start=1):
+        relabel = [lambda masks: _transposed(masks, 1, 2), lambda masks: cycled(masks, n, 1)]
+        assert len(tables) == 2, (n, k)
+        for g, (runs, moved) in enumerate(zip(tables, relabel)):
             assert [len(run) for run in runs] == [
                 1 << min(8, layer.size - start) for start in range(0, layer.size, 8)
             ], (n, k)
 
             def image(pattern):
                 masks = tuple(m for i, m in enumerate(layer.masks) if pattern >> i & 1)
-                return sum(1 << position[m] for m in _transposed(masks, x, x + 1))
+                return sum(1 << position[m] for m in moved(masks))
 
             for r, run in enumerate(runs):
-                assert run == [image(b << 8 * r) for b in range(len(run))], (n, k, x, r)
+                assert run == [image(b << 8 * r) for b in range(len(run))], (n, k, g, r)
             for pattern in [rng.getrandbits(layer.size) for _ in range(50)]:
                 runs_of = pattern.to_bytes(len(runs), "little")
                 assert sum(run[b] for run, b in zip(runs, runs_of)) == image(pattern)
+    assert _layer(1, 1).relabelings() == []
 
 
 def test_iso_classes_of_both_methods_agree():
