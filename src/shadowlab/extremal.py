@@ -11,16 +11,19 @@ with c the n-cycle i -> i+1; the other elements' verdicts are read through
 c for the few patterns that pass at n.  ``characterize`` is the
 family-at-a-time oracle for every element.
 
-Minimum shadows also come from the shadow side: a byte table over the
-families T of (k-1)-sets holds |K(T)|, the number of k-sets all of whose
-(k-1)-subsets lie in T.  Where C(n, k-1) < C(n, k) it is the smaller table,
-and it answers ``brute_force_min_shadow`` there.
+Minimum shadows and extremal families also come from the shadow side: a
+byte table over the families T of (k-1)-sets holds |K(T)|, the number of
+k-sets all of whose (k-1)-subsets lie in T.  Where C(n, k-1) < C(n, k) it
+is the smaller table.  It answers ``brute_force_min_shadow`` there, and the
+extremal m-families are listed from it as the m-subsets of K(T) over the T
+of least size s(m) with |K(T)| >= m.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -303,8 +306,10 @@ class _Layer:
     added.  Shadow masks are built as 8-bit planes, each doubled with one
     ``translate`` through an "OR set i's shed byte" table, and kept only as
     their popcount: one shadow-size byte per pattern.  ``closures`` builds
-    the dual table over patterns of the (k-1)-sets in ``sub_masks``, and
-    ``relabelings`` the action on the patterns of two generators of S_n.
+    the dual table over patterns of the (k-1)-sets in ``sub_masks``,
+    ``closure_histogram`` summarizes it, and ``relabelings`` builds the
+    action on the patterns of two generators of S_n.  Each table is built on
+    first use and kept.
     """
 
     def __init__(self, n: int, k: int):
@@ -318,6 +323,8 @@ class _Layer:
         sub_index = {m: i for i, m in enumerate(self.sub_masks)}
         self.shed = [sum(1 << sub_index[f] for f in _shadow_masks((m,))) for m in self.masks]
         self._counts: tuple[bytes, bytes] | None = None
+        self._closures: bytes | None = None
+        self._histogram: Counter | None = None
         self._relabelings: list[list[list[int]]] | None = None
 
     def counts(self) -> tuple[bytes, bytes]:
@@ -345,19 +352,31 @@ class _Layer:
         2^16 patterns at a time: per k-set, a count table over the low
         positions and one 256-byte map per block, composing the high
         positions' steps and the translation to 0/1."""
-        if self.size > 255:
-            raise BudgetError(
-                f"closure counts of C({self.n}, {self.k}) sets do not fit one byte"
-            )
-        positions = len(self.sub_masks)
-        low = min(positions, _BLOCK_POSITIONS)
-        closed = bytes(b == self.k for b in range(256))
-        parts = []
-        for bits in self.shed:
-            steps = [_PLUS_ONE if bits >> j & 1 else _IDENTITY for j in range(positions)]
-            maps = _doubled(steps[low:], _IDENTITY).translate(closed)
-            parts.append((_doubled(steps[:low]), maps))
-        return _block_sums(parts, positions)
+        if self._closures is None:
+            if self.size > 255:
+                raise BudgetError(
+                    f"closure counts of C({self.n}, {self.k}) sets do not fit one byte"
+                )
+            positions = len(self.sub_masks)
+            low = min(positions, _BLOCK_POSITIONS)
+            closed = bytes(b == self.k for b in range(256))
+            parts = []
+            for bits in self.shed:
+                steps = [_PLUS_ONE if bits >> j & 1 else _IDENTITY for j in range(positions)]
+                maps = _doubled(steps[low:], _IDENTITY).translate(closed)
+                parts.append((_doubled(steps[:low]), maps))
+            self._closures = _block_sums(parts, positions)
+        return self._closures
+
+    def closure_histogram(self) -> Counter:
+        """The number of patterns T over the (k-1)-sets per pair
+        (|T|, |K(T)|), read from ``closures`` block by block."""
+        if self._histogram is None:
+            self._histogram = Counter()
+            for _, offset, closed, low_members in _closure_blocks(self):
+                for key, count in Counter(_pairs(closed, low_members)).items():
+                    self._histogram[(key & 0xFF) + offset, key >> 8] += count
+        return self._histogram
 
     def relabelings(self) -> list[list[list[int]]]:
         """The action on the patterns of two permutations that generate S_n:
@@ -403,7 +422,8 @@ def _sweep_layer(n: int, k: int) -> _Layer:
     """The layer C([n], k) for table sweeps, refused before it is built when
     its 2^C(n, k) tables exceed the sweep limit.  Every read of the k-side
     tables goes through here, so their counts stay within their fields; the
-    closure table is checked in ``_min_shadows`` and ``_Layer.closures``."""
+    closure table is checked in ``_min_shadows``, ``_closure_serves`` and
+    ``_Layer.closures``."""
     size = binom(n, k)
     if size > SWEEP_LAYER_LIMIT:
         raise BudgetError(
@@ -447,6 +467,19 @@ def _member_min_shadows(layer: _Layer) -> list[int]:
     )
 
 
+def _closure_blocks(layer: _Layer) -> Iterator[tuple[int, int, bytes, bytes]]:
+    """The closure table block by block of 2^16 patterns T (one block if
+    there are fewer positions): the block's first pattern, the popcount of
+    its block number, its |K(T)| bytes, and the popcount bytes of the low
+    positions.  So |T| is the popcount byte plus the block's popcount."""
+    closures = layer.closures()
+    low = min(len(layer.sub_masks), _BLOCK_POSITIONS)
+    width = 1 << low
+    low_members = bytes(_doubled([_PLUS_ONE] * low))
+    for block, start in enumerate(range(0, len(closures), width)):
+        yield start, block.bit_count(), closures[start : start + width], low_members
+
+
 def _closure_min_shadows(layer: _Layer) -> list[int]:
     """min |shadow| per family size m = 0..C(n, k) over all subfamilies of
     C([n], k), from the closure table over the (k-1)-set patterns T.
@@ -454,17 +487,11 @@ def _closure_min_shadows(layer: _Layer) -> list[int]:
     shadow(F) lies in T iff F lies in K(T), so the least shadow of m sets
     is s(m) = min{|T| : |K(T)| >= m}, with no appeal to Kruskal-Katona: the
     least |T| paired with each closure size c, then the least over c >= m.
-    |T| is a block's low-position popcount plus the popcount of its block
-    number.  ``_member_min_shadows`` is the k-side oracle it is compared
-    with."""
-    closures = layer.closures()
-    low = min(len(layer.sub_masks), _BLOCK_POSITIONS)
-    width = 1 << low
-    low_members = bytes(_doubled([_PLUS_ONE] * low))
+    ``_member_min_shadows`` is the k-side oracle it is compared with."""
     best = _least_low_bytes(
         (
-            (block.bit_count(), _pairs(closures[start : start + width], low_members))
-            for block, start in enumerate(range(0, len(closures), width))
+            (offset, _pairs(closed, low_members))
+            for _, offset, closed, low_members in _closure_blocks(layer)
         ),
         layer.size,
     )
@@ -557,10 +584,10 @@ def _extremal_flags(layer: _Layer) -> bytes:
     return b"".join(blocks)
 
 
-@lru_cache(maxsize=4)
-def _extremal_patterns_by_size(n: int, k: int) -> dict[int, list[int]]:
-    """All extremal subfamilies of the layer, grouped by size, as bit patterns."""
-    layer = _sweep_layer(n, k)
+def _flag_patterns_by_size(layer: _Layer) -> dict[int, list[int]]:
+    """All extremal subfamilies of the layer, grouped by size, as ascending
+    bit patterns, from one scan of the k-side ``_extremal_flags``; the
+    oracle of ``_closure_patterns`` where both tables fit, and vice versa."""
     pop, _ = layer.counts()
     flags = _extremal_flags(layer)
     out: dict[int, list[int]] = {m: [] for m in range(1, layer.size + 1)}
@@ -569,6 +596,93 @@ def _extremal_patterns_by_size(n: int, k: int) -> dict[int, list[int]]:
         out[pop[f]].append(f)
         f = flags.find(0x80, f + 1)
     return out
+
+
+def _extremal_count(layer: _Layer, m: int) -> tuple[int, int]:
+    """(s(m), the number of extremal m-subsets of C([n], k)), k >= 2, from
+    ``_Layer.closure_histogram``, with s(m) = min{|T| : |K(T)| >= m} the
+    least shadow of m sets.  An extremal m-family F lies in K(T) for
+    T = shadow(F), |T| = s(m); an m-subset F of K(T) with |T| = s(m) has
+    shadow(F) inside T and of at least s(m) sets, so shadow(F) = T.  So
+    the sum over |T| = s(m) of C(|K(T)|, m) counts each extremal m-family
+    once, under its own shadow."""
+    histogram = layer.closure_histogram()
+    least = min(size for size, closed in histogram if closed >= m)
+    count = sum(
+        comb(closed, m) * number
+        for (size, closed), number in histogram.items()
+        if size == least
+    )
+    return least, count
+
+
+def _closure_patterns(layer: _Layer, sizes: range) -> dict[int, list[int]]:
+    """The extremal m-subsets of C([n], k), k >= 2, for each m in a range
+    of sizes, as ascending bit patterns: the m-subsets of K(T) over the T
+    with |T| = s(m) and |K(T)| >= m (see ``_extremal_count``), with no
+    appeal to Kruskal-Katona.  Each size's count is checked against
+    ``COMBINATION_BUDGET`` before anything is listed.
+
+    One scan finds the T of every size.  With c = |K(T)| and top the
+    largest size, T serves m iff m <= c and s(m) = |T|.  As s never
+    decreases and s(c) <= |T|, some m in the range is served iff
+    |T| = s(min(c, top)), and then so is each size down from min(c, top)
+    with that s.  ``_flag_patterns_by_size`` is its oracle where both
+    tables fit, and it is the oracle of ``_enum_recursive`` at (7,3)."""
+    least = {}
+    counts = {}
+    for m in sizes:
+        least[m], counts[m] = _extremal_count(layer, m)
+        if counts[m] > COMBINATION_BUDGET:
+            raise BudgetError(
+                f"{counts[m]} extremal families of {m} sets in C([{layer.n}], {layer.k}) "
+                f"exceed the enumeration budget of {COMBINATION_BUDGET}"
+            )
+    top = sizes[-1]
+    serves = [least[min(c, top)] if c >= sizes[0] else 0xFF for c in range(layer.size + 1)]
+    sheds = [(bits, 1 << i) for i, bits in enumerate(layer.shed)]
+    out: dict[int, list[int]] = {m: [] for m in sizes}
+    for start, offset, closed, low_members in _closure_blocks(layer):
+        # |T| - offset, wrapped past every low popcount where negative
+        target = bytes((s - offset) & 0xFF for s in serves).ljust(256, b"\xff")
+        table = (_fields(closed.translate(target)) ^ _fields(low_members)).to_bytes(
+            len(closed), "little"
+        )
+        t = table.find(0)
+        while t != -1:
+            pattern = start + t
+            members = [bit for bits, bit in sheds if bits & pattern == bits]
+            m = min(len(members), top)
+            while m in out and least[m] == serves[len(members)]:
+                out[m] += map(sum, combinations(members, m))
+                m -= 1
+            t = table.find(0, t + 1)
+    for m, patterns in out.items():
+        if len(patterns) != counts[m]:
+            raise RuntimeError(
+                f"listed {len(patterns)} extremal families of {m} sets, counted {counts[m]}"
+            )
+        patterns.sort()
+    return out
+
+
+def _closure_serves(n: int, k: int) -> bool:
+    """Whether the closure table lists the extremal families: k >= 2 and
+    C(n, k-1) < C(n, k), as in ``_min_shadows``, within the sweep limit."""
+    shadow_layer = binom(n, k - 1)
+    return k >= 2 and shadow_layer < binom(n, k) and shadow_layer <= SWEEP_LAYER_LIMIT
+
+
+@lru_cache(maxsize=4)
+def _extremal_patterns_by_size(n: int, k: int) -> dict[int, list[int]]:
+    """All extremal subfamilies of a layer within the sweep limit, grouped
+    by size, listed once per process for the sweeps and
+    ``enumerate_extremal``: from the closure table where ``_closure_serves``
+    ((4,2), (5,2), (6,2), (7,2) and (6,3)), else from the k-side flags."""
+    layer = _sweep_layer(n, k)
+    if _closure_serves(n, k):
+        return _closure_patterns(layer, range(1, layer.size + 1))
+    return _flag_patterns_by_size(layer)
 
 
 @lru_cache(maxsize=None)
@@ -625,11 +739,24 @@ def _enum_recursive(n: int, k: int, m: int) -> frozenset[tuple[int, ...]]:
 def enumerate_extremal(
     n: int, k: int, m: int, up_to_iso: bool = False, method: str = "exhaustive"
 ) -> list[KFamily]:
-    """All extremal m-subsets of C([n], k); canonical forms if up_to_iso."""
+    """All extremal m-subsets of C([n], k); canonical forms if up_to_iso.
+
+    The exhaustive method reads the smaller exact table.  Where
+    ``_closure_serves``, the closure table lists them: every size at once
+    and cached within the sweep limit, one size per call past it (at (7,3)
+    and (n,2) for 8 <= n <= 21), refused before listing when the count
+    exceeds ``COMBINATION_BUDGET``.  Elsewhere (k = 1, or
+    C(n, k-1) >= C(n, k)) the k-side flags list them, within the limit.
+    Each side is the other's oracle where both fit, and the closure side is
+    the recursive method's oracle at (7,3).  Patterns come in ascending
+    order, classes in the order of their first pattern."""
     if not 1 <= m <= binom(n, k):
         raise ValueError("family size out of range")
     if method == "exhaustive":
-        patterns = _extremal_patterns_by_size(n, k).get(m, [])
+        if binom(n, k) > SWEEP_LAYER_LIMIT and _closure_serves(n, k):
+            patterns = _closure_patterns(_layer(n, k), range(m, m + 1))[m]
+        else:
+            patterns = _extremal_patterns_by_size(n, k)[m]
         layer = _layer(n, k)
         if not up_to_iso:
             return [layer.family(p) for p in patterns]
@@ -847,6 +974,8 @@ def characterization_sweep(n: int, k: int = 3) -> dict:
     The mismatches are the accepted patterns that are not extremal and the
     extremal ones that are not accepted, with the extremal patterns read
     from ``_extremal_patterns_by_size``, which the isomorphism sweeps share.
+    Where C(n, k-1) < C(n, k), as at (6,3), the closure table lists them
+    and no k-side flags are built; elsewhere the k-side flags do.
     ``characterize`` stays the family-at-a-time oracle the tests compare
     each element's table against.
     """
@@ -876,13 +1005,21 @@ def characterization_sweep(n: int, k: int = 3) -> dict:
                 p = before.get(p)
     accepted = at_n.difference(rejected)
     accepted.discard(0)  # the empty pattern
-    extremal = {p for patterns in _extremal_patterns_by_size(n, k).values() for p in patterns}
+    # accepted ^ extremal, taken in place: no set of every extremal pattern
+    extremal = 0
+    for patterns in _extremal_patterns_by_size(n, k).values():
+        extremal += len(patterns)
+        for p in patterns:
+            if p in accepted:
+                accepted.remove(p)
+            else:
+                accepted.add(p)
     return {
         "n": n,
         "k": k,
         "checked": (1 << layer.size) - 1,
-        "extremal": len(extremal),
-        "mismatches": sorted(accepted ^ extremal),
+        "extremal": extremal,
+        "mismatches": sorted(accepted),
     }
 
 

@@ -128,6 +128,72 @@ def test_enumerate(capsys):
     assert report["count"] >= 1
 
 
+def test_enumerate_past_the_sweep_limit(monkeypatch, capsys):
+    # (8,2) has 28 sets, over the k-side sweep limit, and is listed from its
+    # closure table over the 8 points; a naive scan of all C(28, 3)
+    # combinations finds the same families (the 56 triangles)
+    from itertools import combinations
+    from math import comb
+
+    from shadowlab import extremal
+    from shadowlab.families import KFamily, shadow
+
+    code, report = run(capsys, "enumerate", "8", "2", "3")
+    assert code == 0
+    pairs = list(combinations(range(1, 9), 2))
+    naive = [
+        chosen
+        for chosen in combinations(pairs, 3)
+        if len(shadow(KFamily.from_sets(8, 2, chosen))) == 3
+    ]
+    listed = [tuple(tuple(s) for s in family["sets"]) for family in report["families"]]
+    assert report["count"] == len(naive) == 56
+    assert sorted(listed) == sorted(naive)
+    # (21,2), m = 100: s(100) = 15 points, and each of the C(21, 15) sets T of
+    # 15 points spans 105 edges, so the count is C(21, 15) * C(105, 100).  It
+    # is refused with exit 3 and one line before any family is listed
+    def listing(*args):
+        raise AssertionError("listed a family past the budget")
+
+    monkeypatch.setattr(extremal, "combinations", listing)
+    start = time.perf_counter()
+    assert main(["enumerate", "21", "2", "100"]) == 3
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    count = comb(21, 15) * comb(105, 100)
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {count} extremal families of 100 sets in C([21], 2) "
+        "exceed the enumeration budget of 3000000\n"
+    )
+    assert elapsed < 10, elapsed  # the closure table of 2^21 entries, no listing
+
+
+def test_verify_uniqueness_at_7_3(capsys):
+    # answered from the closure table one size at a time: 191 classes over
+    # the 35 sizes, at most 43 of them at one size (m = 27), and exactly one
+    # class at a size iff the uniqueness predicate holds
+    from shadowlab.extremal import uniqueness_predicate
+
+    code, report = run(capsys, "verify", "uniqueness", "7", "3")
+    assert code == 0 and report["equivalence"]
+    rows = report["rows"]
+    assert [row["m"] for row in rows] == list(range(1, 36))
+    for row in rows:
+        predicted = uniqueness_predicate(7, 3, row["m"])
+        assert row["unique_predicted"] == predicted, row
+        assert row["agree"] and (row["classes"] == 1) == predicted, row
+    classes = [row["classes"] for row in rows]
+    assert sum(classes) == 191
+    assert max(classes) == 43 and classes.index(43) == 27 - 1
+    # at (7,4), C(7, 3) = C(7, 4) = 35: a tie goes to the k-side table, of
+    # 2^35 entries, over the sweep limit
+    assert main(["verify", "uniqueness", "7", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: layer of 35 sets exceeds the sweep limit of 21 sets\n"
+
+
 def test_oracle(capsys):
     code, report = run(capsys, "oracle", "min-shadow", "5", "3", "4")
     assert code == 0

@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from itertools import combinations, permutations
-from math import comb
 
 import pytest
 
@@ -128,17 +127,11 @@ def closure_counts(n, k):
     """The number of extremal m-subsets of C([n], k) per size m, from the
     histogram of (|T|, |K(T)|) over the closure table's patterns T."""
     layer = _layer(n, k)
-    members = extremal._doubled([extremal._PLUS_ONE] * len(layer.sub_masks))
-    histogram = Counter(extremal._pairs(members, layer.closures()))
+    assert sum(layer.closure_histogram().values()) == 1 << len(layer.sub_masks)
     counts = {}
     for m in range(1, layer.size + 1):
-        least = min(key >> 8 for key in histogram if key & 0xFF >= m)
+        least, counts[m] = extremal._extremal_count(layer, m)
         assert least == kk_bound(m, k, 1), (n, k, m)
-        counts[m] = sum(
-            comb(key & 0xFF, m) * count
-            for key, count in histogram.items()
-            if key >> 8 == least
-        )
     return counts
 
 
@@ -159,6 +152,131 @@ def test_extremal_counts_from_closure_histogram():
     counts = closure_counts(7, 3)
     assert counts == {m: len(_enum_recursive(7, 3, m)) for m in range(1, 36)}
     assert sum(counts.values()) == 232555 and max(counts.values()) == 85260
+
+
+def test_closure_patterns_match_k_side_flags():
+    # the shadow side and the k-side flags are each other's oracle: in the
+    # same ascending order, at every size of every layer where both tables
+    # fit and the closure table is the smaller, listed all sizes at once,
+    # one size at a time, and over a middle range of sizes
+    both = [
+        (n, k)
+        for n in range(2, 8)
+        for k in range(2, n + 1)
+        if binom(n, k - 1) < binom(n, k) <= extremal.SWEEP_LAYER_LIMIT
+    ]
+    assert both == [(4, 2), (5, 2), (6, 2), (6, 3), (7, 2)]
+    for n, k in both:
+        layer = _layer(n, k)
+        flags = extremal._flag_patterns_by_size(layer)
+        sizes = range(1, layer.size + 1)
+        assert extremal._closure_patterns(layer, sizes) == flags, (n, k)
+        assert extremal._extremal_patterns_by_size(n, k) == flags, (n, k)
+        for m in sizes:
+            assert extremal._closure_patterns(layer, range(m, m + 1)) == {m: flags[m]}, (n, k, m)
+        middle = range(layer.size // 3, 2 * layer.size // 3 + 1)
+        expected = {m: flags[m] for m in middle}
+        assert extremal._closure_patterns(layer, middle) == expected, (n, k)
+
+
+def test_closure_patterns_match_recursive_at_7_3():
+    # one layer past the k-side sweeps: the shadow side, one size at a time
+    # as enumerate_extremal lists it, against the paper's recursive
+    # characterization run forwards.  Neither reads the other's argument,
+    # so their agreement shows, with no appeal to Kruskal-Katona, that the
+    # characterization generates exactly the extremal families of (7,3)
+    layer = _layer(7, 3)
+    position = {mask: 1 << i for i, mask in enumerate(layer.masks)}
+    total = 0
+    for m in range(1, 36):
+        patterns = extremal._closure_patterns(layer, range(m, m + 1))[m]
+        assert patterns == sorted(set(patterns)), m
+        generated = {sum(map(position.__getitem__, masks)) for masks in _enum_recursive(7, 3, m)}
+        assert set(patterns) == generated, m
+        total += len(patterns)
+    assert total == 232555
+
+
+def test_extremal_patterns_come_from_the_smaller_table(monkeypatch):
+    # the closure side serves where C(n, k - 1) < C(n, k) and k >= 2; the
+    # k-side flags serve k = 1 and the layers where C(n, k - 1) >= C(n, k)
+    served = []
+    closure, flags = extremal._closure_patterns, extremal._flag_patterns_by_size
+
+    def by_closure(layer, sizes):
+        served.append(("closure", layer.n, layer.k))
+        return closure(layer, sizes)
+
+    def by_flags(layer):
+        served.append(("flags", layer.n, layer.k))
+        return flags(layer)
+
+    monkeypatch.setattr(extremal, "_closure_patterns", by_closure)
+    monkeypatch.setattr(extremal, "_flag_patterns_by_size", by_flags)
+    extremal._extremal_patterns_by_size.cache_clear()
+    for n, k in ((4, 2), (6, 3), (7, 3), (8, 2), (3, 2), (5, 3), (6, 4), (7, 5), (5, 1)):
+        enumerate_extremal(n, k, 2)
+    assert served == [
+        ("closure", 4, 2),
+        ("closure", 6, 3),
+        ("closure", 7, 3),
+        ("closure", 8, 2),
+        ("flags", 3, 2),
+        ("flags", 5, 3),
+        ("flags", 6, 4),
+        ("flags", 7, 5),
+        ("flags", 5, 1),
+    ]
+    extremal._extremal_patterns_by_size.cache_clear()
+
+
+def test_layer_sweep_builds_each_table_once(monkeypatch):
+    # the calls of one benchmark layer-sweep pass, on fresh caches: the
+    # (6,3) closure table and its histogram are built once, each size's
+    # extremal patterns are listed once, and no k-side flags are built
+    for cache in (extremal._layer, extremal._min_shadows, extremal._extremal_patterns_by_size):
+        cache.cache_clear()
+    built = Counter()
+    listed = Counter()
+    Layer = extremal._Layer
+    closures, histogram = Layer.closures, Layer.closure_histogram
+    closure, flags = extremal._closure_patterns, extremal._extremal_flags
+
+    def counted_closures(layer):
+        built["closures", layer.n, layer.k] += layer._closures is None
+        return closures(layer)
+
+    def counted_histogram(layer):
+        built["histogram", layer.n, layer.k] += layer._histogram is None
+        return histogram(layer)
+
+    def counted_patterns(layer, sizes):
+        listed.update((layer.n, layer.k, m) for m in sizes)
+        return closure(layer, sizes)
+
+    def counted_flags(layer):
+        built["flags", layer.n, layer.k] += 1
+        return flags(layer)
+
+    monkeypatch.setattr(Layer, "closures", counted_closures)
+    monkeypatch.setattr(Layer, "closure_histogram", counted_histogram)
+    monkeypatch.setattr(extremal, "_closure_patterns", counted_patterns)
+    monkeypatch.setattr(extremal, "_extremal_flags", counted_flags)
+    rng = random.Random(22)
+    for k in (2, 3):
+        for n in range(k, 7):
+            sizes = list(range(1, binom(n, k) + 1))
+            rng.shuffle(sizes)
+            for m in sizes:
+                assert brute_force_min_shadow(n, k, m) == kk_bound(m, k, 1)
+    assert characterization_sweep(6, 3)["extremal"] == 5532
+    min_degree_sweep(6, 3)
+    classes = [extremal_iso_classes(6, 3, m) for m in range(1, 21)]
+    families = [enumerate_extremal(6, 3, m) for m in range(1, 21)]
+    assert sum(map(len, classes)) == 42 and sum(map(len, families)) == 5532
+    assert built[("closures", 6, 3)] == built[("histogram", 6, 3)] == 1
+    assert not any(key[0] == "flags" for key in built)
+    assert listed == Counter((6, 3, m) for m in range(1, 21))
 
 
 def test_oracle_equivalence_small():
