@@ -256,10 +256,15 @@ def _cmd_verify(args) -> int:
         _emit({"n": args.n, "k": args.k, "checked": checked, "violations": []})
         return 0
     if args.what == "uniqueness":
-        from .extremal import extremal_iso_classes, uniqueness_predicate
+        from .extremal import (
+            _refuse_over_budget_sizes,
+            extremal_iso_classes,
+            uniqueness_predicate,
+        )
 
         if not args.n >= args.k >= 2:
             raise ValueError("the uniqueness check needs n >= k >= 2")
+        _refuse_over_budget_sizes(args.n, args.k)
         rows = []
         ok = True
         for m in range(1, binom(args.n, args.k) + 1):

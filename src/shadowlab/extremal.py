@@ -1,11 +1,13 @@
 """Shadow-minimization bounds, extremality tests, characterization, enumeration.
 
 The exhaustive machinery indexes families of a small layer C([n], k) by the
-bit pattern of chosen positions and keeps shared per-pattern byte tables of
-member counts and shadow sizes, built by doubling.  The sweeps over every
-subfamily are whole-table byte operations.  The characterization sweep
-evaluates every condition of the characterization at element n the same
-way, on blocks of 2^16 patterns.  The conditions are invariant under
+bit pattern of chosen positions and keeps one shared per-pattern byte table
+of shadow sizes, built by doubling; a pattern's member count is its
+popcount.  Every table is built and read through one block walk
+(``_split`` and ``_blocks``), a block of 2^16 patterns at a time, and the
+sweeps over every subfamily are byte operations on those blocks.  The
+characterization sweep evaluates every condition of the characterization
+at element n the same way.  The conditions are invariant under
 relabeling, so a pattern P passes at element n - j iff c^j P passes at n,
 with c the n-cycle i -> i+1; the other elements' verdicts are read through
 c for the few patterns that pass at n.  ``characterize`` is the
@@ -209,8 +211,9 @@ def min_degree_bound_check(family: KFamily) -> bool:
 _IDENTITY = bytes(range(256))
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
 _POPCOUNT = bytes(b.bit_count() for b in range(256))
-# Whole-table temporaries are built on blocks of 2^16 patterns: at (6,3) a
-# 1 MiB temporary per step would set the process's peak memory
+# Tables are built and read a block of 2^16 patterns at a time, by ``_split``
+# and ``_blocks`` alone: at (6,3) a 1 MiB temporary per step would set the
+# process's peak memory
 _BLOCK_POSITIONS = 16
 
 
@@ -225,8 +228,34 @@ def _doubled(steps: list[bytes], start: bytes = b"\0") -> bytearray:
     return table
 
 
+def _split(steps: list[bytes]) -> tuple[bytearray, bytearray]:
+    """The table doubled once per step, cut into blocks of 2^16 patterns
+    (one if fewer): the table doubled from [0] over the low positions, and
+    per block the 256-byte map composing the high positions' steps, which a
+    pattern's low entry is translated through (see ``_blocks``)."""
+    low = min(len(steps), _BLOCK_POSITIONS)
+    return _doubled(steps[:low]), _doubled(steps[low:], _IDENTITY)
+
+
+def _blocks(positions: int) -> Iterator[tuple[int, int, slice]]:
+    """Each block of the patterns over the given number of positions, as
+    ``_split`` cuts them: its first pattern, the popcount of its high
+    positions, and the slice of its map in a ``_split`` map table."""
+    low = min(positions, _BLOCK_POSITIONS)
+    for block in range(1 << (positions - low)):
+        yield block << low, block.bit_count(), slice(256 * block, 256 * (block + 1))
+
+
 def _or_step(byte: int) -> bytes:
     return bytes(b | byte for b in range(256))
+
+
+def _zeros(table: bytes) -> Iterator[int]:
+    """The positions of the zero bytes of table, ascending."""
+    t = table.find(0)
+    while t != -1:
+        yield t
+        t = table.find(0, t + 1)
 
 
 def _pairs(high: bytes, low: bytes) -> array:
@@ -238,8 +267,8 @@ def _pairs(high: bytes, low: bytes) -> array:
 
 
 # Guard-bit arithmetic on byte tables read as one int, entry i in bits
-# 8i..8i+7.  The member counts and degrees it compares are at most the
-# layer size, so they fit 7 bits.  The sweeps also pack (d, rest) into one
+# 8i..8i+7.  The degrees it compares are at most the layer size, so they
+# fit 7 bits.  The sweeps also pack (d, rest) into one
 # state byte d * (W + 1) + rest, where an element has degree D and W sets
 # of the layer avoid it, D + W = size; (D + 1)(W + 1) <= ((size + 2) / 2)^2
 # stays within 256 states for every layer of at most 30 sets.
@@ -256,46 +285,49 @@ def _fill(byte: int, count: int) -> int:
     return _fields(bytes((byte,)) * count)
 
 
-def _nonzero(x: int, high: int) -> int:
-    """The guard bit 0x80 of every nonzero 8-bit field of x; high holds 0x80
-    in every field."""
-    low = high - (high >> 7)  # 0x7F in every field
-    return ((x & low) + low | x) & high
-
-
 def _field_min(a: int, b: int, high: int) -> int:
     """Field-wise minimum of two field tables whose fields are all below 128."""
     ge = ((a | high) - b) & high  # the guard survives where a >= b
     return a ^ ((a ^ b) & (ge - (ge >> 7)))
 
 
-def _block_sums(parts: list[tuple[bytes, bytes]], positions: int) -> bytes:
-    """One byte per pattern over the given number of positions, built a
-    block of 2^16 patterns at a time (one block if there are fewer
-    positions): the field sum, over the parts (table, maps), of the table
-    over the low positions translated through the block's 256-byte map in
-    maps.  Every sum must stay below 256."""
-    low = min(positions, _BLOCK_POSITIONS)
-    blocks = []
-    for block in range(1 << (positions - low)):
-        maps = slice(256 * block, 256 * (block + 1))
-        sums = sum(_fields(table.translate(m[maps])) for table, m in parts)
-        blocks.append(sums.to_bytes(1 << low, "little"))
-    return b"".join(blocks)
+def _block_sums(parts: list[tuple[bytes, bytes]], positions: int) -> bytearray:
+    """One byte per pattern over the given number of positions: the field
+    sum, over the ``_split`` parts (low table, maps), of the low table
+    translated through the pattern's block map.  Every sum must stay below
+    256.  A part whose map is the same in every block adds the same fields
+    to each, so it is translated once."""
+    width = len(parts[0][0])
+    fixed = [m == m[:256] * (len(m) // 256) for _, m in parts]
+    base = sum(_fields(t.translate(m[:256])) for (t, m), f in zip(parts, fixed) if f)
+    varying = [part for part, f in zip(parts, fixed) if not f]
+    table = bytearray(1 << positions)
+    for start, _, block in _blocks(positions):
+        sums = sum((_fields(t.translate(m[block])) for t, m in varying), base)
+        table[start : start + width] = sums.to_bytes(width, "little")
+    return table
 
 
 def _shadow_planes(sheds: list[int], width: int) -> list[tuple[bytearray, bytes]]:
-    """The parts ``_block_sums`` adds up to the shadow size of every pattern
+    """The ``_split`` parts that add up to the shadow size of every pattern
     over the positions of ``sheds``, bit masks over ``width`` sets: per 8-bit
-    plane, the shadow byte over the low positions, doubled, and the
-    per-block maps of the high positions with the popcount composed in."""
-    low = min(len(sheds), _BLOCK_POSITIONS)
+    plane, the OR of the plane's shed bytes, with the popcount composed into
+    the block maps."""
     planes = []
     for shift in range(0, width, 8):
-        ors = [_or_step(bits >> shift & 0xFF) for bits in sheds]
-        counts = _doubled(ors[low:], _IDENTITY).translate(_POPCOUNT)
-        planes.append((_doubled(ors[:low]), counts))
+        low, maps = _split([_or_step(bits >> shift & 0xFF) for bits in sheds])
+        planes.append((low, maps.translate(_POPCOUNT)))
     return planes
+
+
+def _table_blocks(values: bytes, positions: int) -> Iterator[tuple[int, int, bytes, bytes]]:
+    """A per-pattern byte table, block by block of ``_blocks``: the block's
+    first pattern, the popcount of its high positions, its bytes of values,
+    and the popcounts of the low positions.  A pattern's member count is its
+    low popcount plus the block's, so no member-count table is kept."""
+    low_members, _ = _split([_PLUS_ONE] * positions)
+    for start, offset, _ in _blocks(positions):
+        yield start, offset, values[start : start + len(low_members)], low_members
 
 
 class _Layer:
@@ -305,11 +337,11 @@ class _Layer:
     entries for patterns in [2^i, 2^(i+1)) are those of [0, 2^i) with set i
     added.  Shadow masks are built as 8-bit planes, each doubled with one
     ``translate`` through an "OR set i's shed byte" table, and kept only as
-    their popcount: one shadow-size byte per pattern.  ``closures`` builds
-    the dual table over patterns of the (k-1)-sets in ``sub_masks``,
-    ``closure_histogram`` summarizes it, and ``relabelings`` builds the
-    action on the patterns of two generators of S_n.  Each table is built on
-    first use and kept.
+    their popcount: one shadow-size byte per pattern; member counts are
+    popcounts.  ``closures`` builds the dual table over patterns of the
+    (k-1)-sets in ``sub_masks``, ``closure_histogram`` summarizes it, and
+    ``relabelings`` builds the action on the patterns of two generators of
+    S_n.  Each table is built on first use, through ``_split``, and kept.
     """
 
     def __init__(self, n: int, k: int):
@@ -322,49 +354,45 @@ class _Layer:
         self.sub_masks = _layer_masks(n, k - 1)
         sub_index = {m: i for i, m in enumerate(self.sub_masks)}
         self.shed = [sum(1 << sub_index[f] for f in _shadow_masks((m,))) for m in self.masks]
-        self._counts: tuple[bytes, bytes] | None = None
-        self._closures: bytes | None = None
+        self._counts: bytearray | None = None
+        self._closures: bytearray | None = None
         self._histogram: Counter | None = None
         self._relabelings: list[list[list[int]]] | None = None
 
-    def counts(self) -> tuple[bytes, bytes]:
-        """Per-subfamily member counts and shadow sizes, one byte each.
-
-        The shadow sizes are built a block of 2^16 patterns at a time: each
-        plane is doubled over the low positions only, and the high
-        positions of a block compose into one 256-byte map per plane, with
-        the popcount composed in, by ``_shadow_planes`` as in
-        ``_clause_blocks``."""
+    def counts(self) -> bytearray:
+        """Per-subfamily shadow sizes, one byte each: the sum of the
+        ``_shadow_planes`` parts, built block by block.  Member counts are
+        not stored; ``_table_blocks`` reads them as popcounts."""
         if self._counts is None:
-            pop = bytes(_doubled([_PLUS_ONE] * self.size))
             planes = _shadow_planes(self.shed, len(self.sub_masks))
-            self._counts = pop, _block_sums(planes, self.size)
+            self._counts = _block_sums(planes, self.size)
         return self._counts
 
-    def closures(self) -> bytes:
+    def closures(self) -> bytearray:
         """|K(T)| per pattern T over the (k-1)-sets, one byte each, where
         K(T) is the k-sets all of whose (k-1)-subsets lie in T.
 
         Each k-set counts its subsets in T by doubling, ``_PLUS_ONE`` at its
-        k subset positions and ``_IDENTITY`` elsewhere; that count is
-        translated to 1 where it reaches k, and the k-sets' 0/1 tables are
-        summed as fields.  As in ``counts``, the table is built a block of
-        2^16 patterns at a time: per k-set, a count table over the low
-        positions and one 256-byte map per block, composing the high
-        positions' steps and the translation to 0/1."""
+        k subset positions and ``_IDENTITY`` elsewhere, cut by ``_split``;
+        its block maps also translate that count to 1 where it reaches k,
+        and the k-sets' 0/1 tables are summed as fields.  k-sets with equal
+        low tables share one, with their block maps summed bytewise: no sum
+        exceeds C(n, k) <= 255, so no field carries."""
         if self._closures is None:
             if self.size > 255:
                 raise BudgetError(
                     f"closure counts of C({self.n}, {self.k}) sets do not fit one byte"
                 )
             positions = len(self.sub_masks)
-            low = min(positions, _BLOCK_POSITIONS)
             closed = bytes(b == self.k for b in range(256))
-            parts = []
+            shared: dict[bytes, int] = {}
             for bits in self.shed:
-                steps = [_PLUS_ONE if bits >> j & 1 else _IDENTITY for j in range(positions)]
-                maps = _doubled(steps[low:], _IDENTITY).translate(closed)
-                parts.append((_doubled(steps[:low]), maps))
+                low, maps = _split(
+                    [_PLUS_ONE if bits >> j & 1 else _IDENTITY for j in range(positions)]
+                )
+                key = bytes(low)
+                shared[key] = shared.get(key, 0) + _fields(maps.translate(closed))
+            parts = [(low, sums.to_bytes(len(maps), "little")) for low, sums in shared.items()]
             self._closures = _block_sums(parts, positions)
         return self._closures
 
@@ -373,7 +401,8 @@ class _Layer:
         (|T|, |K(T)|), read from ``closures`` block by block."""
         if self._histogram is None:
             self._histogram = Counter()
-            for _, offset, closed, low_members in _closure_blocks(self):
+            blocks = _table_blocks(self.closures(), len(self.sub_masks))
+            for _, offset, closed, low_members in blocks:
                 for key, count in Counter(_pairs(closed, low_members)).items():
                     self._histogram[(key & 0xFF) + offset, key >> 8] += count
         return self._histogram
@@ -435,49 +464,27 @@ def _sweep_layer(n: int, k: int) -> _Layer:
     return _layer(n, k)
 
 
-def _least_low_bytes(blocks: Iterator[tuple[int, array]], top: int) -> list[int]:
-    """For each high byte h = 0..top, the least low byte plus offset over the
-    16-bit keys h << 8 | low of the (offset, keys) blocks; 1 << 62 where h
-    never occurs.  Each block's distinct keys are found once, with a set."""
-    best = [1 << 62] * (top + 1)
-    for offset, keys in blocks:
-        for key in set(keys):
-            h, low = key >> 8, (key & 0xFF) + offset
-            if low < best[h]:
-                best[h] = low
-    return best
+def _distinct_pairs(values: bytes, positions: int) -> set[tuple[int, int]]:
+    """The distinct (member count, value) pairs over the patterns of a
+    per-pattern byte table, found block by block with a set."""
+    pairs = set()
+    for _, offset, block, low_members in _table_blocks(values, positions):
+        pairs.update(((key & 0xFF) + offset, key >> 8) for key in set(_pairs(block, low_members)))
+    return pairs
 
 
 def _member_min_shadows(layer: _Layer) -> list[int]:
     """min |shadow| per family size m = 0..C(n, k) over all subfamilies of
-    C([n], k), from the member-count and shadow-size tables: the least
-    shadow size paired with each member count.
+    C([n], k), from the shadow-size table: the least shadow size paired
+    with each member count.
 
     This is the k-side table.  Where both tables fit it is the oracle that
     ``test_min_shadow_sides_agree`` compares ``_closure_min_shadows`` with,
     and the closure side is its oracle in turn."""
-    pop, sizes = layer.counts()
-    width = 1 << _BLOCK_POSITIONS
-    return _least_low_bytes(
-        (
-            (0, _pairs(pop[start : start + width], sizes[start : start + width]))
-            for start in range(0, len(pop), width)
-        ),
-        layer.size,
-    )
-
-
-def _closure_blocks(layer: _Layer) -> Iterator[tuple[int, int, bytes, bytes]]:
-    """The closure table block by block of 2^16 patterns T (one block if
-    there are fewer positions): the block's first pattern, the popcount of
-    its block number, its |K(T)| bytes, and the popcount bytes of the low
-    positions.  So |T| is the popcount byte plus the block's popcount."""
-    closures = layer.closures()
-    low = min(len(layer.sub_masks), _BLOCK_POSITIONS)
-    width = 1 << low
-    low_members = bytes(_doubled([_PLUS_ONE] * low))
-    for block, start in enumerate(range(0, len(closures), width)):
-        yield start, block.bit_count(), closures[start : start + width], low_members
+    best = [0xFF] * (layer.size + 1)
+    for members, size in _distinct_pairs(layer.counts(), layer.size):
+        best[members] = min(best[members], size)
+    return best
 
 
 def _closure_min_shadows(layer: _Layer) -> list[int]:
@@ -488,13 +495,9 @@ def _closure_min_shadows(layer: _Layer) -> list[int]:
     is s(m) = min{|T| : |K(T)| >= m}, with no appeal to Kruskal-Katona: the
     least |T| paired with each closure size c, then the least over c >= m.
     ``_member_min_shadows`` is the k-side oracle it is compared with."""
-    best = _least_low_bytes(
-        (
-            (offset, _pairs(closed, low_members))
-            for _, offset, closed, low_members in _closure_blocks(layer)
-        ),
-        layer.size,
-    )
+    best = [0xFF] * (layer.size + 1)
+    for size, closed in _distinct_pairs(layer.closures(), len(layer.sub_masks)):
+        best[closed] = min(best[closed], size)
     for m in range(layer.size - 1, -1, -1):
         best[m] = min(best[m], best[m + 1])
     return best
@@ -569,32 +572,19 @@ def _shadow_bounds(k: int, top: int) -> list[int]:
     return [kk_bound(m, k, 1) for m in range(top + 1)]
 
 
-def _extremal_flags(layer: _Layer) -> bytes:
-    """Per subfamily: 0x80 where its shadow meets the bound for its size,
-    else 0.  The empty pattern 0 is flagged too."""
-    pop, sizes = layer.counts()
-    bounds = bytes(_shadow_bounds(layer.k, layer.size)).ljust(256, b"\0")
-    width = min(len(pop), 1 << _BLOCK_POSITIONS)
-    high = _fill(0x80, width)
-    blocks = []
-    for start in range(0, len(pop), width):
-        block = slice(start, start + width)
-        differ = _nonzero(_fields(sizes[block]) ^ _fields(pop[block].translate(bounds)), high)
-        blocks.append((high ^ differ).to_bytes(width, "little"))
-    return b"".join(blocks)
-
-
-def _flag_patterns_by_size(layer: _Layer) -> dict[int, list[int]]:
+def _member_patterns(layer: _Layer) -> dict[int, list[int]]:
     """All extremal subfamilies of the layer, grouped by size, as ascending
-    bit patterns, from one scan of the k-side ``_extremal_flags``; the
-    oracle of ``_closure_patterns`` where both tables fit, and vice versa."""
-    pop, _ = layer.counts()
-    flags = _extremal_flags(layer)
-    out: dict[int, list[int]] = {m: [] for m in range(1, layer.size + 1)}
-    f = flags.find(0x80, 1)
-    while f != -1:
-        out[pop[f]].append(f)
-        f = flags.find(0x80, f + 1)
+    bit patterns: the zeros of the bound of each member count xor the
+    k-side shadow sizes.  The oracle of ``_closure_patterns`` where both
+    tables fit, and vice versa."""
+    bounds = _shadow_bounds(layer.k, layer.size)
+    out: dict[int, list[int]] = {m: [] for m in range(layer.size + 1)}
+    for start, offset, sizes, low_members in _table_blocks(layer.counts(), layer.size):
+        target = bytes(bounds[offset:]).ljust(256, b"\0")
+        differ = _fields(low_members.translate(target)) ^ _fields(sizes)
+        for t in _zeros(differ.to_bytes(len(sizes), "little")):
+            out[low_members[t] + offset].append(start + t)
+    del out[0]  # the empty pattern
     return out
 
 
@@ -616,6 +606,29 @@ def _extremal_count(layer: _Layer, m: int) -> tuple[int, int]:
     return least, count
 
 
+def _budgeted_counts(layer: _Layer, sizes: range) -> tuple[dict[int, int], dict[int, int]]:
+    """s(m) and the number of extremal m-families per size m of the range,
+    from ``_extremal_count``; raises ``BudgetError`` at the least size whose
+    count exceeds ``COMBINATION_BUDGET``."""
+    least, counts = {}, {}
+    for m in sizes:
+        least[m], counts[m] = _extremal_count(layer, m)
+        if counts[m] > COMBINATION_BUDGET:
+            raise BudgetError(
+                f"{counts[m]} extremal families of {m} sets in C([{layer.n}], {layer.k}) "
+                f"exceed the enumeration budget of {COMBINATION_BUDGET}"
+            )
+    return least, counts
+
+
+def _refuse_over_budget_sizes(n: int, k: int) -> None:
+    """Before a listing of every size of C([n], k) that ``enumerate_extremal``
+    takes one size per call (closure table, past the sweep limit), raise the
+    budget error of the least size over ``COMBINATION_BUDGET``."""
+    if binom(n, k) > SWEEP_LAYER_LIMIT and _closure_serves(n, k):
+        _budgeted_counts(_layer(n, k), range(1, binom(n, k) + 1))
+
+
 def _closure_patterns(layer: _Layer, sizes: range) -> dict[int, list[int]]:
     """The extremal m-subsets of C([n], k), k >= 2, for each m in a range
     of sizes, as ascending bit patterns: the m-subsets of K(T) over the T
@@ -627,36 +640,26 @@ def _closure_patterns(layer: _Layer, sizes: range) -> dict[int, list[int]]:
     largest size, T serves m iff m <= c and s(m) = |T|.  As s never
     decreases and s(c) <= |T|, some m in the range is served iff
     |T| = s(min(c, top)), and then so is each size down from min(c, top)
-    with that s.  ``_flag_patterns_by_size`` is its oracle where both
-    tables fit, and it is the oracle of ``_enum_recursive`` at (7,3)."""
-    least = {}
-    counts = {}
-    for m in sizes:
-        least[m], counts[m] = _extremal_count(layer, m)
-        if counts[m] > COMBINATION_BUDGET:
-            raise BudgetError(
-                f"{counts[m]} extremal families of {m} sets in C([{layer.n}], {layer.k}) "
-                f"exceed the enumeration budget of {COMBINATION_BUDGET}"
-            )
+    with that s.  ``_member_patterns`` is its oracle where both tables fit,
+    and it is the oracle of ``_enum_recursive`` at (7,3)."""
+    least, counts = _budgeted_counts(layer, sizes)
     top = sizes[-1]
     serves = [least[min(c, top)] if c >= sizes[0] else 0xFF for c in range(layer.size + 1)]
     sheds = [(bits, 1 << i) for i, bits in enumerate(layer.shed)]
     out: dict[int, list[int]] = {m: [] for m in sizes}
-    for start, offset, closed, low_members in _closure_blocks(layer):
+    for start, offset, closed, low_members in _table_blocks(
+        layer.closures(), len(layer.sub_masks)
+    ):
         # |T| - offset, wrapped past every low popcount where negative
         target = bytes((s - offset) & 0xFF for s in serves).ljust(256, b"\xff")
-        table = (_fields(closed.translate(target)) ^ _fields(low_members)).to_bytes(
-            len(closed), "little"
-        )
-        t = table.find(0)
-        while t != -1:
+        differ = _fields(closed.translate(target)) ^ _fields(low_members)
+        for t in _zeros(differ.to_bytes(len(closed), "little")):
             pattern = start + t
             members = [bit for bits, bit in sheds if bits & pattern == bits]
             m = min(len(members), top)
             while m in out and least[m] == serves[len(members)]:
                 out[m] += map(sum, combinations(members, m))
                 m -= 1
-            t = table.find(0, t + 1)
     for m, patterns in out.items():
         if len(patterns) != counts[m]:
             raise RuntimeError(
@@ -678,11 +681,12 @@ def _extremal_patterns_by_size(n: int, k: int) -> dict[int, list[int]]:
     """All extremal subfamilies of a layer within the sweep limit, grouped
     by size, listed once per process for the sweeps and
     ``enumerate_extremal``: from the closure table where ``_closure_serves``
-    ((4,2), (5,2), (6,2), (7,2) and (6,3)), else from the k-side flags."""
+    ((4,2), (5,2), (6,2), (7,2) and (6,3)), else from the k-side shadow
+    sizes (``_member_patterns``)."""
     layer = _sweep_layer(n, k)
     if _closure_serves(n, k):
         return _closure_patterns(layer, range(1, layer.size + 1))
-    return _flag_patterns_by_size(layer)
+    return _member_patterns(layer)
 
 
 @lru_cache(maxsize=None)
@@ -746,7 +750,8 @@ def enumerate_extremal(
     and cached within the sweep limit, one size per call past it (at (7,3)
     and (n,2) for 8 <= n <= 21), refused before listing when the count
     exceeds ``COMBINATION_BUDGET``.  Elsewhere (k = 1, or
-    C(n, k-1) >= C(n, k)) the k-side flags list them, within the limit.
+    C(n, k-1) >= C(n, k)) the k-side shadow sizes list them, within the
+    limit.
     Each side is the other's oracle where both fit, and the closure side is
     the recursive method's oracle at (7,3).  Patterns come in ascending
     order, classes in the order of their first pattern."""
@@ -848,11 +853,10 @@ def uniqueness_predicate(n: int, k: int, m: int) -> bool:
 # flat-table sweeps over every subfamily of one layer
 
 
-def _clause_blocks(layer: _Layer, x: int) -> Iterator[tuple[int, int]]:
+def _clause_blocks(layer: _Layer, x: int) -> Iterator[tuple[int, bytes]]:
     """The characterization's conditions at element x of every subfamily of
-    C([n], k), k >= 2, block by block.  For each run of 2^16 consecutive
-    patterns (one run if the layer is smaller) it yields the run's first
-    pattern and one field int (see ``_fields``) whose field for a pattern is
+    C([n], k), k >= 2, block by block of ``_blocks``.  For each block it
+    yields the block's first pattern and one byte per pattern of the block,
     zero exactly when every condition holds at x.  An element outside the
     pattern's support passes, as compacting removes it.
 
@@ -871,13 +875,12 @@ def _clause_blocks(layer: _Layer, x: int) -> Iterator[tuple[int, int]]:
 
     Every target is a function of (d, rest), held in a state byte
     d * (W + 1) + rest, where W sets of the layer avoid x; it fits a byte on
-    every layer of at most 30 sets (see ``SWEEP_LAYER_LIMIT``).  Tables over
-    the low 16 positions are built once by doubling: the state byte, and the
-    shadows of L and of R as 8-bit planes.  The high positions of a block
-    compose into one 256-byte map per table, each target and mask is
-    composed into the state's maps, and a block costs one ``translate`` per
-    table.  The targets are 0xFF where the threshold or the numeric identity
-    fails, which no size reaches: sizes are at most C(n, k - 1),
+    every layer of at most 30 sets (see ``SWEEP_LAYER_LIMIT``).  The state
+    byte, and the shadows of L and of R as 8-bit planes, are cut by
+    ``_split``; each target and mask is composed into the state's block
+    maps, and a block costs one ``translate`` per table.  The targets are
+    0xFF where the threshold or the numeric identity fails, which no size
+    reaches: sizes are at most C(n, k - 1),
     ``_sweep_layer`` refuses more than 255, and with n > k >= 2 it is 255
     only at (255, 2), far over the sweep limit.
 
@@ -889,13 +892,12 @@ def _clause_blocks(layer: _Layer, x: int) -> Iterator[tuple[int, int]]:
     compare every element's table against.
     """
     k = layer.k
-    _, sizes = layer.counts()
+    sizes = layer.counts()
     bound = _shadow_bounds(k, layer.size)
     link_bound = _shadow_bounds(k - 1, layer.size)
     thresholds = [0] + [
         seq_value(seq_minus(decompose(m, k), 1), k) for m in range(1, layer.size + 1)
     ]
-    low = min(layer.size, _BLOCK_POSITIONS)
     holds = _element_flags(layer.masks, x)
     degree = sum(holds)
     width = layer.size - degree + 1  # the values of rest
@@ -918,9 +920,7 @@ def _clause_blocks(layer: _Layer, x: int) -> Iterator[tuple[int, int]]:
             union_target[s] = bound[rest] if numeric else 0xFF
             strict[s] = 0xFF
     add_d = bytes((b + width) & 0xFF for b in range(256))
-    steps = [add_d if h else _PLUS_ONE for h in holds]
-    state = _doubled(steps[:low])
-    maps = _doubled(steps[low:], _IDENTITY)
+    state, maps = _split([add_d if h else _PLUS_ONE for h in holds])
     targets = [maps.translate(t) for t in (link_target, union_target, strict, applies)]
     # shadow(L) and shadow(R) in plane bits of the (k-1)-sets that hold x and
     # that avoid it: a set holding x adds its subsets with x, one avoiding x
@@ -934,20 +934,19 @@ def _clause_blocks(layer: _Layer, x: int) -> Iterator[tuple[int, int]]:
             for bits, h in zip(layer.shed, holds)
         ]
         parts.append(_shadow_planes(sheds, len(subs)))
-    for block in range(1 << (layer.size - low)):
-        start = block << low
-        maps = slice(256 * block, 256 * (block + 1))
+    block_size = len(state)
+    for start, _, block in _blocks(layer.size):
         link_target, union_target, strict, applies = (
-            _fields(state.translate(t[maps])) for t in targets
+            _fields(state.translate(t[block])) for t in targets
         )
         link_sizes, deleted_sizes = (
-            sum(_fields(p.translate(c[maps])) for p, c in planes) for planes in parts
+            sum(_fields(p.translate(c[block])) for p, c in planes) for planes in parts
         )
-        union = _fields(sizes[start : start + (1 << low)]) - link_sizes
-        yield start, (
-            link_sizes ^ link_target
-            | (union ^ union_target | (union - deleted_sizes) & strict) & applies
-        )
+        union = _fields(sizes[start : start + block_size]) - link_sizes
+        bad = link_sizes ^ link_target | (
+            union ^ union_target | (union - deleted_sizes) & strict
+        ) & applies
+        yield start, bad.to_bytes(block_size, "little")
 
 
 def characterization_sweep(n: int, k: int = 3) -> dict:
@@ -975,7 +974,7 @@ def characterization_sweep(n: int, k: int = 3) -> dict:
     extremal ones that are not accepted, with the extremal patterns read
     from ``_extremal_patterns_by_size``, which the isomorphism sweeps share.
     Where C(n, k-1) < C(n, k), as at (6,3), the closure table lists them
-    and no k-side flags are built; elsewhere the k-side flags do.
+    and no k-side listing is made; elsewhere ``_member_patterns`` lists them.
     ``characterize`` stays the family-at-a-time oracle the tests compare
     each element's table against.
     """
@@ -984,11 +983,7 @@ def characterization_sweep(n: int, k: int = 3) -> dict:
     layer = _sweep_layer(n, k)
     passed = []
     for start, bad in _clause_blocks(layer, n):
-        table = bad.to_bytes(min(1 << layer.size, 1 << _BLOCK_POSITIONS), "little")
-        p = table.find(0)
-        while p != -1:
-            passed.append(start + p)
-            p = table.find(0, p + 1)
+        passed += (start + p for p in _zeros(bad))
     # c P per passing pattern P, OR-ed from the cycle table's runs
     _, cycle = layer.relabelings()
     images = [0] * len(passed)
@@ -1035,28 +1030,28 @@ def min_degree_sweep(n: int, k: int) -> int:
     Deleting the star of a minimum-degree element x leaves the rest = m - d
     sets that avoid x, so at most W = C(n - 1, k) of them.  The bound thus
     depends only on the state byte d * (W + 1) + rest = m + W * d of
-    ``_clause_blocks``, which one field sum of the member-count table and the
+    ``_clause_blocks``, which one field sum of the member counts and the
     minimum-degree table gives without carries; the latter is the field-wise
     minimum of one degree table per element.  One 256-byte map sends each
     state to 0 where the bound is not stated (m <= 1, or d = 0: not full
     support), 1 where it holds and 2 where it fails, and one ``translate``
-    applies it.  As in ``_clause_blocks``, the tables are built on blocks of
-    2^16 patterns: per element, a degree table over the low positions and
-    one 256-byte map per block composing the high positions' steps.
+    applies it.  The tables go through the one block walk: each element's
+    degree table is cut by ``_split``, and a pattern's member count is its
+    low popcount, with the block's popcount shifted into the verdict map,
+    so no member-count table is built and neither is ``_Layer.counts``.
     ``min_degree_bound_check`` is the family-at-a-time oracle the tests
     compare against.
     """
     if not n > k > 1:
         raise ValueError("the minimum-degree bound needs n > k > 1")
     layer = _sweep_layer(n, k)
-    pop, _ = layer.counts()
-    low = min(layer.size, _BLOCK_POSITIONS)
-    block_size = 1 << low
+    elements = [
+        _split([_PLUS_ONE if h else _IDENTITY for h in _element_flags(layer.masks, x)])
+        for x in range(1, n + 1)
+    ]
+    low_members, _ = _split([_PLUS_ONE] * layer.size)
+    block_size = len(low_members)
     high = _fill(0x80, block_size)
-    elements = []
-    for x in range(1, n + 1):
-        steps = [_PLUS_ONE if h else _IDENTITY for h in _element_flags(layer.masks, x)]
-        elements.append((_doubled(steps[:low]), _doubled(steps[low:], _IDENTITY)))
     degree = binom(n - 1, k - 1)  # of every element in the whole layer
     width = layer.size - degree + 1  # the values of rest
     verdicts = bytearray(256)
@@ -1067,14 +1062,14 @@ def min_degree_sweep(n: int, k: int) -> int:
             held = b.terms and lex_cmp(b, seq_minus(decompose(d + rest, k), 1)) >= 0
             verdicts[state] = 1 if held else 2
     checked = 0
-    for block in range(1 << (layer.size - low)):
-        start = block << low
-        maps = slice(256 * block, 256 * (block + 1))
+    for start, offset, block in _blocks(layer.size):
         least = _fill(0x7F, block_size)
         for degrees, composed in elements:
-            least = _field_min(least, _fields(degrees.translate(composed[maps])), high)
-        states = _fields(pop[start : start + block_size]) + (width - 1) * least
-        table = states.to_bytes(block_size, "little").translate(verdicts)
+            least = _field_min(least, _fields(degrees.translate(composed[block])), high)
+        # the state less the block's popcount, which the shifted map adds back
+        states = _fields(low_members) + (width - 1) * least
+        shifted = verdicts[offset:].ljust(256, b"\0")
+        table = states.to_bytes(block_size, "little").translate(shifted)
         failed = table.find(2)
         if failed != -1:
             raise RuntimeError(f"minimum-degree bound failed at pattern {start + failed}")

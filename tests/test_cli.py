@@ -194,6 +194,26 @@ def test_verify_uniqueness_at_7_3(capsys):
     assert captured.err == "error: layer of 35 sets exceeds the sweep limit of 21 sets\n"
 
 
+def test_verify_uniqueness_refuses_before_listing(capsys, monkeypatch):
+    # past the sweep limit the closure table lists one size per call; every
+    # size is counted first, so (9,2) exits 3 at m = 22 with no family listed
+    from shadowlab import extremal
+
+    def no_listing(layer, sizes):
+        raise RuntimeError("listed before every size was counted")
+
+    monkeypatch.setattr(extremal, "_closure_patterns", no_listing)
+    start = time.perf_counter()
+    assert main(["verify", "uniqueness", "9", "2"]) == 3
+    assert time.perf_counter() - start < 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: 3390660 extremal families of 22 sets in C([9], 2) "
+        "exceed the enumeration budget of 3000000\n"
+    )
+
+
 def test_oracle(capsys):
     code, report = run(capsys, "oracle", "min-shadow", "5", "3", "4")
     assert code == 0

@@ -24,6 +24,7 @@ from shadowlab.extremal import (
     _enum_recursive,
     _layer,
     _orbit_classes,
+    _table_blocks,
     brute_force_min_shadow,
     certify_by_witness,
     characterization_sweep,
@@ -168,7 +169,7 @@ def test_closure_patterns_match_k_side_flags():
     assert both == [(4, 2), (5, 2), (6, 2), (6, 3), (7, 2)]
     for n, k in both:
         layer = _layer(n, k)
-        flags = extremal._flag_patterns_by_size(layer)
+        flags = extremal._member_patterns(layer)
         sizes = range(1, layer.size + 1)
         assert extremal._closure_patterns(layer, sizes) == flags, (n, k)
         assert extremal._extremal_patterns_by_size(n, k) == flags, (n, k)
@@ -201,7 +202,7 @@ def test_extremal_patterns_come_from_the_smaller_table(monkeypatch):
     # the closure side serves where C(n, k - 1) < C(n, k) and k >= 2; the
     # k-side flags serve k = 1 and the layers where C(n, k - 1) >= C(n, k)
     served = []
-    closure, flags = extremal._closure_patterns, extremal._flag_patterns_by_size
+    closure, flags = extremal._closure_patterns, extremal._member_patterns
 
     def by_closure(layer, sizes):
         served.append(("closure", layer.n, layer.k))
@@ -212,7 +213,7 @@ def test_extremal_patterns_come_from_the_smaller_table(monkeypatch):
         return flags(layer)
 
     monkeypatch.setattr(extremal, "_closure_patterns", by_closure)
-    monkeypatch.setattr(extremal, "_flag_patterns_by_size", by_flags)
+    monkeypatch.setattr(extremal, "_member_patterns", by_flags)
     extremal._extremal_patterns_by_size.cache_clear()
     for n, k in ((4, 2), (6, 3), (7, 3), (8, 2), (3, 2), (5, 3), (6, 4), (7, 5), (5, 1)):
         enumerate_extremal(n, k, 2)
@@ -233,14 +234,14 @@ def test_extremal_patterns_come_from_the_smaller_table(monkeypatch):
 def test_layer_sweep_builds_each_table_once(monkeypatch):
     # the calls of one benchmark layer-sweep pass, on fresh caches: the
     # (6,3) closure table and its histogram are built once, each size's
-    # extremal patterns are listed once, and no k-side flags are built
+    # extremal patterns are listed once, and no k-side listing is made
     for cache in (extremal._layer, extremal._min_shadows, extremal._extremal_patterns_by_size):
         cache.cache_clear()
     built = Counter()
     listed = Counter()
     Layer = extremal._Layer
     closures, histogram = Layer.closures, Layer.closure_histogram
-    closure, flags = extremal._closure_patterns, extremal._extremal_flags
+    closure, listing = extremal._closure_patterns, extremal._member_patterns
 
     def counted_closures(layer):
         built["closures", layer.n, layer.k] += layer._closures is None
@@ -254,14 +255,14 @@ def test_layer_sweep_builds_each_table_once(monkeypatch):
         listed.update((layer.n, layer.k, m) for m in sizes)
         return closure(layer, sizes)
 
-    def counted_flags(layer):
-        built["flags", layer.n, layer.k] += 1
-        return flags(layer)
+    def counted_listing(layer):
+        built["k-side listing", layer.n, layer.k] += 1
+        return listing(layer)
 
     monkeypatch.setattr(Layer, "closures", counted_closures)
     monkeypatch.setattr(Layer, "closure_histogram", counted_histogram)
     monkeypatch.setattr(extremal, "_closure_patterns", counted_patterns)
-    monkeypatch.setattr(extremal, "_extremal_flags", counted_flags)
+    monkeypatch.setattr(extremal, "_member_patterns", counted_listing)
     rng = random.Random(22)
     for k in (2, 3):
         for n in range(k, 7):
@@ -275,7 +276,7 @@ def test_layer_sweep_builds_each_table_once(monkeypatch):
     families = [enumerate_extremal(6, 3, m) for m in range(1, 21)]
     assert sum(map(len, classes)) == 42 and sum(map(len, families)) == 5532
     assert built[("closures", 6, 3)] == built[("histogram", 6, 3)] == 1
-    assert not any(key[0] == "flags" for key in built)
+    assert not any(key[0] == "k-side listing" for key in built)
     assert listed == Counter((6, 3, m) for m in range(1, 21))
 
 
@@ -430,9 +431,11 @@ def test_extremal_counts_match_shadow_oracle():
 
 
 def test_layer_tables_match_list_dp():
-    # the byte-plane member counts and shadow sizes against a plain list DP
-    # over the same patterns: bit i of a pattern picks the i-th k-set in
-    # colex order, and bit j of a shadow mask the j-th (k-1)-set
+    # the member counts of the block view (low popcount plus the block's
+    # popcount) and the byte-plane shadow sizes against a plain list DP over
+    # the same patterns, multi-block layers such as (6,3) included: bit i of
+    # a pattern picks the i-th k-set in colex order, and bit j of a shadow
+    # mask the j-th (k-1)-set
     for n in range(1, 7):
         for k in range(1, n + 1):
             pool = sorted(
@@ -454,9 +457,13 @@ def test_layer_tables_match_list_dp():
                 rest = pattern ^ low
                 shadow_masks[pattern] = shadow_masks[rest] | shed[low.bit_length() - 1]
                 members[pattern] = members[rest] + 1
-            count, sizes = _layer(n, k).counts()
+            layer = _layer(n, k)
+            count = bytearray()
+            for start, offset, values, low_members in _table_blocks(layer.counts(), layer.size):
+                assert start == len(count) and len(values) == len(low_members), (n, k)
+                count += bytes(c + offset for c in low_members)
             assert list(count) == members, (n, k)
-            assert list(sizes) == [mask.bit_count() for mask in shadow_masks], (n, k)
+            assert list(layer.counts()) == [mask.bit_count() for mask in shadow_masks], (n, k)
 
 
 def test_sweep_limit_refuses_before_building_the_layer():
@@ -474,11 +481,10 @@ def test_sweep_limit_refuses_before_building_the_layer():
 def clause_table(layer, x):
     """One byte per pattern of the layer, zero exactly where every condition
     of the characterization holds at element x."""
-    width = min(1 << layer.size, 1 << 16)
     table = bytearray()
     for start, bad in _clause_blocks(layer, x):
         assert start == len(table), (layer.n, layer.k, x, start)
-        table += bad.to_bytes(width, "little")
+        table += bad
     assert len(table) == 1 << layer.size, (layer.n, layer.k, x)
     return table
 
@@ -624,10 +630,11 @@ def test_characterization_sweep_reports_mismatches_in_order(monkeypatch):
 
     def blocks_with_failures(layer, x):
         for start, bad in blocks(layer, x):
+            bad = bytearray(bad)
             for p in failing:
-                if x == layer.n and start <= p < start + (1 << 16):
-                    bad |= 1 << 8 * (p - start)
-            yield start, bad
+                if x == layer.n and start <= p < start + len(bad):
+                    bad[p - start] = 1
+            yield start, bytes(bad)
 
     def patterns_changed(n, k):
         changed = {m: list(patterns) for m, patterns in by_size.items()}

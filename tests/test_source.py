@@ -67,3 +67,30 @@ def test_mask_format_stays_in_families():
             f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _spells_mask_format(node)
         ]
     assert found == []
+
+
+def test_block_format_stays_in_the_block_walk():
+    # how a 2^N table is cut into blocks of 2^16 patterns is decided by the
+    # two block helpers of extremal.py alone: every table is built and read
+    # through them, and brute_force_min_shadow reads the block size only as
+    # its one-block threshold
+    readers = set()
+    spelled = []
+    for path in sorted(Path(shadowlab.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        spelled += [path.name] * source.count("256 * block")
+        tree = ast.parse(source, filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Name)
+                    and node.id == "_BLOCK_POSITIONS"
+                    and isinstance(node.ctx, ast.Load)
+                ):
+                    readers.add((path.name, getattr(top, "name", None)))
+    assert readers == {
+        ("extremal.py", "_split"),
+        ("extremal.py", "_blocks"),
+        ("extremal.py", "brute_force_min_shadow"),
+    }
+    assert spelled == ["extremal.py"]
