@@ -15,17 +15,17 @@ family-at-a-time oracle for every element.
 
 Minimum shadows and extremal families also come from the shadow side: a
 byte table over the families T of (k-1)-sets holds |K(T)|, the number of
-k-sets all of whose (k-1)-subsets lie in T.  Where C(n, k-1) < C(n, k) it
-is the smaller table.  It answers ``brute_force_min_shadow`` there, and the
-extremal m-families are listed from it as the m-subsets of K(T) over the T
-of least size s(m) with |K(T)| >= m.
+k-sets all of whose (k-1)-subsets lie in T, built by the same plane engine
+from the upper shadows of complements.  Where C(n, k-1) < C(n, k) it is
+the smaller table.  It answers ``brute_force_min_shadow`` there, and one
+zero scan of it counts and lists the extremal m-families, the m-subsets of
+K(T) over the T of least size s(m) with |K(T)| >= m.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -211,6 +211,7 @@ def min_degree_bound_check(family: KFamily) -> bool:
 _IDENTITY = bytes(range(256))
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
 _POPCOUNT = bytes(b.bit_count() for b in range(256))
+_ZERO_FLAGS = b"\xff" + bytes(255)  # 0xFF where the byte is zero, else 0
 # Tables are built and read a block of 2^16 patterns at a time, by ``_split``
 # and ``_blocks`` alone: at (6,3) a 1 MiB temporary per step would set the
 # process's peak memory
@@ -339,8 +340,8 @@ class _Layer:
     ``translate`` through an "OR set i's shed byte" table, and kept only as
     their popcount: one shadow-size byte per pattern; member counts are
     popcounts.  ``closures`` builds the dual table over patterns of the
-    (k-1)-sets in ``sub_masks``, ``closure_histogram`` summarizes it, and
-    ``relabelings`` builds the action on the patterns of two generators of
+    (k-1)-sets in ``sub_masks`` from upper shadows with the same planes,
+    and ``relabelings`` the action on the patterns of two generators of
     S_n.  Each table is built on first use, through ``_split``, and kept.
     """
 
@@ -356,7 +357,6 @@ class _Layer:
         self.shed = [sum(1 << sub_index[f] for f in _shadow_masks((m,))) for m in self.masks]
         self._counts: bytearray | None = None
         self._closures: bytearray | None = None
-        self._histogram: Counter | None = None
         self._relabelings: list[list[list[int]]] | None = None
 
     def counts(self) -> bytearray:
@@ -372,40 +372,26 @@ class _Layer:
         """|K(T)| per pattern T over the (k-1)-sets, one byte each, where
         K(T) is the k-sets all of whose (k-1)-subsets lie in T.
 
-        Each k-set counts its subsets in T by doubling, ``_PLUS_ONE`` at its
-        k subset positions and ``_IDENTITY`` elsewhere, cut by ``_split``;
-        its block maps also translate that count to 1 where it reaches k,
-        and the k-sets' 0/1 tables are summed as fields.  k-sets with equal
-        low tables share one, with their block maps summed bytewise: no sum
-        exceeds C(n, k) <= 255, so no field carries."""
+        A k-set lies outside K(T) iff it holds a (k-1)-set outside T, so
+        |K(T)| = C(n, k) - |up(~T)|, with up the upper shadow and ~T the
+        complement, whose pattern is 2^N - 1 - T.  The upper-shadow sizes
+        are built as ``counts`` builds the shadow sizes, from each
+        (k-1)-set's mask of k-supersets (the transpose of ``shed``); the
+        table is then reversed and each byte v read as C(n, k) - v."""
         if self._closures is None:
             if self.size > 255:
                 raise BudgetError(
                     f"closure counts of C({self.n}, {self.k}) sets do not fit one byte"
                 )
             positions = len(self.sub_masks)
-            closed = bytes(b == self.k for b in range(256))
-            shared: dict[bytes, int] = {}
-            for bits in self.shed:
-                low, maps = _split(
-                    [_PLUS_ONE if bits >> j & 1 else _IDENTITY for j in range(positions)]
-                )
-                key = bytes(low)
-                shared[key] = shared.get(key, 0) + _fields(maps.translate(closed))
-            parts = [(low, sums.to_bytes(len(maps), "little")) for low, sums in shared.items()]
-            self._closures = _block_sums(parts, positions)
+            supersets = [
+                sum(1 << i for i, bits in enumerate(self.shed) if bits >> j & 1)
+                for j in range(positions)
+            ]
+            table = _block_sums(_shadow_planes(supersets, self.size), positions)
+            table.reverse()
+            self._closures = table.translate(bytes((self.size - v) & 0xFF for v in range(256)))
         return self._closures
-
-    def closure_histogram(self) -> Counter:
-        """The number of patterns T over the (k-1)-sets per pair
-        (|T|, |K(T)|), read from ``closures`` block by block."""
-        if self._histogram is None:
-            self._histogram = Counter()
-            blocks = _table_blocks(self.closures(), len(self.sub_masks))
-            for _, offset, closed, low_members in blocks:
-                for key, count in Counter(_pairs(closed, low_members)).items():
-                    self._histogram[(key & 0xFF) + offset, key >> 8] += count
-        return self._histogram
 
     def relabelings(self) -> list[list[list[int]]]:
         """The action on the patterns of two permutations that generate S_n:
@@ -451,8 +437,8 @@ def _sweep_layer(n: int, k: int) -> _Layer:
     """The layer C([n], k) for table sweeps, refused before it is built when
     its 2^C(n, k) tables exceed the sweep limit.  Every read of the k-side
     tables goes through here, so their counts stay within their fields; the
-    closure table is checked in ``_min_shadows``, ``_closure_serves`` and
-    ``_Layer.closures``."""
+    closure table, built by the same engine, is checked in ``_min_shadows``,
+    ``_closure_serves`` and ``_Layer.closures``."""
     size = binom(n, k)
     if size > SWEEP_LAYER_LIMIT:
         raise BudgetError(
@@ -588,37 +574,56 @@ def _member_patterns(layer: _Layer) -> dict[int, list[int]]:
     return out
 
 
-def _extremal_count(layer: _Layer, m: int) -> tuple[int, int]:
-    """(s(m), the number of extremal m-subsets of C([n], k)), k >= 2, from
-    ``_Layer.closure_histogram``, with s(m) = min{|T| : |K(T)| >= m} the
-    least shadow of m sets.  An extremal m-family F lies in K(T) for
-    T = shadow(F), |T| = s(m); an m-subset F of K(T) with |T| = s(m) has
-    shadow(F) inside T and of at least s(m) sets, so shadow(F) = T.  So
-    the sum over |T| = s(m) of C(|K(T)|, m) counts each extremal m-family
-    once, under its own shadow."""
-    histogram = layer.closure_histogram()
-    least = min(size for size, closed in histogram if closed >= m)
-    count = sum(
-        comb(closed, m) * number
-        for (size, closed), number in histogram.items()
-        if size == least
-    )
-    return least, count
+def _serving_blocks(layer: _Layer, serves: list[int]) -> Iterator[tuple[int, bytes, bytes]]:
+    """The closure table block by block of ``_blocks``: the block's first
+    pattern, its bytes of |K(T)|, and one byte per pattern T, zero exactly
+    where |T| = serves[|K(T)|]."""
+    blocks = _table_blocks(layer.closures(), len(layer.sub_masks))
+    for start, offset, closed, low_members in blocks:
+        # |T| - offset, wrapped past every low popcount where negative
+        target = bytes((s - offset) & 0xFF for s in serves).ljust(256, b"\xff")
+        differ = _fields(closed.translate(target)) ^ _fields(low_members)
+        yield start, closed, differ.to_bytes(len(closed), "little")
 
 
-def _budgeted_counts(layer: _Layer, sizes: range) -> tuple[dict[int, int], dict[int, int]]:
-    """s(m) and the number of extremal m-families per size m of the range,
-    from ``_extremal_count``; raises ``BudgetError`` at the least size whose
-    count exceeds ``COMBINATION_BUDGET``."""
-    least, counts = {}, {}
+@lru_cache(maxsize=8)
+def _extremal_counts(n: int, k: int) -> dict[int, int]:
+    """The number of extremal m-subsets of C([n], k) per size m = 1..C(n, k),
+    k >= 2, from one scan of the closure table.
+
+    With s the least shadow (``_min_shadows``), an extremal m-family lies in
+    K(T) for T its shadow, |T| = s(m), and an m-subset of K(T) with
+    |T| = s(m) has its shadow inside T, so equal to T: summing C(|K(T)|, m)
+    over the T with |T| = s(m) counts each once, under its own shadow.
+    Such a T, with c = |K(T)| >= m, has s(m) <= s(c) <= |T|, so |T| = s(c):
+    one scan finds the T of every size.  With N_c of them per c, m has the
+    sum of N_c C(c, m) over the c >= m with s(c) = s(m)."""
+    layer = _layer(n, k)
+    least = _min_shadows(n, k)
+    serving = [0] * (layer.size + 1)
+    # c = 0 serves no size, so the masked bytes are zero exactly off the T found
+    for _, closed, differ in _serving_blocks(layer, [0xFF] + least[1:]):
+        found = _fields(differ.translate(_ZERO_FLAGS))
+        masked = (_fields(closed) & found).to_bytes(len(closed), "little")
+        for c in set(masked) - {0}:
+            serving[c] += masked.count(c)
+    return {
+        m: sum(serving[c] * comb(c, m) for c in range(m, layer.size + 1) if least[c] == least[m])
+        for m in range(1, layer.size + 1)
+    }
+
+
+def _budgeted_counts(layer: _Layer, sizes: range) -> dict[int, int]:
+    """``_extremal_counts`` of the layer; raises ``BudgetError`` at the least
+    size of the range whose count exceeds ``COMBINATION_BUDGET``."""
+    counts = _extremal_counts(layer.n, layer.k)
     for m in sizes:
-        least[m], counts[m] = _extremal_count(layer, m)
         if counts[m] > COMBINATION_BUDGET:
             raise BudgetError(
                 f"{counts[m]} extremal families of {m} sets in C([{layer.n}], {layer.k}) "
                 f"exceed the enumeration budget of {COMBINATION_BUDGET}"
             )
-    return least, counts
+    return counts
 
 
 def _refuse_over_budget_sizes(n: int, k: int) -> None:
@@ -632,28 +637,23 @@ def _refuse_over_budget_sizes(n: int, k: int) -> None:
 def _closure_patterns(layer: _Layer, sizes: range) -> dict[int, list[int]]:
     """The extremal m-subsets of C([n], k), k >= 2, for each m in a range
     of sizes, as ascending bit patterns: the m-subsets of K(T) over the T
-    with |T| = s(m) and |K(T)| >= m (see ``_extremal_count``), with no
-    appeal to Kruskal-Katona.  Each size's count is checked against
-    ``COMBINATION_BUDGET`` before anything is listed.
+    with |T| = s(m) and |K(T)| >= m, with no appeal to Kruskal-Katona.
+    Each size's count is checked against ``COMBINATION_BUDGET`` before
+    anything is listed.
 
-    One scan finds the T of every size.  With c = |K(T)| and top the
-    largest size, T serves m iff m <= c and s(m) = |T|.  As s never
-    decreases and s(c) <= |T|, some m in the range is served iff
-    |T| = s(min(c, top)), and then so is each size down from min(c, top)
-    with that s.  ``_member_patterns`` is its oracle where both tables fit,
-    and it is the oracle of ``_enum_recursive`` at (7,3)."""
-    least, counts = _budgeted_counts(layer, sizes)
+    One scan finds the T of every size, as in ``_extremal_counts``: with
+    c = |K(T)| and top the largest size, T serves some m in the range iff
+    |T| = s(min(c, top)), and then each size down from min(c, top) with
+    that s.  ``_member_patterns`` is its oracle where both tables fit, and
+    it is the oracle of ``_enum_recursive`` at (7,3)."""
+    counts = _budgeted_counts(layer, sizes)
+    least = _min_shadows(layer.n, layer.k)
     top = sizes[-1]
     serves = [least[min(c, top)] if c >= sizes[0] else 0xFF for c in range(layer.size + 1)]
     sheds = [(bits, 1 << i) for i, bits in enumerate(layer.shed)]
     out: dict[int, list[int]] = {m: [] for m in sizes}
-    for start, offset, closed, low_members in _table_blocks(
-        layer.closures(), len(layer.sub_masks)
-    ):
-        # |T| - offset, wrapped past every low popcount where negative
-        target = bytes((s - offset) & 0xFF for s in serves).ljust(256, b"\xff")
-        differ = _fields(closed.translate(target)) ^ _fields(low_members)
-        for t in _zeros(differ.to_bytes(len(closed), "little")):
+    for start, _, differ in _serving_blocks(layer, serves):
+        for t in _zeros(differ):
             pattern = start + t
             members = [bit for bits, bit in sheds if bits & pattern == bits]
             m = min(len(members), top)

@@ -126,17 +126,13 @@ def test_small_sizes_on_large_tables_are_enumerated():
 
 def closure_counts(n, k):
     """The number of extremal m-subsets of C([n], k) per size m, from the
-    histogram of (|T|, |K(T)|) over the closure table's patterns T."""
-    layer = _layer(n, k)
-    assert sum(layer.closure_histogram().values()) == 1 << len(layer.sub_masks)
-    counts = {}
-    for m in range(1, layer.size + 1):
-        least, counts[m] = extremal._extremal_count(layer, m)
-        assert least == kk_bound(m, k, 1), (n, k, m)
-    return counts
+    closure table's scan for the T with |T| = s(|K(T)|)."""
+    least = extremal._min_shadows(n, k)
+    assert least[1:] == [kk_bound(m, k, 1) for m in range(1, binom(n, k) + 1)], (n, k)
+    return extremal._extremal_counts(n, k)
 
 
-def test_extremal_counts_from_closure_histogram():
+def test_extremal_counts_from_closure_scan():
     # with s(m) the least shadow of m sets: an extremal m-family F lies in
     # K(T) for T = shadow(F), and |T| = s(m).  Conversely, an m-subset F of
     # K(T) with |T| = s(m) has shadow(F) inside T, so |shadow(F)| <= s(m);
@@ -153,6 +149,32 @@ def test_extremal_counts_from_closure_histogram():
     counts = closure_counts(7, 3)
     assert counts == {m: len(_enum_recursive(7, 3, m)) for m in range(1, 36)}
     assert sum(counts.values()) == 232555 and max(counts.values()) == 85260
+
+
+def reversed_bits(pattern, width):
+    """The pattern with its width position bits in reverse order."""
+    return int(format(pattern, f"0{width}b")[::-1], 2)
+
+
+def test_closure_table_is_the_complement_layers_shadow_sizes():
+    # set complement in [n] sends the (k-1)-sets, in colex order, to the
+    # (n-k+1)-sets in reverse colex order, and a k-set S holds a (k-1)-set
+    # A outside T iff [n] - S lies in the shadow of [n] - A.  So
+    # |K(T)| = C(n, k) - |shadow of the complements of ~T|: the closure
+    # table of (n, k) at T is C(n, k) less the shadow-size table of
+    # (n, n-k+1) at the reversed pattern of ~T.  The two tables are built
+    # from different layers' shed lists, and neither is read to build the
+    # other
+    rng = random.Random(26)
+    for n, k in ((5, 2), (6, 2), (6, 3), (7, 3), (7, 2)):
+        layer, dual = _layer(n, k), _layer(n, n - k + 1)
+        width = len(layer.sub_masks)
+        assert dual.size == width, (n, k)
+        closures, counts = layer.closures(), dual.counts()
+        full = (1 << width) - 1
+        patterns = range(1 << width) if width <= 15 else rng.sample(range(1 << width), 4096)
+        for t in patterns:
+            assert closures[t] == layer.size - counts[reversed_bits(full ^ t, width)], (n, k, t)
 
 
 def test_closure_patterns_match_k_side_flags():
@@ -198,6 +220,35 @@ def test_closure_patterns_match_recursive_at_7_3():
     assert total == 232555
 
 
+def test_shadow_chain_through_serving_shadows():
+    # every extremal m-family F of (7,3) has shadow(F) = T for a T with
+    # |T| = s(m) and |K(T)| >= m, so its second shadow is shadow(T): one
+    # check per (T, m) covers the chain of every extremal family under T.
+    # s comes from the closure table, so |T| = seq_value(a, 2) is the
+    # Kruskal-Katona bound checked, and |shadow(T)| = seq_value(a, 1) the
+    # chain property; the covered families are all 232,555
+    layer = _layer(7, 3)
+    least = extremal._min_shadows(7, 3)
+    closures = layer.closures()
+    found = pairs = covered = 0
+    for start, _, differ in extremal._serving_blocks(layer, [0xFF] + least[1:]):
+        for t in extremal._zeros(differ):
+            pattern = start + t
+            chosen = [mask for i, mask in enumerate(layer.sub_masks) if pattern >> i & 1]
+            second = len(shadow(KFamily(7, 2, tuple(chosen))))
+            c = closures[pattern]
+            found += 1
+            m = c
+            while m and least[m] == least[c]:
+                a = decompose(m, 3)
+                assert len(chosen) == seq_value(a, 2), (pattern, m)
+                assert second == seq_value(a, 1), (pattern, m)
+                pairs += 1
+                covered += binom(c, m)
+                m -= 1
+    assert (found, pairs, covered) == (3340, 4800, 232555)
+
+
 def test_extremal_patterns_come_from_the_smaller_table(monkeypatch):
     # the closure side serves where C(n, k - 1) < C(n, k) and k >= 2; the
     # k-side flags serve k = 1 and the layers where C(n, k - 1) >= C(n, k)
@@ -233,23 +284,30 @@ def test_extremal_patterns_come_from_the_smaller_table(monkeypatch):
 
 def test_layer_sweep_builds_each_table_once(monkeypatch):
     # the calls of one benchmark layer-sweep pass, on fresh caches: the
-    # (6,3) closure table and its histogram are built once, each size's
-    # extremal patterns are listed once, and no k-side listing is made
-    for cache in (extremal._layer, extremal._min_shadows, extremal._extremal_patterns_by_size):
+    # (6,3) closure table and its extremal counts are built once, each
+    # size's extremal patterns are listed once, and no k-side listing is made
+    for cache in (
+        extremal._layer,
+        extremal._min_shadows,
+        extremal._extremal_counts,
+        extremal._extremal_patterns_by_size,
+    ):
         cache.cache_clear()
     built = Counter()
     listed = Counter()
     Layer = extremal._Layer
-    closures, histogram = Layer.closures, Layer.closure_histogram
+    closures, extremal_counts = Layer.closures, extremal._extremal_counts
     closure, listing = extremal._closure_patterns, extremal._member_patterns
 
     def counted_closures(layer):
         built["closures", layer.n, layer.k] += layer._closures is None
         return closures(layer)
 
-    def counted_histogram(layer):
-        built["histogram", layer.n, layer.k] += layer._histogram is None
-        return histogram(layer)
+    def counted_counts(n, k):
+        misses = extremal_counts.cache_info().misses
+        counts = extremal_counts(n, k)
+        built["counts", n, k] += extremal_counts.cache_info().misses - misses
+        return counts
 
     def counted_patterns(layer, sizes):
         listed.update((layer.n, layer.k, m) for m in sizes)
@@ -260,7 +318,7 @@ def test_layer_sweep_builds_each_table_once(monkeypatch):
         return listing(layer)
 
     monkeypatch.setattr(Layer, "closures", counted_closures)
-    monkeypatch.setattr(Layer, "closure_histogram", counted_histogram)
+    monkeypatch.setattr(extremal, "_extremal_counts", counted_counts)
     monkeypatch.setattr(extremal, "_closure_patterns", counted_patterns)
     monkeypatch.setattr(extremal, "_member_patterns", counted_listing)
     rng = random.Random(22)
@@ -275,7 +333,7 @@ def test_layer_sweep_builds_each_table_once(monkeypatch):
     classes = [extremal_iso_classes(6, 3, m) for m in range(1, 21)]
     families = [enumerate_extremal(6, 3, m) for m in range(1, 21)]
     assert sum(map(len, classes)) == 42 and sum(map(len, families)) == 5532
-    assert built[("closures", 6, 3)] == built[("histogram", 6, 3)] == 1
+    assert built[("closures", 6, 3)] == built[("counts", 6, 3)] == 1
     assert not any(key[0] == "k-side listing" for key in built)
     assert listed == Counter((6, 3, m) for m in range(1, 21))
 
@@ -464,6 +522,13 @@ def test_layer_tables_match_list_dp():
                 count += bytes(c + offset for c in low_members)
             assert list(count) == members, (n, k)
             assert list(layer.counts()) == [mask.bit_count() for mask in shadow_masks], (n, k)
+            # |K(T)|, the k-sets whose every (k-1)-subset lies in T, counted
+            # set by set over the patterns T of the (k-1)-sets
+            if len(subs) <= 15:
+                closures = [
+                    sum(bits & t == bits for bits in shed) for t in range(1 << len(subs))
+                ]
+                assert list(layer.closures()) == closures, (n, k)
 
 
 def test_sweep_limit_refuses_before_building_the_layer():
