@@ -29,9 +29,9 @@ from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
-from operator import getitem
+from operator import or_
 
 from .exact import (
     BudgetError,
@@ -247,6 +247,7 @@ def _blocks(positions: int) -> Iterator[tuple[int, int, slice]]:
         yield block << low, block.bit_count(), slice(256 * block, 256 * (block + 1))
 
 
+@lru_cache(maxsize=256)
 def _or_step(byte: int) -> bytes:
     return bytes(b | byte for b in range(256))
 
@@ -785,6 +786,25 @@ def enumerate_extremal(
     return _orbit_classes(layer, patterns)
 
 
+def _images(tables: list[list[list[int]]], patterns: list[int]) -> list[list[int]]:
+    """Per generator table of ``_Layer.relabelings``, the image of every
+    pattern, in the order given.  The patterns are laid out once as bytes,
+    and each run's 256 images are looked up on that run's byte of every
+    pattern; a pattern's image is the OR over runs of its lookups, taken in
+    one pass over the patterns through chained ``map`` calls."""
+    if not tables:
+        return []
+    width = len(tables[0])
+    raw = b"".join(map(int.to_bytes, patterns, repeat(width), repeat("little")))
+    out = []
+    for runs in tables:
+        images = map(runs[0].__getitem__, raw[::width])
+        for r in range(1, width):
+            images = map(or_, images, map(runs[r].__getitem__, raw[r::width]))
+        out.append(list(images))
+    return out
+
+
 def _orbit_classes(layer: _Layer, patterns: list[int]) -> list[KFamily]:
     """One canonical form per isomorphism class of the families given as
     bit patterns of the layer, in first-seen order.
@@ -792,37 +812,39 @@ def _orbit_classes(layer: _Layer, patterns: list[int]) -> list[KFamily]:
     Requires distinct patterns closed under every relabeling of [n]; the
     full extremal list of one size is, since relabeling preserves
     extremality.  The classes are then the orbits of S_n on the list.  The
-    transposition (1 2) and the n-cycle generate S_n, so each orbit is
-    walked from its first pattern in list order through their two images
-    per pattern, read from ``_Layer.relabelings``, and only that root
-    becomes a ``KFamily`` and is canonicalized.  Both images of every
-    pattern are looked up, and one missing from the list raises
-    ``RuntimeError``: a list closed under both generators is closed under
-    S_n, which also checks that the enumerator was complete.
-    ``test_iso_classes_match_dedup_oracle``
-    compares the result with the per-family ``canonical_form``
-    deduplication it replaces.
+    transposition (1 2) and the n-cycle generate S_n.  ``_images`` gives
+    each generator's image of every pattern in one batch, read from
+    ``_Layer.relabelings``, and each image is turned into its position in
+    the list; an image missing from the list raises ``RuntimeError``: a
+    list closed under both generators is closed under S_n, which also
+    checks that the enumerator was complete.  Each orbit is then walked on
+    list positions from its first pattern in list order, and only that root
+    becomes a ``KFamily`` and gets one (pruned) ``canonical_form`` search.
+    ``test_iso_classes_match_dedup_oracle`` compares the result with the
+    per-family ``canonical_form`` deduplication it replaces.
     """
-    tables = layer.relabelings()
-    width = (layer.size + 7) // 8
-    listed = set(patterns)
-    seen: set[int] = set()
+    position = dict(zip(patterns, range(len(patterns))))
+    try:
+        moves = [
+            list(map(position.__getitem__, images))
+            for images in _images(layer.relabelings(), patterns)
+        ]
+    except KeyError:
+        raise RuntimeError("family list is not closed under relabeling") from None
+    seen = bytearray(len(patterns))
     roots = []
-    for root in patterns:
-        if root in seen:
+    for root in range(len(patterns)):
+        if seen[root]:
             continue
-        roots.append(root)
-        seen.add(root)
-        stack = [root]
-        while stack:
-            runs = stack.pop().to_bytes(width, "little")
-            for table in tables:
-                image = sum(map(getitem, table, runs))
-                if image not in seen:
-                    if image not in listed:
-                        raise RuntimeError("family list is not closed under relabeling")
-                    seen.add(image)
-                    stack.append(image)
+        roots.append(patterns[root])
+        seen[root] = 1
+        orbit = [root]
+        for i in orbit:
+            for move in moves:
+                j = move[i]
+                if not seen[j]:
+                    seen[j] = 1
+                    orbit.append(j)
     return [canonical_form(layer.family(r)) for r in roots]
 
 
@@ -984,11 +1006,7 @@ def characterization_sweep(n: int, k: int = 3) -> dict:
     passed = []
     for start, bad in _clause_blocks(layer, n):
         passed += (start + p for p in _zeros(bad))
-    # c P per passing pattern P, OR-ed from the cycle table's runs
-    _, cycle = layer.relabelings()
-    images = [0] * len(passed)
-    for r, run in enumerate(cycle):
-        images = [i | run[p >> 8 * r & 0xFF] for i, p in zip(images, passed)]
+    (images,) = _images(layer.relabelings()[1:], passed)  # c P per passing P
     at_n = set(passed)
     before = dict(zip(images, passed))  # c^-1 Q, where it passes at n
     rejected = []

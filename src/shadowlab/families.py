@@ -12,6 +12,8 @@ none spells it.
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 from itertools import combinations
 from dataclasses import dataclass
 from typing import IO, Iterable
@@ -293,30 +295,32 @@ def compact_support(family: KFamily) -> KFamily:
     )
 
 
-def _stable_refine(
-    color: dict[int, int],
-    support: list[int],
-    pair_deg: dict[tuple[int, int], int],
-) -> dict[int, int]:
+def _stable_refine(color: list[int], rows: list[list[tuple[int, int]]]) -> list[int]:
     """Iterate degree/codegree refinement to a fixpoint, rank-compressed.
 
-    Signatures are built from the current ranks and pairwise co-degrees
-    only, so the result depends on the abstract structure alone and
-    isomorphic inputs refine to corresponding rank colorings.
+    color holds one color per support position, and rows[x] the pairs
+    (y, co-degree of x and y) over every other position y.  Signatures are
+    built from the current ranks and pairwise co-degrees only, so the
+    result depends on the abstract structure alone and isomorphic inputs
+    refine to corresponding rank colorings.  A position alone in its
+    class gets the signature (color,): no other position shares its color,
+    so it sorts where its full signature would.  A discrete coloring is
+    stable, so it is only rank-compressed.
     """
-    while True:
-        signature = {
-            x: (
-                color[x],
-                tuple(sorted((color[y], pair_deg[(x, y)]) for y in support if y != x)),
-            )
-            for x in support
-        }
-        ranks = {sig: i for i, sig in enumerate(sorted(set(signature.values())))}
-        new = {x: ranks[signature[x]] for x in support}
-        if len(set(new.values())) == len(set(color.values())):
+    classes = len(set(color))
+    while classes < len(color):
+        shared = {c for c in color if color.count(c) > 1}
+        signature = [
+            (c, tuple(sorted([(color[y], d) for y, d in row]))) if c in shared else (c,)
+            for c, row in zip(color, rows)
+        ]
+        ranks = {sig: i for i, sig in enumerate(sorted(set(signature)))}
+        new = [ranks[sig] for sig in signature]
+        if len(ranks) == classes:
             return new
-        color = new
+        color, classes = new, len(ranks)
+    ranks = {c: i for i, c in enumerate(sorted(color))}
+    return [ranks[c] for c in color]
 
 
 def canonical_form(family: KFamily) -> KFamily:
@@ -327,8 +331,21 @@ def canonical_form(family: KFamily) -> KFamily:
     is still ambiguous, and take the least member image over all discrete
     leaves.  Every step is color-driven, so isomorphic families explore
     corresponding search trees and receive equal canonical forms.
+
+    The search is pruned by automorphisms (McKay and Piperno, Practical
+    graph isomorphism II, 2014).  A leaf whose image equals that of the
+    best leaf so far gives an automorphism g = l1^-1 l2 of the family, with
+    l1 and l2 the two leaf labelings.  Refinement commutes with relabeling,
+    so at a node whose individualized prefix g fixes pointwise, g maps the
+    subtree under child y onto the subtree under g(y), and both give the
+    same set of leaf images.  A child in the orbit of an explored child,
+    under the automorphisms found so far that fix the prefix, is skipped,
+    and the least image stays the same.  The leaf budget counts the leaves
+    explored.  The same tree walked to every leaf without pruning,
+    ``_unpruned_canonical_form`` in tests/test_families.py, is the oracle
+    the tests compare it with.
     """
-    support = list(family.support())
+    support = family.support()
     s = len(support)
     if s > ISO_SUPPORT_LIMIT:
         raise ValueError(f"support larger than the {ISO_SUPPORT_LIMIT}-element search bound")
@@ -336,53 +353,73 @@ def canonical_form(family: KFamily) -> KFamily:
         return KFamily(max(family.k, 1) if family.k else 1, family.k, family.masks)
     if len(family) == binom(s, k := family.k):
         return KFamily(s, k, tuple(_layer_masks(s, k)))
-    # per support element: the member positions that contain it
-    incidence = {
-        x: sum(1 << i for i, m in enumerate(family.masks) if m >> (x - 1) & 1)
+    # per support position: one 16-bit field per member, 1 where the member
+    # holds it; co-degrees are popcounts of their AND, and a leaf's member
+    # images (below 2^10) are the fields of the sum of these, each shifted
+    # by its position's label
+    spread = [
+        sum(1 << 16 * i for i, m in enumerate(family.masks) if m >> (x - 1) & 1)
         for x in support
-    }
-    pair_deg = {
-        (x, y): (incidence[x] & incidence[y]).bit_count()
-        for x in support
-        for y in support
-        if x != y
-    }
-    sets = family.sets()
-    best: tuple[int, ...] | None = None
+    ]
+    rows = [
+        [(y, (spread[x] & spread[y]).bit_count()) for y in range(s) if y != x]
+        for x in range(s)
+    ]
     leaves = 0
+    best: tuple[tuple[int, ...], list[int]] | None = None  # image, labels
+    automorphisms: list[list[int]] = []
 
-    def descend(color: dict[int, int]) -> None:
-        nonlocal best, leaves
-        classes: dict[int, list[int]] = {}
-        for x in support:
-            classes.setdefault(color[x], []).append(x)
-        ambiguous = [c for c in sorted(classes) if len(classes[c]) > 1]
-        if not ambiguous:
+    def descend(color: list[int], prefix: list[int]) -> None:
+        nonlocal leaves, best
+        order = sorted(color)
+        cell = next((c for c, d in zip(order, order[1:]) if c == d), None)
+        if cell is None:
             leaves += 1
             if leaves > _ISO_BUDGET:
                 raise BudgetError(
                     f"canonical form search exceeds its budget of {_ISO_BUDGET} leaves"
                 )
-            mapping = {x: color[x] + 1 for x in support}
-            image = tuple(
-                sorted(sum(1 << (mapping[e] - 1) for e in elems) for elems in sets)
-            )
-            if best is None or image < best:
-                best = image
+            packed = sum([field << c for field, c in zip(spread, color)])
+            image = tuple(sorted(array("H", packed.to_bytes(2 * len(family), sys.byteorder))))
+            if best is None or image < best[0]:
+                best = image, color
+            elif image == best[0]:
+                # the automorphism best_labels^-1 color, a map on positions
+                inverse = [0] * s
+                for p, c in enumerate(best[1]):
+                    inverse[c] = p
+                automorphisms.append([inverse[c] for c in color])
             return
-        target = classes[ambiguous[0]]
-        for chosen in target:
-            split = {
-                x: (color[x], 0 if x == chosen else 1) for x in support
-            }
-            ranks = {sig: i for i, sig in enumerate(sorted(set(split.values())))}
-            descend(_stable_refine({x: ranks[split[x]] for x in support}, support, pair_deg))
+        explored: list[int] = []
+        for chosen in [x for x, c in enumerate(color) if c == cell]:
+            if explored and automorphisms and _in_orbit(chosen, explored, prefix, automorphisms):
+                continue
+            explored.append(chosen)
+            # chosen keeps the cell's rank; its other members and every later
+            # class move up one
+            split = [c + (c > cell or c == cell and x != chosen) for x, c in enumerate(color)]
+            descend(_stable_refine(split, rows), prefix + [chosen])
 
-    degrees = {x: incidence[x].bit_count() for x in support}
-    descend(_stable_refine(degrees, support, pair_deg))
+    descend(_stable_refine([bits.bit_count() for bits in spread], rows), [])
     if best is None:
         raise RuntimeError("canonical form search reached no leaf")
-    return KFamily(s, family.k, best)
+    return KFamily(s, family.k, best[0])
+
+
+def _in_orbit(
+    x: int, explored: list[int], prefix: list[int], automorphisms: list[list[int]]
+) -> bool:
+    """Whether x lies in the orbit of an explored position under the group
+    generated by the automorphisms that fix every prefix position."""
+    fixing = [g for g in automorphisms if [g[p] for p in prefix] == prefix]
+    orbit = {x}
+    frontier = [x]
+    for y in frontier:
+        for g in fixing:
+            if g[y] not in orbit:
+                orbit.add(g[y])
+                frontier.append(g[y])
+    return not orbit.isdisjoint(explored)
 
 
 def are_isomorphic(a: KFamily, b: KFamily) -> bool:

@@ -11,9 +11,9 @@ upper index and checking that all coefficients cancel.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping
 
 from .exact import BudgetError, Seq, _checked, binom
 

@@ -8,10 +8,12 @@ from itertools import combinations
 
 import pytest
 
+from shadowlab import families
 from shadowlab.exact import binom, decompose
 from shadowlab.families import (
     BudgetError,
     KFamily,
+    _stable_refine,
     are_isomorphic,
     canonical_form,
     colex_rank,
@@ -258,6 +260,150 @@ def test_canonical_form_relabeling_fuzz():
         rng.shuffle(perm)
         image = KFamily.from_sets(s, 3, ([perm[e - 1] for e in t] for t in fam.sets()))
         assert canonical_form(fam) == canonical_form(image)
+
+
+def _unpruned_canonical_form(family: KFamily) -> KFamily:
+    """The oracle for ``canonical_form``: the same individualization-
+    refinement tree, refined by ``families._stable_refine``, walked to every
+    leaf with no automorphism pruning, and the least leaf image taken."""
+    support = family.support()
+    s = len(support)
+    position = {x: p for p, x in enumerate(support)}
+    members = [[position[e] for e in elems] for elems in family.sets()]
+    incidence = [sum(1 << i for i, m in enumerate(members) if p in m) for p in range(s)]
+    rows = [
+        [(y, (incidence[x] & incidence[y]).bit_count()) for y in range(s) if y != x]
+        for x in range(s)
+    ]
+    images = []
+
+    def walk(color):
+        ambiguous = [c for c in sorted(set(color)) if color.count(c) > 1]
+        if not ambiguous:
+            images.append(tuple(sorted(sum(1 << color[p] for p in m) for m in members)))
+            return
+        for chosen in [x for x in range(s) if color[x] == ambiguous[0]]:
+            split = [(c, x != chosen) for x, c in enumerate(color)]
+            ranks = {v: i for i, v in enumerate(sorted(set(split)))}
+            walk(_stable_refine([ranks[v] for v in split], rows))
+
+    walk(_stable_refine([bits.bit_count() for bits in incidence], rows))
+    return KFamily(s, family.k, min(images))
+
+
+def _petersen() -> KFamily:
+    outer = [(i, i % 5 + 1) for i in range(1, 6)]
+    inner = [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)]
+    return KFamily.from_sets(10, 2, outer + [(i, i + 5) for i in range(1, 6)] + inner)
+
+
+def _complete_bipartite(a: int, b: int) -> KFamily:
+    edges = [(i, a + j) for i in range(1, a + 1) for j in range(1, b + 1)]
+    return KFamily.from_sets(a + b, 2, edges)
+
+
+FANO = KFamily.from_sets(
+    7, 3, [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6)]
+)
+K333 = KFamily.from_sets(
+    9, 3, [(a, b, c) for a in (1, 2, 3) for b in (4, 5, 6) for c in (7, 8, 9)]
+)
+
+SYMMETRIC = (
+    [KFamily.from_sets(n, 2, [(i, i % n + 1) for i in range(1, n + 1)]) for n in range(3, 11)]
+    + [_complete_bipartite(a, b) for a, b in ((1, 4), (2, 3), (2, 4), (3, 3), (3, 4))]
+    + [FANO, K333, _petersen()]
+)
+
+
+def _relabelings(family: KFamily, rng: random.Random, count: int) -> list[KFamily]:
+    out = []
+    for _ in range(count):
+        perm = list(range(1, family.n + 1))
+        rng.shuffle(perm)
+        sets = ([perm[e - 1] for e in s] for s in family.sets())
+        out.append(KFamily.from_sets(family.n, family.k, sets))
+    return out
+
+
+def test_canonical_form_matches_unpruned_search():
+    # automorphism pruning skips subtrees whose leaf images an explored
+    # subtree already gave, so the least image must equal the full walk's
+    from shadowlab.extremal import enumerate_extremal
+
+    corpus = [
+        f
+        for n, k in ((5, 2), (6, 2), (6, 3), (6, 4))
+        for m in range(1, binom(n, k) + 1)
+        for f in enumerate_extremal(n, k, m)
+    ]
+    rng = random.Random(28)
+    for _ in range(100):
+        s = rng.randint(2, 9)
+        pool = list(combinations(range(1, s + 1), rng.randint(1, min(s, 4))))
+        chosen = rng.sample(pool, rng.randint(1, min(len(pool), 10)))
+        corpus.append(KFamily.from_sets(s, len(pool[0]), chosen))
+    # random families are mostly rigid, so pruning needs families with
+    # automorphisms: unions of orbits of random k-sets under the cyclic
+    # group of a random permutation
+    for _ in range(400):
+        s = rng.randint(4, 7)
+        k = rng.randint(2, 3)
+        perm = list(range(1, s + 1))
+        rng.shuffle(perm)
+        sets = set()
+        for _ in range(rng.randint(1, 3)):
+            orbit = tuple(sorted(rng.sample(range(1, s + 1), k)))
+            while orbit not in sets:
+                sets.add(orbit)
+                orbit = tuple(sorted(perm[e - 1] for e in orbit))
+        corpus.append(KFamily.from_sets(s, k, sets))
+    for family in corpus:
+        assert canonical_form(family) == _unpruned_canonical_form(family), family.sets()
+    # the full walk's leaf images do not depend on the labeling, so it runs
+    # once per symmetric family; which automorphisms the pruned search
+    # finds first, and so what it skips, does
+    rng = random.Random(7)
+    for base in SYMMETRIC:
+        expected = _unpruned_canonical_form(base)
+        for family in [base] + _relabelings(base, rng, 20):
+            assert canonical_form(family) == expected, family.sets()
+
+
+def test_search_prunes_by_automorphisms_only(monkeypatch):
+    # every map the pruning reads must send the family onto itself
+    prune = families._in_orbit
+    calls = []
+
+    def checked(x, explored, prefix, automorphisms):
+        support = family.support()
+        for g in automorphisms:
+            image = sorted(
+                sum(1 << (support[g[support.index(e)]] - 1) for e in elems)
+                for elems in family.sets()
+            )
+            assert tuple(image) == family.masks, (family.sets(), g)
+        calls.append(len(automorphisms))
+        return prune(x, explored, prefix, automorphisms)
+
+    monkeypatch.setattr(families, "_in_orbit", checked)
+    rng = random.Random(5)
+    for family in [f for base in SYMMETRIC for f in [base] + _relabelings(base, rng, 3)]:
+        canonical_form(family)
+    assert len(calls) > 100
+
+
+def test_pruned_search_fits_a_small_leaf_budget(monkeypatch):
+    # the full walk needs 120, 1,296 and 28,800 leaves for these; pruning
+    # leaves a few dozen, and the budget counts only the leaves explored
+    monkeypatch.setattr(families, "_ISO_BUDGET", 64)
+    for family in (_petersen(), K333, _complete_bipartite(5, 5)):
+        assert canonical_form(family) == _unpruned_canonical_form(family), family.sets()
+    # the root cell of the vertex-transitive Petersen graph has ten
+    # children, and no automorphism is known before a second leaf
+    monkeypatch.setattr(families, "_ISO_BUDGET", 1)
+    with pytest.raises(BudgetError, match="budget of 1 leaves"):
+        canonical_form(_petersen())
 
 
 def test_compact_support():
