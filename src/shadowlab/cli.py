@@ -278,11 +278,20 @@ def _cmd_verify(args) -> int:
         _emit({"n": args.n, "k": args.k, "rows": rows, "equivalence": ok})
         return 0 if ok else 1
     if args.what == "conjecture":
-        from .inequalities import conjecture_scan
+        from .inequalities import SCAN_BUDGET, conjecture_scan
 
         if not (math.isfinite(args.xmax) and math.isfinite(args.step) and args.step > 0):
             raise ValueError("need a finite --xmax and a finite --step > 0")
-        steps = int(round((args.xmax - args.k) / args.step))
+        # refused before xs is built; span is inf where the step underflows, and
+        # the y count is clipped so that the float product cannot overflow
+        span = (args.xmax - args.k) / args.step
+        y_counted = min(max(args.y_samples, 1), SCAN_BUDGET + 1)
+        if span >= 0 and (span + 1) * y_counted > SCAN_BUDGET:
+            raise BudgetError(
+                f"a grid of {span + 1:,.0f} points times {args.y_samples} y samples "
+                f"exceeds the scan budget of {SCAN_BUDGET}"
+            )
+        steps = int(round(span)) if math.isfinite(span) else -1  # -inf: no point
         xs = [args.k + i * args.step for i in range(steps + 1)]
         report = conjecture_scan(args.k, xs, y_samples=args.y_samples)
         _emit(

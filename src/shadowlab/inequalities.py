@@ -11,11 +11,13 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, product, repeat
-from operator import add, gt, le, sub
+from operator import add, gt, le, mul, sub
 
-from .exact import Seq, binom, lex_cmp, seq_minus, seq_shift, seq_value
+from .exact import BudgetError, Seq, binom, lex_cmp, seq_minus, seq_shift, seq_value
 
 NEAR_VIOLATION_TOL = 1e-9  # conjecture slack below -this is a near-violation
+SPLIT_BUDGET = 100_000  # candidate sequences one level of a split sweep may enumerate
+SCAN_BUDGET = 1_000_000  # grid points times y samples one conjecture scan may evaluate
 
 
 @dataclass
@@ -138,11 +140,20 @@ def _admissible(level: int, cap: int, depth: int = 0, cascades: bool = False) ->
     depth first with ascending terms: tuple order, the empty tuple first;
     the sweeps bisect on it.  This one enumerator serves every split sweep;
     a caller that needs a smaller cap may keep the entries of value at most
-    that cap, exactly the smaller cap's entries, in order.
+    that cap, exactly the smaller cap's entries, in order.  The entries are
+    among the decreasing tuples of at most level + 1 terms below top + 1,
+    top being the largest first term; past ``SPLIT_BUDGET`` such tuples it
+    raises ``BudgetError`` before listing any.
     """
     top = 0
     while binom(top + 1, level) <= cap:
         top += 1
+        reach = sum(binom(top + 1, r) for r in range(level + 2))
+        if reach > SPLIT_BUDGET:
+            raise BudgetError(
+                f"level-{level} sequences of value at most {cap} reach {reach} candidates "
+                f"by first term {top}, over the split budget of {SPLIT_BUDGET}"
+            )
     slack = 0 if cascades else 1  # how far below its cascade bound a term may sit
     binoms = [[binom(x, r) for r in range(level, -depth - 1, -1)] for x in range(top + 1)]
     # columns[j][x]: what the term x at index j adds to a row
@@ -315,6 +326,33 @@ def _general_row(row: tuple[int, ...]) -> tuple[int, int, int]:
     return row[0], row[1], sum(row[1::2]) - sum(row[2::2])
 
 
+def _level_floors(levels: range, cap: int) -> tuple[dict, list]:
+    """The groups and the two floors ``general_level_sweep`` certifies with.
+
+    groups[level] maps each value v <= cap to the terms, the general rows
+    and the column minima of the admissible sequences of value v at level;
+    every value has a cascade there, so no value is missing.  There is one
+    floor per left-hand side, the value one level down and the (1,
+    1)-shifted value: entry m is the least sum of that side over every pair
+    of sequences, at any two of the levels, whose values add up to m.  It
+    is the min-plus convolution of the least column minimum of each value
+    over the levels with itself, and as v and m - v give the same sum, v
+    runs up to m / 2.
+    """
+    groups = {}
+    for level in levels:
+        entries = [(t, _general_row(row)) for t, row in _admissible(level, cap, level)]
+        groups[level] = {
+            v: (terms, rows, _column_minima(rows))
+            for v, (terms, rows) in _grouped(entries).items()
+        }
+    floors = []
+    for i in (1, 2):
+        low = [min(groups[level][v][2][i] for level in levels) for v in range(cap + 1)]
+        floors.append([min(map(add, low[: m // 2 + 1], low[m::-1])) for m in range(cap + 1)])
+    return groups, floors
+
+
 def general_level_sweep(k: int, amax: int, kmax_shift: int = 2) -> dict:
     """Verify the generalized-level inequalities for all k1, k2 >= k.
 
@@ -323,14 +361,22 @@ def general_level_sweep(k: int, amax: int, kmax_shift: int = 2) -> dict:
     row gives both left-hand sides: the value one level down is row[1],
     and the (1, 1)-shifted value is the alternating sum row[1] - row[2] +
     row[3] - ..., since C(x - 1, j) is the sum over i = 0..j of (-1)^i
-    C(x, j - i).  For one a, the b of one value at level k1 and the c of
-    the complementary value at level k2 form a block: when a's two left
-    sides are at most the sums of the two groups' column minima, every
-    triple of the block holds, and otherwise the block is checked triple
-    by triple.  ``checked`` counts triples; violations are listed by (k1,
-    k2), a (shorter first, then larger terms first), then b's terms and
-    c's.  Needs k >= 1 and kmax_shift >= 0; with amax < k there is no
-    cascade and nothing to check.
+    C(x, j - i).  For one a of value m, the b of one value v at level k1
+    and the c of value m - v at level k2 form a block, and every triple of
+    the block holds when a's two left sides are at most the sums of the two
+    groups' column minima.  The floors at m (``_level_floors``) are the
+    least such sums over every v and every pair of levels, so a cascade
+    whose left sides are at most them holds against every block of every
+    level pair: two comparisons per cascade.  A cascade above a floor has
+    its blocks certified one by one at each level pair, and a block whose
+    bounds fail is checked triple by triple, so the violations are the same
+    as from every block alone.  ``checked`` counts triples, in closed form:
+    with n_v sequences of value v over all the levels, the level pairs hold
+    the sum over v of n_v times the sequences of value at most cap - v,
+    less the m = 0 term.  Violations are listed by (k1, k2), a (shorter
+    first, then larger terms first), then b's terms and c's.  Needs k >= 1
+    and kmax_shift >= 0; with amax < k there is no cascade and nothing to
+    check.
     """
     if k < 1:
         raise ValueError("the sweep needs k >= 1")
@@ -342,25 +388,25 @@ def general_level_sweep(k: int, amax: int, kmax_shift: int = 2) -> dict:
         key=lambda entry: _listing_order(entry[0]),
     )
     levels = range(k, k + kmax_shift + 1)
-    groups = {}
-    for level in levels:
-        entries = [(t, _general_row(row)) for t, row in _admissible(level, cap, level)]
-        groups[level] = {
-            v: (terms, rows, _column_minima(rows))
-            for v, (terms, rows) in _grouped(entries).items()
-        }
-    checked = 0
+    groups, (down_floor, shift_floor) = _level_floors(levels, cap)
+    sizes = [sum(len(groups[level][v][0]) for level in levels) for v in range(cap + 1)]
+    at_most = list(accumulate(sizes))
+    checked = sum(map(mul, sizes, reversed(at_most))) - sizes[0] * at_most[0]
+    above = [
+        (a_terms, (m, lhs, s_lhs))
+        for a_terms, (m, lhs, s_lhs) in a_rows
+        if lhs > down_floor[m] or s_lhs > shift_floor[m]
+    ]
     violations: list[tuple] = []
     for k1 in levels:
         for k2 in levels:
             c_groups = groups[k2]
-            for a_terms, (m, lhs, s_lhs) in a_rows:
+            for a_terms, (m, lhs, s_lhs) in above:
                 found = []
                 for v, (b_terms, b_rows, b_min) in groups[k1].items():
                     if v > m or m - v not in c_groups:
                         continue
                     c_terms, c_rows, c_min = c_groups[m - v]
-                    checked += len(b_terms) * len(c_terms)
                     if lhs <= b_min[1] + c_min[1] and s_lhs <= b_min[2] + c_min[2]:
                         continue
                     for bt, (_, b_down, b_shift) in zip(b_terms, b_rows):
@@ -547,6 +593,8 @@ def conjecture_scan(k: int, x_grid: list[float], y_samples: int = 41) -> Conject
     For each x and each y in [x-1, x], z solves C(z, k-1) = C(x, k) - C(y, k)
     and the slack C(y, k-1) + C(z, k-2) - C(x, k-1) is recorded.  A slack
     below -``NEAR_VIOLATION_TOL`` is a near-violation, never an assertion.
+    More than ``SCAN_BUDGET`` grid points times y samples raise
+    ``BudgetError`` before any is evaluated.
     """
     if k < 2:
         raise ValueError("the scan needs k >= 2")
@@ -556,6 +604,11 @@ def conjecture_scan(k: int, x_grid: list[float], y_samples: int = 41) -> Conject
         raise ValueError("grid values must be at least k")
     if y_samples < 1:
         raise ValueError("need y_samples >= 1")
+    if len(x_grid) * y_samples > SCAN_BUDGET:
+        raise BudgetError(
+            f"a grid of {len(x_grid)} points times {y_samples} y samples "
+            f"exceeds the scan budget of {SCAN_BUDGET}"
+        )
     best = float("inf")
     argmin = (float("nan"),) * 3
     near: list[tuple[float, float, float, float]] = []

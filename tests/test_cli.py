@@ -551,6 +551,29 @@ def test_usage_and_overflow_exit_codes(tmp_path, capsys):
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert main(["verify", "conjecture", "--k", "3", "--y-samples", "1"]) == 0
     capsys.readouterr()
+    # over budget, refused before the grid or the split universe is built: 5e9
+    # x values, a huge --y-samples, a step that underflows the span, and split
+    # sweeps whose level-1 enumeration would pass the split budget
+    for args in (
+        ("conjecture", "--k", "3", "--xmax", "8", "--step", "1e-9"),
+        ("conjecture", "--k", "3", "--y-samples", str(10**400)),
+        ("conjecture", "--k", "3", "--step", "5e-324"),
+        ("lemma-abc", "--amax", "40", "--kmax", "5"),
+        ("splits", "--amax", "60", "--kmax", "6"),
+    ):
+        assert main(["verify", *args]) == 3, args
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "budget" in captured.err, args
+    assert main(["verify", "conjecture", "--k", "3", "--xmax", "8", "--step", "1e-9"]) == 3
+    assert capsys.readouterr().err == (
+        "error: a grid of 5,000,000,001 points times 41 y samples "
+        "exceeds the scan budget of 1000000\n"
+    )
+    # a step that underflows a negative span is an empty grid, not a crash
+    assert main(["verify", "conjecture", "--k", "3", "--xmax", "2", "--step", "5e-324"]) == 2
+    assert capsys.readouterr().err == "error: the grid is empty\n"
     # the k-fold shadow of a k-family is {{}}, which the family format cannot
     # carry: refused before the output file is created
     seg = tmp_path / "seg.json"

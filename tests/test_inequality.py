@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from shadowlab import inequalities
-from shadowlab.exact import EMPTY, Seq, seq_shift, seq_value
+from shadowlab.exact import EMPTY, BudgetError, Seq, seq_shift, seq_value
 from shadowlab.inequalities import (
     brute_force_equality_splits,
     check_abc,
@@ -209,6 +209,9 @@ def test_conjecture_scan_grid():
         conjecture_scan(1, [3.0])
     with pytest.raises(ValueError):
         conjecture_scan(3, [2.0])
+    # over the scan budget: refused before any point is evaluated
+    with pytest.raises(BudgetError, match="1001 points times 1000 y samples"):
+        conjecture_scan(3, [3.0] * 1001, y_samples=1000)
 
 
 def _cascade_terms(k, amax):
@@ -395,6 +398,67 @@ def test_general_level_sweep_fallback_matches_triple_loop(monkeypatch):
             patch.setattr(inequalities, "_admissible", planted_admissible)
             got = general_level_sweep(k, amax, kmax_shift=shift)
         assert violations and got == {"checked": checked, "violations": violations}
+
+
+def _admissible_terms(level, cap):
+    """Every sequence admissible at level of value at most cap, by brute
+    force over the decreasing tuples of at most level + 1 terms: the
+    independent oracle for the sequences ``_admissible`` enumerates."""
+    top = 0
+    while seq_value(Seq((top + 1,), level), level) <= cap:
+        top += 1
+    return [
+        terms
+        for length in range(level + 2)
+        for terms in combinations(range(top, -1, -1), length)
+        if all(x >= level - j - 1 for j, x in enumerate(terms))
+        and seq_value(Seq(terms, level), level) <= cap
+    ]
+
+
+def test_level_floors_match_double_loop():
+    # the floor at m is the least sum of one left-hand side over every pair
+    # of admissible sequences, at any two of the sweep's levels, whose
+    # values add up to m; here from a plain double loop over those pairs
+    # with seq_value and seq_shift.  The sweep certifies a cascade of value
+    # m with two comparisons against these lists
+    for k, amax, shift in ((2, 6, 2), (3, 6, 1), (1, 5, 1)):
+        cap = _lemma_cap(k, amax)
+        levels = range(k, k + shift + 1)
+        sides = [
+            (
+                seq_value(Seq(t, level), level),
+                seq_value(Seq(t, level), level - 1),
+                seq_shift(Seq(t, level), 1, 1, level),
+            )
+            for level in levels
+            for t in _admissible_terms(level, cap)
+        ]
+        down = [None] * (cap + 1)
+        shifted = [None] * (cap + 1)
+        for b_val, b_down, b_shift in sides:
+            for c_val, c_down, c_shift in sides:
+                m = b_val + c_val
+                if m > cap:
+                    continue
+                if down[m] is None or b_down + c_down < down[m]:
+                    down[m] = b_down + c_down
+                if shifted[m] is None or b_shift + c_shift < shifted[m]:
+                    shifted[m] = b_shift + c_shift
+        _groups, floors = inequalities._level_floors(levels, cap)
+        assert floors == [down, shifted], (k, amax, shift)
+
+
+def test_split_sweeps_refuse_an_enumeration_over_budget():
+    # the largest pinned scale, amax 16 at k = 5, lists levels 4..7 at cap
+    # C(17, 5) - 1 within the budget; level 1 at the cap of lemma_sweep(2, 40)
+    # is refused before any sequence is listed
+    for level in range(4, 8):
+        assert inequalities._admissible(level, _lemma_cap(5, 16))
+    with pytest.raises(BudgetError, match="split budget of 100000"):
+        lemma_sweep(2, 40)
+    with pytest.raises(BudgetError, match="split budget"):
+        splits_comparison(60, 6)
 
 
 def test_split_universe_rows_are_split_profiles():
