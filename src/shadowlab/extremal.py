@@ -402,7 +402,7 @@ class _Layer:
         by doubling as ``_doubled`` builds byte tables.  The image of a
         pattern is the sum over runs of the entry its byte in that run
         selects; a relabeling sends distinct positions to distinct
-        positions, so that sum is the OR of the images.  ``_orbit_classes``
+        positions, so that sum is the OR of the images.  ``_orbit_roots``
         walks orbits on both tables, and ``characterization_sweep`` reads
         the other elements' clauses through the cycle."""
         if self._relabelings is None:
@@ -439,7 +439,7 @@ def _sweep_layer(n: int, k: int) -> _Layer:
     its 2^C(n, k) tables exceed the sweep limit.  Every read of the k-side
     tables goes through here, so their counts stay within their fields; the
     closure table, built by the same engine, is checked in ``_min_shadows``,
-    ``_closure_serves`` and ``_Layer.closures``."""
+    ``_extremal_patterns`` and ``_Layer.closures``."""
     size = binom(n, k)
     if size > SWEEP_LAYER_LIMIT:
         raise BudgetError(
@@ -614,9 +614,19 @@ def _extremal_counts(n: int, k: int) -> dict[int, int]:
     }
 
 
-def _budgeted_counts(layer: _Layer, sizes: range) -> dict[int, int]:
-    """``_extremal_counts`` of the layer; raises ``BudgetError`` at the least
-    size of the range whose count exceeds ``COMBINATION_BUDGET``."""
+def _closure_patterns(layer: _Layer, sizes: range) -> dict[int, list[int]]:
+    """The extremal m-subsets of C([n], k), k >= 2, for each m in a range
+    of sizes, as ascending bit patterns: the m-subsets of K(T) over the T
+    with |T| = s(m) and |K(T)| >= m, with no appeal to Kruskal-Katona.
+    Past the sweep limit ``_extremal_patterns`` lists the sizes asked for
+    through it.  Each size's count is checked against ``COMBINATION_BUDGET``
+    before anything is listed.
+
+    One scan finds the T of every size, as in ``_extremal_counts``: with
+    c = |K(T)| and top the largest size, T serves some m in the range iff
+    |T| = s(min(c, top)), and then each size down from min(c, top) with
+    that s.  ``_member_patterns`` is its oracle where both tables fit, and
+    it is the oracle of ``_enum_recursive`` at (7,3)."""
     counts = _extremal_counts(layer.n, layer.k)
     for m in sizes:
         if counts[m] > COMBINATION_BUDGET:
@@ -624,30 +634,6 @@ def _budgeted_counts(layer: _Layer, sizes: range) -> dict[int, int]:
                 f"{counts[m]} extremal families of {m} sets in C([{layer.n}], {layer.k}) "
                 f"exceed the enumeration budget of {COMBINATION_BUDGET}"
             )
-    return counts
-
-
-def _refuse_over_budget_sizes(n: int, k: int) -> None:
-    """Before a listing of every size of C([n], k) that ``enumerate_extremal``
-    takes one size per call (closure table, past the sweep limit), raise the
-    budget error of the least size over ``COMBINATION_BUDGET``."""
-    if binom(n, k) > SWEEP_LAYER_LIMIT and _closure_serves(n, k):
-        _budgeted_counts(_layer(n, k), range(1, binom(n, k) + 1))
-
-
-def _closure_patterns(layer: _Layer, sizes: range) -> dict[int, list[int]]:
-    """The extremal m-subsets of C([n], k), k >= 2, for each m in a range
-    of sizes, as ascending bit patterns: the m-subsets of K(T) over the T
-    with |T| = s(m) and |K(T)| >= m, with no appeal to Kruskal-Katona.
-    Each size's count is checked against ``COMBINATION_BUDGET`` before
-    anything is listed.
-
-    One scan finds the T of every size, as in ``_extremal_counts``: with
-    c = |K(T)| and top the largest size, T serves some m in the range iff
-    |T| = s(min(c, top)), and then each size down from min(c, top) with
-    that s.  ``_member_patterns`` is its oracle where both tables fit, and
-    it is the oracle of ``_enum_recursive`` at (7,3)."""
-    counts = _budgeted_counts(layer, sizes)
     least = _min_shadows(layer.n, layer.k)
     top = sizes[-1]
     serves = [least[min(c, top)] if c >= sizes[0] else 0xFF for c in range(layer.size + 1)]
@@ -670,24 +656,25 @@ def _closure_patterns(layer: _Layer, sizes: range) -> dict[int, list[int]]:
     return out
 
 
-def _closure_serves(n: int, k: int) -> bool:
-    """Whether the closure table lists the extremal families: k >= 2 and
-    C(n, k-1) < C(n, k), as in ``_min_shadows``, within the sweep limit."""
-    shadow_layer = binom(n, k - 1)
-    return k >= 2 and shadow_layer < binom(n, k) and shadow_layer <= SWEEP_LAYER_LIMIT
-
-
 @lru_cache(maxsize=4)
 def _extremal_patterns_by_size(n: int, k: int) -> dict[int, list[int]]:
     """All extremal subfamilies of a layer within the sweep limit, grouped
-    by size, listed once per process for the sweeps and
-    ``enumerate_extremal``: from the closure table where ``_closure_serves``
-    ((4,2), (5,2), (6,2), (7,2) and (6,3)), else from the k-side shadow
-    sizes (``_member_patterns``)."""
+    by size, listed once per process: from the closure table where k >= 2
+    and C(n, k-1) < C(n, k) ((4,2), (5,2), (6,2), (7,2) and (6,3)), as in
+    ``_min_shadows``, else from the k-side sizes (``_member_patterns``)."""
     layer = _sweep_layer(n, k)
-    if _closure_serves(n, k):
+    if k >= 2 and binom(n, k - 1) < layer.size:
         return _closure_patterns(layer, range(1, layer.size + 1))
     return _member_patterns(layer)
+
+
+def _extremal_patterns(n: int, k: int, sizes: range) -> dict[int, list[int]]:
+    """The extremal patterns of C([n], k) by size, at least the sizes given:
+    those alone where the closure table serves past the sweep limit, else
+    the cached listing of every size, which callers must not change."""
+    if k >= 2 and binom(n, k - 1) <= SWEEP_LAYER_LIMIT < binom(n, k):
+        return _closure_patterns(_layer(n, k), sizes)
+    return _extremal_patterns_by_size(n, k)
 
 
 @lru_cache(maxsize=None)
@@ -746,23 +733,20 @@ def enumerate_extremal(
 ) -> list[KFamily]:
     """All extremal m-subsets of C([n], k); canonical forms if up_to_iso.
 
-    The exhaustive method reads the smaller exact table.  Where
-    ``_closure_serves``, the closure table lists them: every size at once
-    and cached within the sweep limit, one size per call past it (at (7,3)
-    and (n,2) for 8 <= n <= 21), refused before listing when the count
-    exceeds ``COMBINATION_BUDGET``.  Elsewhere (k = 1, or
-    C(n, k-1) >= C(n, k)) the k-side shadow sizes list them, within the
-    limit.
+    The exhaustive method reads the smaller exact table through
+    ``_extremal_patterns``.  Where k >= 2 and C(n, k-1) < C(n, k), up to
+    the sweep limit, the closure table lists them: every size at once and
+    cached where C(n, k) fits the limit too, size m alone elsewhere (at
+    (7,3) and (n,2) for 8 <= n <= 21), refused before listing when the
+    count exceeds ``COMBINATION_BUDGET``.  Elsewhere (k = 1, or
+    C(n, k-1) >= C(n, k)) the k-side shadow sizes list them, within it.
     Each side is the other's oracle where both fit, and the closure side is
     the recursive method's oracle at (7,3).  Patterns come in ascending
     order, classes in the order of their first pattern."""
     if not 1 <= m <= binom(n, k):
         raise ValueError("family size out of range")
     if method == "exhaustive":
-        if binom(n, k) > SWEEP_LAYER_LIMIT and _closure_serves(n, k):
-            patterns = _closure_patterns(_layer(n, k), range(m, m + 1))[m]
-        else:
-            patterns = _extremal_patterns_by_size(n, k)[m]
+        patterns = _extremal_patterns(n, k, range(m, m + 1))[m]
         layer = _layer(n, k)
         if not up_to_iso:
             return [layer.family(p) for p in patterns]
@@ -805,9 +789,9 @@ def _images(tables: list[list[list[int]]], patterns: list[int]) -> list[list[int
     return out
 
 
-def _orbit_classes(layer: _Layer, patterns: list[int]) -> list[KFamily]:
-    """One canonical form per isomorphism class of the families given as
-    bit patterns of the layer, in first-seen order.
+def _orbit_roots(layer: _Layer, patterns: list[int]) -> list[int]:
+    """The root, first in list order, of each isomorphism class of the
+    given patterns of the layer.
 
     Requires distinct patterns closed under every relabeling of [n]; the
     full extremal list of one size is, since relabeling preserves
@@ -818,10 +802,7 @@ def _orbit_classes(layer: _Layer, patterns: list[int]) -> list[KFamily]:
     the list; an image missing from the list raises ``RuntimeError``: a
     list closed under both generators is closed under S_n, which also
     checks that the enumerator was complete.  Each orbit is then walked on
-    list positions from its first pattern in list order, and only that root
-    becomes a ``KFamily`` and gets one (pruned) ``canonical_form`` search.
-    ``test_iso_classes_match_dedup_oracle`` compares the result with the
-    per-family ``canonical_form`` deduplication it replaces.
+    list positions from its root.
     """
     position = dict(zip(patterns, range(len(patterns))))
     try:
@@ -845,7 +826,23 @@ def _orbit_classes(layer: _Layer, patterns: list[int]) -> list[KFamily]:
                 if not seen[j]:
                     seen[j] = 1
                     orbit.append(j)
-    return [canonical_form(layer.family(r)) for r in roots]
+    return roots
+
+
+def _orbit_classes(layer: _Layer, patterns: list[int]) -> list[KFamily]:
+    """One (pruned) ``canonical_form`` per root of ``_orbit_roots``, checked
+    by ``test_iso_classes_match_dedup_oracle`` against deduplication."""
+    return [canonical_form(layer.family(r)) for r in _orbit_roots(layer, patterns)]
+
+
+def extremal_class_counts(n: int, k: int) -> dict[int, int]:
+    """The number of isomorphism classes of extremal m-subsets of C([n], k)
+    per size m: the orbit roots of every size, listed at once, each size's
+    list dropped after its walk, and no canonical form taken."""
+    sizes = range(1, binom(n, k) + 1)
+    listing = dict(_extremal_patterns(n, k, sizes))  # pop frees no cached list
+    layer = _layer(n, k)
+    return {m: len(_orbit_roots(layer, listing.pop(m))) for m in sizes}
 
 
 def uniqueness_predicate(n: int, k: int, m: int) -> bool:

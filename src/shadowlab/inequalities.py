@@ -50,6 +50,8 @@ class AbcReport:
 
 
 def _evaluate(a: Seq, b: Seq, c: Seq, k: int, k1: int, k2: int) -> AbcReport:
+    """The rows of a at level k against b at k1 plus c at k2, and the
+    hypotheses ``check_abc`` and ``check_abck`` share."""
     rows = {
         i: InequalityRow(
             i,
@@ -72,7 +74,13 @@ def _evaluate(a: Seq, b: Seq, c: Seq, k: int, k1: int, k2: int) -> AbcReport:
         k=k,
         k1=k1,
         k2=k2,
-        hypotheses={},
+        hypotheses={
+            "equality_base": rows[0].equal,
+            "nonneg": b.is_nonneg() and c.is_nonneg(),
+            "decreasing": b.is_strictly_decreasing() and c.is_strictly_decreasing(),
+            "b_lower_bounds": all(bj >= k1 - j - 1 for j, bj in enumerate(b.terms)),
+            "c_lower_bounds": all(cj >= k2 - j - 1 for j, cj in enumerate(c.terms)),
+        },
         inequality_at=rows,
         shifted_at=shifted,
         equality_at_1=eq1,
@@ -90,15 +98,8 @@ def check_abc(a: Seq, b: Seq, c: Seq, k: int) -> AbcReport:
     if not (a.terms and a.is_k_binomial(k)):
         raise ValueError("a must be the cascade decomposition of a positive integer")
     report = _evaluate(a, b, c, k, k, k - 1)
-    report.hypotheses = {
-        "equality_base": report.inequality_at[0].equal,
-        "b_nonempty": bool(b.terms),
-        "lex": bool(b.terms) and lex_cmp(b, seq_minus(a, 1)) >= 0,
-        "nonneg": b.is_nonneg() and c.is_nonneg(),
-        "decreasing": b.is_strictly_decreasing() and c.is_strictly_decreasing(),
-        "b_lower_bounds": all(bj >= k - j - 1 for j, bj in enumerate(b.terms)),
-        "c_lower_bounds": all(cj >= k - 2 - j for j, cj in enumerate(c.terms)),
-    }
+    report.hypotheses["b_nonempty"] = bool(b.terms)
+    report.hypotheses["lex"] = bool(b.terms) and lex_cmp(b, seq_minus(a, 1)) >= 0
     return report
 
 
@@ -116,15 +117,7 @@ def check_abck(a: Seq, b: Seq, c: Seq, k: int, k1: int, k2: int) -> AbcReport:
             )
     else:
         raise ValueError("need k1, k2 >= k or (k1, k2) = (k, k-1)")
-    report = _evaluate(a, b, c, k, k1, k2)
-    report.hypotheses = {
-        "equality_base": report.inequality_at[0].equal,
-        "nonneg": b.is_nonneg() and c.is_nonneg(),
-        "decreasing": b.is_strictly_decreasing() and c.is_strictly_decreasing(),
-        "b_lower_bounds": all(bj >= k1 - j - 1 for j, bj in enumerate(b.terms)),
-        "c_lower_bounds": all(cj >= k2 - j - 1 for j, cj in enumerate(c.terms)),
-    }
-    return report
+    return _evaluate(a, b, c, k, k1, k2)
 
 
 def _admissible(level: int, cap: int, depth: int = 0, cascades: bool = False) -> list[tuple]:

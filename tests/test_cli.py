@@ -195,14 +195,15 @@ def test_verify_uniqueness_at_7_3(capsys):
 
 
 def test_verify_uniqueness_refuses_before_listing(capsys, monkeypatch):
-    # past the sweep limit the closure table lists one size per call; every
-    # size is counted first, so (9,2) exits 3 at m = 22 with no family listed
+    # past the sweep limit the closure table lists every size from one scan;
+    # every size is counted first, so (9,2) exits 3 at m = 22 with no zero
+    # scan of the listing made (the counts read the table without _zeros)
     from shadowlab import extremal
 
-    def no_listing(layer, sizes):
+    def no_listing(table):
         raise RuntimeError("listed before every size was counted")
 
-    monkeypatch.setattr(extremal, "_closure_patterns", no_listing)
+    monkeypatch.setattr(extremal, "_zeros", no_listing)
     start = time.perf_counter()
     assert main(["verify", "uniqueness", "9", "2"]) == 3
     assert time.perf_counter() - start < 3

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 from itertools import combinations, permutations
@@ -30,6 +31,7 @@ from shadowlab.extremal import (
     characterization_sweep,
     characterize,
     enumerate_extremal,
+    extremal_class_counts,
     extremal_iso_classes,
     is_extremal,
     kk_bound,
@@ -1016,14 +1018,40 @@ def _dedup_classes(families):
 
 
 def test_iso_classes_match_dedup_oracle():
+    # the class counts come from orbit roots of the cached listing, which
+    # they must leave whole for the enumerations after them
     for n, k in ((6, 3), (5, 3), (5, 2), (6, 2), (4, 3), (4, 2), (6, 4), (6, 5)):
+        counts = extremal_class_counts(n, k)
+        assert list(counts) == list(range(1, binom(n, k) + 1)), (n, k)
         for m in range(1, binom(n, k) + 1):
             expected = _dedup_classes(enumerate_extremal(n, k, m))
             assert extremal_iso_classes(n, k, m) == expected, (n, k, m)
+            assert counts[m] == len(expected), (n, k, m)
     for n, k, m in ((6, 3, 12), (7, 3, 9), (6, 2, 7)):
         families = enumerate_extremal(n, k, m, method="recursive")
         classes = enumerate_extremal(n, k, m, up_to_iso=True, method="recursive")
         assert classes == _dedup_classes(families), (n, k, m)
+
+
+def test_verify_uniqueness_lists_once_and_takes_no_canonical_form(monkeypatch, capsys):
+    # (7,3) is past the sweep limit: every size comes from one closure scan,
+    # and the classes are counted as orbit roots, with no canonical search
+    from shadowlab.cli import main
+
+    listings, searches = [], []
+    closure_patterns = extremal._closure_patterns
+
+    def counted_listing(layer, sizes):
+        listings.append((layer.n, layer.k, sizes))
+        return closure_patterns(layer, sizes)
+
+    monkeypatch.setattr(extremal, "_closure_patterns", counted_listing)
+    monkeypatch.setattr(extremal, "canonical_form", lambda family: searches.append(family))
+    assert main(["verify", "uniqueness", "7", "3"]) == 0
+    assert listings == [(7, 3, range(1, 36))]
+    assert searches == []
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert sum(row["classes"] for row in rows) == 191
 
 
 def test_iso_classes_reject_lists_not_closed_under_relabeling():
