@@ -61,6 +61,7 @@ from .families import (
 
 SWEEP_LAYER_LIMIT = 21  # 2^21 table entries; larger layers take slower paths
 COMBINATION_BUDGET = 3_000_000
+_LISTED_SET_LIMIT = 10_000_000  # sets one listing of KFamily objects may hold
 
 
 def is_extremal(family: KFamily) -> bool:
@@ -742,10 +743,17 @@ def enumerate_extremal(
     C(n, k-1) >= C(n, k)) the k-side shadow sizes list them, within it.
     Each side is the other's oracle where both fit, and the closure side is
     the recursive method's oracle at (7,3).  Patterns come in ascending
-    order, classes in the order of their first pattern."""
+    order, classes in the order of their first pattern.  Without up_to_iso,
+    a size whose families hold more than 10,000,000 sets in all is refused
+    before any family is built, and past the sweep limit before listing."""
     if not 1 <= m <= binom(n, k):
         raise ValueError("family size out of range")
     if method == "exhaustive":
+        # within the sweep limit a size holds at most C(21, 11) * 11 sets;
+        # past it the closure side counts first, and refuses past the budget
+        if not up_to_iso and k >= 2 and binom(n, k - 1) <= SWEEP_LAYER_LIMIT < binom(n, k):
+            if (count := _extremal_counts(n, k)[m]) <= COMBINATION_BUDGET:
+                _refuse_past_set_limit(n, k, m, count)
         patterns = _extremal_patterns(n, k, range(m, m + 1))[m]
         layer = _layer(n, k)
         if not up_to_iso:
@@ -762,12 +770,21 @@ def enumerate_extremal(
             bad_sets = KFamily(n, k, bad).sets()
             raise RuntimeError(f"recursive enumeration generated non-extremal {bad_sets}")
         if not up_to_iso:
+            _refuse_past_set_limit(n, k, m, len(generated))
             return [KFamily(n, k, masks) for masks in generated]
         layer = _layer(n, k)
         patterns = [layer.pattern(masks) for masks in generated]
     else:
         raise ValueError(f"unknown method {method!r}")
     return _orbit_classes(layer, patterns)
+
+
+def _refuse_past_set_limit(n: int, k: int, m: int, count: int) -> None:
+    if count * m > _LISTED_SET_LIMIT:
+        raise BudgetError(
+            f"{count} extremal families of {m} sets in C([{n}], {k}) hold {count * m} sets, "
+            f"past the listing limit of {_LISTED_SET_LIMIT}"
+        )
 
 
 def _images(tables: list[list[list[int]]], patterns: list[int]) -> list[list[int]]:

@@ -14,6 +14,7 @@ from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from itertools import product
+from math import comb
 
 from .exact import BudgetError, Seq, _checked, binom
 
@@ -198,12 +199,6 @@ class Wall:
     def is_empty(self) -> bool:
         return not self.w
 
-    @property
-    def height(self) -> int:
-        if not self.w:
-            raise ValueError("empty wall has no height")
-        return len(self.w) - 1
-
     def points(self) -> list[Point]:
         return [(x + self.level - i, x) for i, x in enumerate(self.w)]
 
@@ -250,18 +245,24 @@ class Pavement:
 def dominates(wall: Wall, b: Seq | tuple[int, ...], k: int) -> bool:
     """Wall-above-expression test: conditions on the top diagonal, shared
     columns, and the first column; an empty expression is always dominated."""
-    terms = b.terms if isinstance(b, Seq) else tuple(b)
+    return _dominated(wall, b.terms if isinstance(b, Seq) else tuple(b), k, 0)
+
+
+def _dominated(wall: Wall, terms: tuple[int, ...], k: int, slack: int) -> bool:
+    """The domination test with its (D2) bound loosened by ``slack``: a term
+    of the expression in the column of a wall point fails once it reaches
+    that point's upper index plus the slack.  ``dominates`` is slack 0; the
+    weak domination that ``recursive_reduce`` admits is slack 1."""
     if not terms:
         return True
     if wall.is_empty():
         return False
-    t = len(terms) - 1
-    ell = wall.level
-    if terms[0] - k > ell:  # (D1)
+    if terms[0] - k > wall.level:  # (D1)
         return False
-    for i, wi in enumerate(wall.w):  # (D2)
-        j = k - wi
-        if 0 <= j <= t and terms[j] >= wi + ell - i:
+    t = len(terms) - 1
+    for u, l in wall.points():  # (D2)
+        j = k - l
+        if 0 <= j <= t and terms[j] >= u + slack:
             return False
     return wall.w[0] <= k  # (D3)
 
@@ -294,19 +295,6 @@ def _rebalance(b: list[int], c: list[int]) -> tuple[list[int], list[int]]:
     return b, c
 
 
-def _weak_dominates(wall_points: list[Point], terms: list[int], k: int, ell: int) -> bool:
-    if not terms:
-        return True
-    if terms[0] - k > ell:
-        return False
-    t = len(terms) - 1
-    for i, (u, l) in enumerate(wall_points):
-        j = k - l
-        if 0 <= j <= t and terms[j] > u:
-            return False
-    return wall_points[0][1] <= k
-
-
 def _terms_to_wall(points: list[Point]) -> Wall:
     if not points:
         return Wall((), 0)
@@ -328,6 +316,10 @@ def recursive_reduce(wall: Wall, b: Seq, c: Seq, k: int) -> ReductionOutcome:
     are exhausted.  The two defining identities are verified before
     returning.  A weakly dominated input whose reduction reaches an
     unresolvable collision raises ``NotReducibleError``.
+
+    Every step is built on two moves: ``shed`` leaves the vertical run a
+    collision passes over as rubble or as new wall terms, and ``slide``
+    moves b's last term down its diagonal into a run of terms or pavement.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -341,20 +333,35 @@ def recursive_reduce(wall: Wall, b: Seq, c: Seq, k: int) -> ReductionOutcome:
         raise ValueError("need max{b, c} = b and min{b, c} = c")
     if wall.w[-1] < 1:
         raise ValueError("wall must end at column >= 1")
-    points = wall.points()
-    ell = wall.level
-    if not (_weak_dominates(points, list(b.terms), k, ell)
-            and _weak_dominates(points, list(c.terms), k, ell)):
+    if not (_dominated(wall, b.terms, k, 1) and _dominated(wall, c.terms, k, 1)):
         raise ValueError("wall must dominate both sequences")
 
-    terms = list(points)  # (upper, lower), diagonal-descending
+    terms = wall.points()  # (upper, lower), diagonal-descending
     bb = list(b.terms)
     cc = list(c.terms)
     rub: list[int] = []
     pav: list[int] = []
     shared: Counter[Point] = Counter()
 
-    guard = wall.expand().evaluate() + len(terms) + 8
+    def shed(lo: int, hi: int, col: int) -> None:
+        # the run C(lo, col) .. C(hi - 1, col): rubble in column 0, else wall
+        if col == 0:
+            rub.extend(range(lo, hi))
+        else:
+            terms.extend((x, col) for x in range(lo, hi))
+
+    def slide(col: int, dist: int, diag: int) -> None:
+        # b's last term, in column col on diagonal diag, slides dist columns
+        # down its diagonal: pavement on diagonal 0, else a run of terms
+        cur = bb.pop()
+        if diag == 0:
+            pav.extend(range(col - dist + 1, col + 1))
+        else:
+            bb.extend(cur - s for s in range(1, dist + 1))
+
+    # the wall's value bounds the steps; math.comb, as the guard is never
+    # reported and may pass the 128-bit range of reported values
+    guard = sum(comb(u, l) for u, l in terms) + len(terms) + 8
     steps = 0
     while terms and bb:
         steps += 1
@@ -363,14 +370,12 @@ def recursive_reduce(wall: Wall, b: Seq, c: Seq, k: int) -> ReductionOutcome:
         t = len(bb) - 1
         q = k - t
         j = bb[-1] - q
-        bu, bl = terms[-1]
-        v, d = bl, bu - bl
+        bu, v = terms[-1]
         ib = k - v
         if ib <= t:
             # wall bottom sits in a column b occupies: absorb b's tail into
             # shared, shedding one vertical run per consumed column
             terms.pop()
-            fresh: list[Point] = []
             upper = bu
             for s in range(ib, t + 1):
                 col = k - s
@@ -382,63 +387,39 @@ def recursive_reduce(wall: Wall, b: Seq, c: Seq, k: int) -> ReductionOutcome:
                         "boundary collision with a longer tail is not reducible"
                     )
                 shared[(p, col)] += 1
-                lo = p if s == t else p + 1
-                if col - 1 == 0:
-                    rub.extend(range(lo, upper))
-                else:
-                    fresh.extend((x, col - 1) for x in range(lo, upper))
+                shed(p if s == t else p + 1, upper, col - 1)
                 upper = p
-            terms = sorted(terms + fresh, key=lambda pt: pt[1] - pt[0])
-            bb, cc = _rebalance(bb[:ib] + cc[ib:], cc[:ib])
-        elif j >= d:
+            bb, cc = bb[:ib] + cc[ib:], cc[:ib]
+        elif j >= bu - v:
             # b's last diagonal meets the wall: consume the wall from that
             # diagonal downward, one collision per diagonal
             idx = (terms[0][0] - terms[0][1]) - j
             tail = terms[idx:]
-            terms = terms[:idx]
+            del terms[idx:]
             for pos, (tu, tl) in enumerate(tail):
-                jj = tu - tl
-                cur = bb[-1]
-                cur_col = k - (len(bb) - 1)
-                if cur - cur_col != jj:
+                diag = tu - tl
+                col = k - (len(bb) - 1)
+                if bb[-1] - col != diag:
                     raise RuntimeError("diagonal misalignment in wall consumption")
-                dist = cur_col - tl
+                dist = col - tl
                 if dist < 0:
                     raise NotReducibleError("domination lost during wall consumption")
                 shared[(tu, tl)] += 1
-                if dist == 0:
-                    if pos != len(tail) - 1:
-                        raise NotReducibleError(
-                            "boundary collision inside the wall tail is not reducible"
-                        )
-                    bb = bb[:-1]
-                elif jj == 0:
-                    pav.extend(range(tl + 1, cur_col + 1))
-                    bb = bb[:-1]
-                else:
-                    bb = bb[:-1] + [cur - s for s in range(1, dist + 1)]
-            bb, cc = _rebalance(bb, cc)
+                if dist == 0 and pos != len(tail) - 1:
+                    raise NotReducibleError(
+                        "boundary collision inside the wall tail is not reducible"
+                    )
+                slide(col, dist, diag)
         else:
             # wall bottom is strictly above and left of b's last term: slide
             # the term along its diagonal into the wall's column and collide
-            cur = bb[-1]
-            dist = q - v
-            landed = cur - dist
+            landed = bb[-1] - (q - v)
             shared[(landed, v)] += 1
             terms.pop()
-            if v - 1 == 0:
-                rub.extend(range(landed, bu))
-            else:
-                terms = sorted(
-                    terms + [(x, v - 1) for x in range(landed, bu)],
-                    key=lambda pt: pt[1] - pt[0],
-                )
-            if j == 0:
-                pav.extend(range(v + 1, q + 1))
-                bb = bb[:-1]
-            else:
-                bb = bb[:-1] + [cur - s for s in range(1, dist + 1)]
-            bb, cc = _rebalance(bb, cc)
+            shed(landed, bu, v - 1)
+            slide(q, q - v, j)
+        terms.sort(key=lambda pt: pt[1] - pt[0])
+        bb, cc = _rebalance(bb, cc)
 
         if not Seq(tuple(bb), k).is_k_binomial(k) or not Seq(tuple(cc), k).is_k_binomial(k):
             raise RuntimeError("reduction produced an invalid sequence")

@@ -169,6 +169,28 @@ def test_enumerate_past_the_sweep_limit(monkeypatch, capsys):
     assert elapsed < 10, elapsed  # the closure table of 2^21 entries, no listing
 
 
+def test_enumerate_refuses_past_the_set_limit(capsys, monkeypatch):
+    # the family budget counts families, not the sets a listing holds:
+    # (21,2), m = 20 has 2,441,880 families, within the budget, holding
+    # 48,837,600 sets.  Without --up-to-iso it is refused with exit 3 and
+    # one line from the counts, before the listing's zero scan
+    from shadowlab import extremal
+
+    def no_listing(table):
+        raise RuntimeError("listed before the sets were counted")
+
+    monkeypatch.setattr(extremal, "_zeros", no_listing)
+    start = time.perf_counter()
+    assert main(["enumerate", "21", "2", "20"]) == 3
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: 2441880 extremal families of 20 sets in C([21], 2) hold 48837600 sets, "
+        "past the listing limit of 10000000\n"
+    )
+
+
 def test_verify_uniqueness_at_7_3(capsys):
     # answered from the closure table one size at a time: 191 classes over
     # the 35 sizes, at most 43 of them at one size (m = 27), and exactly one
@@ -426,6 +448,18 @@ def test_reduce(capsys):
     assert report["identities_invariant"] == [True, True]
     assert report["wall_out"]["w"] == []
     assert report["b_out"] == [] and report["c_out"] == []
+
+
+def test_reduce_past_the_128_bit_range(capsys):
+    # the termination guard is the wall's value, which is never reported and
+    # may pass the signed 128-bit range of reported values: C(160, 60) and
+    # C(1200, 200) here.  Both reduce, with both identities verified
+    for wall, b, k in (("60:100", "70", "60"), ("200:1000", "250", "200")):
+        code, report = run(capsys, "reduce", "--wall", wall, "--b", b, "--k", k)
+        assert code == 0
+        assert report["identities_invariant"] == [True, True]
+        assert report["shared"] == [[int(b), int(k), 1]]
+        assert report["b_out"] == [] and report["c_out"] == []
 
 
 def test_identity_check(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import combinations, product
 
@@ -118,6 +119,51 @@ def test_dominates_examples():
     assert dominates(Wall((2,), 3), Seq((5,), 3), 3)
     assert not dominates(Wall((2,), 1), Seq((5,), 3), 3)
     assert dominates(Wall((1, 1), 2), Seq((), 3), 3)
+
+
+def _corpus_sequences(k):
+    """Strictly decreasing tuples of at most k terms from 0..k+4."""
+    return [
+        t for length in range(k + 1) for t in combinations(range(k + 4, -1, -1), length)
+    ]
+
+
+def _corpus_walls(k, level):
+    """Nonincreasing walls of 1..level+1 columns, each column in 1..k+1."""
+    return [
+        w
+        for h in range(level + 1)
+        for w in product(range(k + 1, 0, -1), repeat=h + 1)
+        if list(w) == sorted(w, reverse=True)
+    ]
+
+
+def test_domination_slack_matches_its_oracle():
+    # the one domination test: (D2) fails once a term of the expression in
+    # the column of a wall point reaches that point's upper index (slack 0,
+    # ``dominates``) or passes it (slack 1, the reduction's entry check)
+    from shadowlab.identities import _dominated
+
+    for k in (1, 2, 3):
+        seqs = _corpus_sequences(k)
+        for level in range(5):
+            for w in _corpus_walls(k, level):
+                wall = Wall(w, level)
+                for terms in seqs:
+                    for slack in (0, 1):
+                        expected = not terms or (
+                            terms[0] - k <= level  # (D1)
+                            and w[0] <= k  # (D3)
+                            and all(  # (D2)
+                                terms[k - l] < u + slack
+                                for u, l in wall.points()
+                                if 0 <= k - l < len(terms)
+                            )
+                        )
+                        assert _dominated(wall, terms, k, slack) == expected, (
+                            w, level, terms, k, slack
+                        )
+                    assert dominates(wall, Seq(terms, k), k) == _dominated(wall, terms, k, 0)
 
 
 def check_outcome(wall, b, c, k, outcome):
@@ -298,32 +344,37 @@ def test_recursive_reduce_rejects_bad_inputs():
         recursive_reduce(Wall((1,), 0), Seq((4,), 2), Seq((), 2), 2)
 
 
+def _reduction_text(wall, b, c, k):
+    """A reduction's outcome fields, or its exception type and message."""
+    try:
+        o = recursive_reduce(wall, b, c, k)
+    except ValueError as exc:  # NotReducibleError is a ValueError
+        return f"{type(exc).__name__}: {exc}"
+    return repr((
+        o.wall_out.w, o.wall_out.level, o.b_out.terms, o.c_out.terms,
+        o.rubble.uppers, o.pavement.columns, o.shared.items(),
+    ))
+
+
 def test_recursive_reduce_domain_probe():
-    # every input with k <= 2 and wall level <= 3 that passes the entry
-    # checks either reduces or raises NotReducibleError; terms and wall
-    # columns run one past what domination admits
-    outcomes = {"reduced": 0, "not_reducible": 0}
+    # every input with k <= 2 and wall level <= 3 either reduces, raises
+    # NotReducibleError, or is refused by an entry check; terms and wall
+    # columns run one past what domination admits.  The counts and a digest
+    # of every outcome are pinned
+    outcomes = {"reduced": 0, "not_reducible": 0, "refused": 0}
+    digest = hashlib.sha256()
     for k in (1, 2):
-        seqs = [
-            t
-            for length in range(k + 1)
-            for t in combinations(range(k + 4, -1, -1), length)
-        ]
+        seqs = _corpus_sequences(k)
         for level in range(4):
-            walls = [
-                w
-                for h in range(level + 1)
-                for w in product(range(k + 1, 0, -1), repeat=h + 1)
-                if list(w) == sorted(w, reverse=True)
-            ]
-            for w, b, c in product(walls, seqs, seqs):
+            for w, b, c in product(_corpus_walls(k, level), seqs, seqs):
                 # recursive_reduce verifies both identities before returning
-                try:
-                    recursive_reduce(Wall(w, level), Seq(b, k), Seq(c, k), k)
-                except NotReducibleError:
+                text = _reduction_text(Wall(w, level), Seq(b, k), Seq(c, k), k)
+                digest.update(f"{k} {level} {w} {b} {c} {text}\n".encode())
+                if text.startswith("NotReducibleError: "):
                     outcomes["not_reducible"] += 1
-                except ValueError:
-                    continue  # rejected by an entry check
+                elif text.startswith("ValueError: "):
+                    outcomes["refused"] += 1
                 else:
                     outcomes["reduced"] += 1
-    assert outcomes["reduced"] > 0 and outcomes["not_reducible"] > 0, outcomes
+    assert outcomes == {"reduced": 880, "not_reducible": 256, "refused": 54999}
+    assert digest.hexdigest() == "3d44546b4c365b19b38302156dca63c61eea2a2d0bf19c1ee856696790e179d5"

@@ -110,3 +110,42 @@ def test_cli_imports_no_private_names():
         if alias.name.startswith("_")
     ]
     assert found == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_definitions(tree: ast.Module) -> list[ast.AST]:
+    """Private module-level functions and classes, and private methods."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = []
+    for top in tree.body:
+        if isinstance(top, defs) and _is_private(top.name):
+            found.append(top)
+        if isinstance(top, ast.ClassDef):
+            found += [node for node in top.body if isinstance(node, defs) and _is_private(node.name)]
+    return found
+
+
+def test_every_private_definition_is_referenced():
+    # a private helper whose last caller is gone is dead code: each one is
+    # named, as a name or an attribute, outside its own definition
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(Path(shadowlab.__file__).parent.glob("*.py"))
+    }
+    definitions = [(name, node) for name, tree in trees.items() for node in _private_definitions(tree)]
+    assert len(definitions) > 80
+    unreferenced = []
+    for file_name, definition in definitions:
+        inside = {id(node) for node in ast.walk(definition)}
+        if not any(
+            id(node) not in inside
+            and (node.id if isinstance(node, ast.Name) else node.attr) == definition.name
+            for tree in trees.values()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        ):
+            unreferenced.append(f"{file_name}:{definition.name}")
+    assert unreferenced == []
