@@ -56,11 +56,14 @@ class ForbiddenPairSpec:
         )
 
 
-def _check_size(family: KFamily, expected: int) -> None:
-    # a construction whose sets collide is a fault in this module, not in
-    # its input
+def _built(n: int, k: int, expected: int, *parts: KFamily) -> KFamily:
+    """The k-family on [n] of every set of the parts, which must number
+    ``expected``: parts whose sets collide are a fault in this module, not
+    in its input."""
+    family = KFamily(n, k, tuple(sorted(set().union(*(p.masks for p in parts)))))
     if len(family) != expected:
         raise RuntimeError(f"construction built {len(family)} sets, expected {expected}")
+    return family
 
 
 def regular_family(ground_size: int, k: int, r: int) -> KFamily:
@@ -76,9 +79,7 @@ def regular_family(ground_size: int, k: int, r: int) -> KFamily:
             sets.append(
                 [((block * k + s + shift) % ground_size) + 1 for s in range(k)]
             )
-    family = KFamily.from_sets(ground_size, k, sets)
-    _check_size(family, t * r)
-    return family
+    return _built(ground_size, k, t * r, KFamily.from_sets(ground_size, k, sets))
 
 
 def forbidden_pair_family(spec: ForbiddenPairSpec) -> KFamily:
@@ -221,24 +222,12 @@ def example_32_family(n: int, k: int, variant: str) -> KFamily:
         interval = list(combinations(range(n + 1, 2 * n - 1), k - 1))
         block = join(interval, [[2 * n]])
         tail = join(initial_segment(n, k - 1, m2), [[n]])
-        family = KFamily(
-            2 * n,
-            k,
-            tuple(sorted(set(lower.masks) | set(block.masks) | set(tail.masks))),
-        )
-        _check_size(family, binom(n, k))
-        return compact_support(family)
+        return compact_support(_built(2 * n, k, binom(n, k), lower, block, tail))
     if variant == "c":
         m1 = binom(n - 1, k) + binom(n - 2, k - 1)
         segment = initial_segment(n, k, m1)
         block = join(_nonextremal_subfamily(n, k, m1, m2), [[n + 1]])
-        family = KFamily(
-            n + 1,
-            k,
-            tuple(sorted(set(segment.masks) | set(block.masks))),
-        )
-        _check_size(family, binom(n, k))
-        return family
+        return _built(n + 1, k, binom(n, k), segment, block)
     raise ValueError("variant must be 'b' or 'c'")
 
 
@@ -282,11 +271,7 @@ def example_33_family(n: int, k: int) -> KFamily:
     inner = initial_segment(n - 1, k - 1, m2)
     shifted = [[e + n + 1 for e in s] for s in inner.sets()]
     block = join(shifted, [[2 * n + 1]])
-    family = KFamily(
-        2 * n + 1, k, tuple(sorted(set(segment.masks) | set(block.masks)))
-    )
-    _check_size(family, binom(n, k))
-    return compact_support(family)
+    return compact_support(_built(2 * n + 1, k, binom(n, k), segment, block))
 
 
 @dataclass
@@ -352,8 +337,8 @@ def perturbed_colex(n: int, k: int, m: int) -> PerturbationResult:
         return PerturbationResult(
             segment=segment, removed=x_set, added=x_new, kind="in_segment"
         )
-    family = KFamily.from_sets(n, k, [s for s in segment.sets() if s != x_set] + [x_new])
-    _check_size(family, m)
+    swapped = [s for s in segment.sets() if s != x_set] + [x_new]
+    family = _built(n, k, m, KFamily.from_sets(n, k, swapped))
     if shadow(family).masks != shadow(segment).masks:
         raise RuntimeError("perturbation changed the shadow")
     relabels = _transposed(family.masks, removed_elem, added_elem) == segment.masks

@@ -33,12 +33,23 @@ def binom(n: int, k: int) -> int:
     Conventions: C(n, k) = 0 for k < 0 and C(0, 0) = 1.  For n < 0 the
     falling-factorial extension applies, e.g. C(-10, 2) = 55.
     """
+    value = _unchecked_binom(n, k)
+    if -INT128_MAX <= value <= INT128_MAX:
+        return value
+    # |C(n, k)| for n < 0 is the value of its mirror C(k - n - 1, k)
+    raise ExactOverflowError(f"{abs(value)} exceeds the signed 128-bit range")
+
+
+def _unchecked_binom(n: int, k: int) -> int:
+    """``binom`` without the range check on its value, for a caller that only
+    compares the value with 0; it still refuses the terms whose work is
+    unbounded."""
     if k < 0:
         return 0
     if k == 0:
         return 1
     if n < 0:
-        mirrored = binom(k - n - 1, k)
+        mirrored = _unchecked_binom(k - n - 1, k)
         return -mirrored if k % 2 else mirrored
     if k > n:
         return 0
@@ -47,7 +58,7 @@ def binom(n: int, k: int) -> int:
     # n > INT128_MAX and k >= 128 are refused before math.comb does the work
     if k >= 128 or (k and n > INT128_MAX):
         raise ExactOverflowError(f"C({n}, {k}) exceeds the signed 128-bit range")
-    return _checked(math.comb(n, k))
+    return math.comb(n, k)
 
 
 class Seq:

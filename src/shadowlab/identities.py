@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import comb
 
-from .exact import BudgetError, Seq, _checked, binom
+from .exact import BudgetError, Seq, _checked, _unchecked_binom, binom
 
 # empirical invariance window used by grid cross-checks; wide enough to expose
 # every hidden term of the desk-scale sums exercised here
@@ -147,9 +147,15 @@ def is_invariantly_zero(s: BinomialSum) -> bool:
 
 def is_zero_on_grid(s: BinomialSum) -> bool:
     """Empirical cross-check: evaluate every translate on the
-    [GRID_LO, GRID_HI]^2 grid."""
+    [GRID_LO, GRID_HI]^2 grid.
+
+    The translates are summed exactly, since each is only compared with 0:
+    a value past the signed 128-bit range is no error here.  A term that
+    ``binom`` refuses before computing it (lower index 128 or more, upper
+    index past the range) still raises ``ExactOverflowError``.
+    """
     return all(
-        s.translate(r, t).evaluate() == 0
+        sum(c * _unchecked_binom(u, l) for (u, l), c in s.translate(r, t)._coeffs.items()) == 0
         for r, t in product(range(GRID_LO, GRID_HI + 1), repeat=2)
     )
 

@@ -247,6 +247,22 @@ def test_oracle(capsys):
         assert code == 0 and report["matches_bound"], m
 
 
+def test_oracle_refuses_k_below_2_before_answering(monkeypatch, capsys):
+    # the bound is defined from k = 2; the refusal names that domain, and
+    # comes before the oracle builds any table or combination
+    from shadowlab import extremal
+
+    def fail(*args):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(extremal, "brute_force_min_shadow", fail)
+    for k in ("1", "0", "-1"):
+        assert main(["oracle", "min-shadow", "5", k, "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the min-shadow oracle needs k >= 2\n"
+
+
 def test_construct_forbidden_pairs(capsys):
     code, report = run(
         capsys,
@@ -330,11 +346,20 @@ def test_option_values_with_a_leading_minus(capsys):
         assert captured.err == "error: wall entries must be nonnegative\n"
 
 
-def test_construct_perturbed(capsys):
+def test_construct_perturbed(tmp_path, capsys):
     code, report = run(capsys, "construct", "perturbed", "6", "3", "12")
     assert code == 0
     assert report["outcome"] == "in_segment"
     assert report["removed"] == [1, 3, 6] and report["added"] == [1, 2, 6]
+    assert "family" not in report and "extremal" not in report
+    # an off-segment swap that relabels the segment reports its family,
+    # which --out writes
+    out = tmp_path / "p.json"
+    code, report = run(capsys, "construct", "perturbed", "6", "2", "4", "--out", str(out))
+    assert code == 0
+    assert report["outcome"] == "isomorphic" and report["extremal"] is True
+    assert report["family"] == {"n": 6, "k": 2, "sets": [[1, 2], [1, 3], [2, 3], [2, 4]]}
+    assert json.loads(out.read_text(encoding="utf-8")) == report["family"]
 
 
 def test_verify_subcommands(capsys):
@@ -375,7 +400,8 @@ _README_EXAMPLES = [
     ("enumerate 6 3 12 --up-to-iso", ("families", "extremal")),
     ("oracle min-shadow 6 3 12", ("families", "extremal")),
     ("construct forbidden-pairs 120 4 4 --t 29 --r 2", ("families", "constructions")),
-    ("construct perturbed 6 3 12", ("families", "extremal", "constructions")),
+    # an "in_segment" outcome carries no family, so no extremality verdict
+    ("construct perturbed 6 3 12", ("families", "constructions")),
     ("verify lemma-abc --amax 10 --kmax 5", ("inequalities",)),
     ("verify splits --amax 8 --kmax 5", ("inequalities",)),
     ("verify uniqueness 6 3", ("families", "extremal")),
@@ -469,6 +495,21 @@ def test_identity_check(capsys):
     code, report = run(capsys, "identity", "check", "--sum", "C(1,0)-C(0,0)")
     assert code == 1
     assert not report["invariantly_zero"]
+
+
+def test_identity_check_past_the_128_bit_range(capsys):
+    # the grid's translates are only compared with 0, so they are summed
+    # exactly: C(134, 71) at the top of the grid passes 2^127 - 1
+    text = "C(126,63)-C(125,63)-C(125,62)"
+    code, report = run(capsys, "identity", "check", "--sum", text)
+    assert code == 0
+    assert report["invariantly_zero"] and report["zero_on_grid"]
+    assert report["pointwise_value"] == 0
+    # a lower index of 128 or more is still refused before it is computed
+    assert main(["identity", "check", "--sum", "C(300,150)-C(299,150)-C(299,149)"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: C(296, 146) exceeds the signed 128-bit range\n"
 
 
 def test_identity_check_refuses_a_wide_upper_span(capsys):

@@ -22,6 +22,16 @@ from shadowlab.constructions import (
 )
 
 
+def test_colliding_parts_are_refused():
+    # parts sharing a set build fewer sets than the construction counts: a
+    # fault in this module, raised, never returned as a family
+    part = KFamily.from_sets(4, 2, [[1, 2], [3, 4]])
+    other = KFamily.from_sets(4, 2, [[1, 3]])
+    assert constructions._built(4, 2, 3, part, other).sets() == [(1, 2), (1, 3), (3, 4)]
+    with pytest.raises(RuntimeError, match="construction built 2 sets, expected 4"):
+        constructions._built(4, 2, 4, part, part)
+
+
 def test_forbidden_pair_family_small():
     spec = ForbiddenPairSpec.complete_pairs(9, 3, 3)
     family = forbidden_pair_family(spec)

@@ -95,6 +95,16 @@ def test_brute_force_min_shadow_examples():
         assert brute_force_min_shadow(n, k, binom(n, k)) == binom(n, k - 1)
 
 
+def test_min_shadow_of_one_sets():
+    # at k = 1 every nonempty family's shadow is the one empty set, so the
+    # oracle answers 1 for every size, from no table
+    for n in range(1, 6):
+        for m in range(1, n + 1):
+            for chosen in combinations(range(1, n + 1), m):
+                family = KFamily.from_sets(n, 1, ([x] for x in chosen))
+                assert brute_force_min_shadow(n, 1, m) == len(shadow(family)) == 1
+
+
 def test_min_shadow_sides_agree():
     # the closure side over C([n], k - 1) and the k-side over C([n], k) are
     # each other's oracle: both range over every subfamily and neither reads
