@@ -217,46 +217,42 @@ def _cmd_verify(args) -> int:
 
         if args.kmax < 2:
             raise ValueError("the sweep needs kmax >= 2")
-        results = [lemma_sweep(k, args.amax) for k in range(2, args.kmax + 1)]
-        violations = [v for r in results for v in r["violations"]]
-        _emit(
-            {
-                "amax": args.amax,
-                "kmax": args.kmax,
-                "checked": sum(r["checked"] for r in results),
-                "violations": violations,
-            }
-        )
-        return 0 if not violations else 1
-    if args.what == "splits":
+        # a level past amax holds no cascade; level 2 still refuses amax < 2
+        levels = range(2, min(args.kmax, max(args.amax, 2)) + 1)
+        results = [lemma_sweep(k, args.amax) for k in levels]
+        report = {
+            "amax": args.amax,
+            "kmax": args.kmax,
+            "checked": sum(r["checked"] for r in results),
+            "violations": [v for r in results for v in r["violations"]],
+        }
+        ok = not report["violations"]
+    elif args.what == "splits":
         from .inequalities import splits_comparison
 
-        result = splits_comparison(args.amax, args.kmax)
-        _emit(result)
-        return 0 if not result["extras"] and not result["missing"] else 1
-    if args.what == "min-degree":
+        report = splits_comparison(args.amax, args.kmax)
+        ok = not report["extras"] and not report["missing"]
+    elif args.what == "min-degree":
         from .extremal import min_degree_sweep
 
         checked = min_degree_sweep(args.n, args.k)
-        _emit({"n": args.n, "k": args.k, "checked": checked, "violations": []})
-        return 0
-    if args.what == "uniqueness":
+        report = {"n": args.n, "k": args.k, "checked": checked, "violations": []}
+        ok = True
+    elif args.what == "uniqueness":
         from .extremal import extremal_class_counts, uniqueness_predicate
 
         if not args.n >= args.k >= 2:
             raise ValueError("the uniqueness check needs n >= k >= 2")
         rows = []
-        ok = True
         for m, classes in extremal_class_counts(args.n, args.k).items():
             predicted = uniqueness_predicate(args.n, args.k, m)
             agree = (classes == 1) == predicted
-            ok = ok and agree
             rows.append(
                 {"m": m, "classes": classes, "unique_predicted": predicted, "agree": agree}
             )
-        _emit({"n": args.n, "k": args.k, "rows": rows, "equivalence": ok})
-        return 0 if ok else 1
-    if args.what == "conjecture":
+        ok = all(row["agree"] for row in rows)
+        report = {"n": args.n, "k": args.k, "rows": rows, "equivalence": ok}
+    else:  # "conjecture", the last name argparse allows
         from .inequalities import SCAN_BUDGET, conjecture_scan
 
         if not (math.isfinite(args.xmax) and math.isfinite(args.step) and args.step > 0):
@@ -272,19 +268,18 @@ def _cmd_verify(args) -> int:
             )
         steps = int(round(span)) if math.isfinite(span) else -1  # -inf: no point
         xs = [args.k + i * args.step for i in range(steps + 1)]
-        report = conjecture_scan(args.k, xs, y_samples=args.y_samples)
-        _emit(
-            {
-                "k": args.k,
-                "xmax": args.xmax,
-                "step": args.step,
-                "min_slack": report.min_slack,
-                "argmin": list(report.argmin),
-                "near_violations": [list(v) for v in report.near_violations],
-            }
-        )
-        return 1 if report.near_violations else 0
-    raise ValueError(f"unknown verification {args.what!r}")  # pragma: no cover
+        scan = conjecture_scan(args.k, xs, y_samples=args.y_samples)
+        report = {
+            "k": args.k,
+            "xmax": args.xmax,
+            "step": args.step,
+            "min_slack": scan.min_slack,
+            "argmin": list(scan.argmin),
+            "near_violations": [list(v) for v in scan.near_violations],
+        }
+        ok = not scan.near_violations
+    _emit(report)
+    return 0 if ok else 1
 
 
 def _parse_seq(text: str, level: int) -> Seq:

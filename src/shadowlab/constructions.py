@@ -85,6 +85,7 @@ def regular_family(ground_size: int, k: int, r: int) -> KFamily:
 def forbidden_pair_family(spec: ForbiddenPairSpec) -> KFamily:
     """Materialize the k-sets of [n] containing none of the forbidden pairs."""
     n, k = spec.n, spec.k
+    KFamily(n, k, ())  # refuses a ground set past 64 before the layer is listed
     pair_masks = [_mask_of(pair, n) for pair in spec.pairs]
     keep = [mask for mask in _layer_masks(n, k) if all(mask & pm != pm for pm in pair_masks)]
     family = KFamily(n, k, tuple(keep))

@@ -44,6 +44,7 @@ from .exact import (
     seq_value,
 )
 from .families import (
+    SHADOW_BUDGET,
     KFamily,
     _cycled,
     _element_flags,
@@ -74,14 +75,24 @@ def is_extremal(family: KFamily) -> bool:
 
 
 def shadow_chain_check(family: KFamily) -> bool:
-    """For an extremal family, all iterated shadows must meet their bounds."""
+    """For an extremal family, all iterated shadows must meet their bounds.
+
+    Where they do, level i holds exactly kk_bound(m, k, i) sets, so a chain
+    whose largest level would pass ``SHADOW_BUDGET`` is refused before any
+    level is built."""
     if not is_extremal(family):
         raise ValueError("shadow chain check requires an extremal family")
-    a = decompose(len(family), family.k)
-    current = family
-    for i in range(1, family.k):
-        current = shadow(current)
-        if len(current) != seq_value(a, family.k - i):
+    sizes = [kk_bound(len(family), family.k, i) for i in range(1, family.k)]
+    size, level = max(zip(sizes, range(1, family.k)), default=(0, 0))
+    if size > SHADOW_BUDGET:
+        raise BudgetError(
+            f"shadow chain level {level} would hold {size} sets, "
+            f"over the shadow budget of {SHADOW_BUDGET}"
+        )
+    current = family.masks
+    for size in sizes:
+        current = _shadow_masks(current)
+        if len(current) != size:
             return False
     return True
 
@@ -121,7 +132,6 @@ class CharacterizationReport:
 
 def _check_element(family: KFamily, x: int, a: Seq) -> ElementCheck:
     k = family.k
-    m = len(family)
     lk = link(family, x)
     rest = delete_star(family, x)
     threshold = seq_value(seq_minus(a, 1), k)
@@ -134,14 +144,12 @@ def _check_element(family: KFamily, x: int, a: Seq) -> ElementCheck:
     )
     if len(rest) < threshold:
         return check
-    shadow_rest = shadow(rest) if rest.masks else KFamily(family.n, k - 1, ())
-    link_masks = set(lk.masks)
-    rest_masks = set(shadow_rest.masks)
+    rest_masks = _shadow_masks(rest.masks)
+    check.link_extremal = is_extremal(lk)
     if len(rest) > threshold:
         check.branch = "strict"
-        check.inclusion = link_masks <= rest_masks
-        check.deleted_extremal = is_extremal(rest)
-        check.link_extremal = is_extremal(lk)
+        check.inclusion = rest_masks.issuperset(lk.masks)
+        check.deleted_extremal = len(rest_masks) == kk_bound(len(rest), k, 1)
         b = decompose(len(rest), k)
         c = decompose(len(lk), k - 1)
         check.numeric = seq_value(a, k - 1) == seq_value(b, k - 1) + seq_value(c, k - 2)
@@ -153,8 +161,7 @@ def _check_element(family: KFamily, x: int, a: Seq) -> ElementCheck:
         )
     else:
         check.branch = "equality"
-        check.inclusion = rest_masks <= link_masks
-        check.link_extremal = is_extremal(lk)
+        check.inclusion = rest_masks.issubset(lk.masks)
         check.ok = bool(check.inclusion and check.link_extremal)
     return check
 
@@ -1032,15 +1039,11 @@ def characterization_sweep(n: int, k: int = 3) -> dict:
                 p = before.get(p)
     accepted = at_n.difference(rejected)
     accepted.discard(0)  # the empty pattern
-    # accepted ^ extremal, taken in place: no set of every extremal pattern
+    # accepted ^ extremal in place, a size at a time: no set of every extremal pattern
     extremal = 0
     for patterns in _extremal_patterns_by_size(n, k).values():
         extremal += len(patterns)
-        for p in patterns:
-            if p in accepted:
-                accepted.remove(p)
-            else:
-                accepted.add(p)
+        accepted.symmetric_difference_update(patterns)
     return {
         "n": n,
         "k": k,

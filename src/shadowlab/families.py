@@ -180,22 +180,16 @@ def iterated_shadow(family: KFamily, i: int) -> KFamily:
 
 
 def upper_shadow(family: KFamily, steps: int = 1) -> KFamily:
-    """All (k+steps)-supersets within [n] of some member."""
+    """All (k+steps)-supersets within [n] of some member: the complements of
+    the (n-k-steps)-subsets of the members' complements."""
     if steps < 0 or family.k + steps > family.n:
         raise ValueError("upper shadow out of range")
     _check_reach(family, steps, family.n - family.k, "upper shadow")
     full = (1 << family.n) - 1
-    current = set(family.masks)
+    current = {full ^ m for m in family.masks}
     for _ in range(steps):
-        grown: set[int] = set()
-        for m in current:
-            rest = full & ~m
-            while rest:
-                low = rest & -rest
-                grown.add(m | low)
-                rest ^= low
-        current = grown
-    return KFamily(family.n, family.k + steps, tuple(sorted(current)))
+        current = _shadow_masks(current)
+    return KFamily(family.n, family.k + steps, tuple(sorted(full ^ m for m in current)))
 
 
 def link(family: KFamily, x: int) -> KFamily:

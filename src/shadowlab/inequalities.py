@@ -170,10 +170,9 @@ def _admissible(level: int, cap: int, depth: int = 0, cascades: bool = False) ->
 
 
 def _cascade_cap(k: int, amax: int) -> int:
-    """The largest level-k value of a cascade with a_0 <= amax, that of
-    (amax, amax - 1, ..., amax - k + 1): C(amax + 1, k) - 1, and 0 if amax < k,
-    where there is no cascade."""
-    return binom(amax + 1, k) - 1 if amax >= k else 0
+    """The largest level-k value of a cascade with a_0 <= amax, for amax >=
+    k: that of (amax, amax - 1, ..., amax - k + 1), C(amax + 1, k) - 1."""
+    return binom(amax + 1, k) - 1
 
 
 def _listing_order(terms: tuple[int, ...]) -> tuple:
@@ -264,6 +263,8 @@ def lemma_sweep(k: int, amax: int) -> dict:
         raise ValueError("the sweep needs k >= 2")
     if amax < 2:
         raise ValueError("the sweep needs amax >= 2")
+    if amax < k:  # no cascade, so nothing to check or enumerate
+        return {"k": k, "amax": amax, "checked": 0, "violations": []}
     cap = _cascade_cap(k, amax)
     bs, c_by_value = _split_universe(k, cap)
     cascades = _cascade_rows(k, cap)  # position p holds the value p + 1
@@ -375,6 +376,8 @@ def general_level_sweep(k: int, amax: int, kmax_shift: int = 2) -> dict:
         raise ValueError("the sweep needs k >= 1")
     if kmax_shift < 0:
         raise ValueError("the sweep needs kmax_shift >= 0")
+    if amax < k:
+        return {"checked": 0, "violations": []}
     cap = _cascade_cap(k, amax)
     a_rows = sorted(
         ((terms, _general_row(row)) for terms, row in _cascade_rows(k, cap)),
@@ -518,10 +521,8 @@ def splits_comparison(amax: int, kmax: int) -> dict:
     extras: list[tuple] = []
     missing: list[tuple] = []
     checked = 0
-    for k in range(2, kmax + 1):
+    for k in range(2, min(kmax, amax) + 1):  # a level past amax holds no cascade
         short = [(t, row[0]) for t, row in _cascade_rows(k, _cascade_cap(k, amax)) if len(t) < k]
-        if not short:
-            continue
         universe = _split_universe(k, max(value for _t, value in short))
         for terms in sorted((t for t, _value in short), key=_listing_order):
             a = Seq(terms, k)

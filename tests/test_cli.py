@@ -237,6 +237,39 @@ def test_verify_uniqueness_refuses_before_listing(capsys, monkeypatch):
     )
 
 
+def test_verify_sweeps_stop_at_amax(capsys):
+    # levels past amax hold no cascade: kmax 17 answers with the checks of
+    # kmax 10, where the level-17 split universe would pass the split
+    # budget, and a kmax of 10^9 loops over no extra level
+    for what, checked in (("lemma-abc", 1545747), ("splits", 1013)):
+        for kmax in ("17", "1000000000"):
+            code, report = run(capsys, "verify", what, "--amax", "10", "--kmax", kmax)
+            assert code == 0 and report["checked"] == checked, (what, kmax)
+
+
+def test_chain_check_sized_before_walked(capsys, monkeypatch, tmp_path):
+    # level i of an extremal family's chain holds kk_bound(m, k, i) sets; a
+    # 3,000-set colex family of 20-sets would reach 2,057,432 at level 8,
+    # so the chain is refused before any level is built
+    from shadowlab import extremal
+
+    seg = tmp_path / "seg.json"
+    assert main(["construct", "colex", "24", "20", "3000", "--out", str(seg)]) == 0
+    capsys.readouterr()
+
+    def no_walk(masks):
+        raise AssertionError("walked the chain")
+
+    monkeypatch.setattr(extremal, "_shadow_masks", no_walk)
+    assert main(["check", "--in", str(seg), "--chain"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: shadow chain level 8 would hold 2057432 sets, "
+        "over the shadow budget of 2000000\n"
+    )
+
+
 def test_oracle(capsys):
     code, report = run(capsys, "oracle", "min-shadow", "5", "3", "4")
     assert code == 0
@@ -286,6 +319,20 @@ def test_construct_forbidden_pairs(capsys):
     )
     assert code == 0
     assert report["materialized_size"] == 65
+
+
+def test_materialize_refuses_a_ground_set_past_64_before_listing(capsys, monkeypatch):
+    # C(120, 4) masks would be listed before the family refused n > 64
+    from shadowlab import constructions
+
+    def no_listing(n, k):
+        raise AssertionError("listed the layer")
+
+    monkeypatch.setattr(constructions, "_layer_masks", no_listing)
+    assert main(["construct", "forbidden-pairs", "120", "4", "4", "--materialize"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need 0 <= k <= n <= 64\n"
 
 
 def test_construct_block_examples(capsys):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from collections import Counter
+from dataclasses import astuple
 from itertools import combinations, permutations
 
 import pytest
@@ -622,6 +624,33 @@ def test_fast_verdict_matches_slow_characterize():
             for x in range(1, n + 1):
                 ok = report.element(relabel[x]).ok if x in relabel else True
                 assert (tables[x - 1][pattern] == 0) == ok, (n, k, pattern, x)
+
+
+def test_characterize_element_fields_pinned():
+    # every ElementCheck field at every element of every full-support
+    # subfamily of three layers: the deleted part's one shadow decides both
+    # inclusions and its extremality, which ``ok`` alone would not pin.  The
+    # branch and clause counts and a digest of every field are pinned
+    digest = hashlib.sha256()
+    counts = Counter()
+    for n, k in ((4, 2), (5, 2), (5, 3)):
+        layer = list(combinations(range(1, n + 1), k))
+        for pattern in range(1, 1 << len(layer)):
+            family = KFamily.from_sets(n, k, (s for i, s in enumerate(layer) if pattern >> i & 1))
+            if family.support() != tuple(range(1, n + 1)):
+                continue
+            for check in characterize(family).elements:
+                digest.update(f"{n} {k} {pattern} {astuple(check)}\n".encode())
+                counts[check.branch, check.inclusion, check.deleted_extremal] += 1
+    assert counts == {
+        ("neither", None, None): 244,
+        ("equality", False, None): 1564,
+        ("equality", True, None): 538,
+        ("strict", False, True): 1412,
+        ("strict", True, False): 950,
+        ("strict", True, True): 4086,
+    }
+    assert digest.hexdigest() == "79be266bf67e19e0e103ecd4db544b810d6a5319e3f09a07190c11285dbc080c"
 
 
 def test_clause_counts_per_support_element():

@@ -76,6 +76,22 @@ def test_upper_shadow():
         upper_shadow(fam(4, 2, (1, 2)), 3)
 
 
+def test_upper_shadow_matches_its_definition():
+    # every (k+s)-subset of [n] that holds some member, for every family of
+    # four small layers, the empty one included, at every step count
+    for n, k in ((4, 1), (4, 2), (5, 2), (5, 3)):
+        layer = list(combinations(range(1, n + 1), k))
+        for pattern in range(1 << len(layer)):
+            members = [set(s) for i, s in enumerate(layer) if pattern >> i & 1]
+            family = KFamily.from_sets(n, k, members)
+            for s in range(n - k + 1):
+                expected = [
+                    t for t in combinations(range(1, n + 1), k + s)
+                    if any(member <= set(t) for member in members)
+                ]
+                assert sorted(upper_shadow(family, s).sets()) == expected, (n, k, pattern, s)
+
+
 def test_shadow_steps_refused_over_budget():
     # the bounds |F| * C(k, j) and |F| * C(n - k, j) over the steps j are
     # checked before anything is enumerated

@@ -97,6 +97,19 @@ def test_lemma_sweep_small_scale():
         assert result["checked"] == checked
 
 
+def test_sweeps_past_amax_enumerate_nothing(monkeypatch):
+    # a level k > amax holds no cascade, so it checks nothing; the sweeps
+    # answer at entry, with no sequence enumerated, after their own checks
+    def fail(*args, **kw):
+        raise AssertionError("enumerated a level with no cascade")
+
+    monkeypatch.setattr(inequalities, "_admissible", fail)
+    assert lemma_sweep(17, 10) == {"k": 17, "amax": 10, "checked": 0, "violations": []}
+    assert general_level_sweep(17, 10) == {"checked": 0, "violations": []}
+    with pytest.raises(ValueError, match="amax >= 2"):
+        lemma_sweep(17, 1)
+
+
 def test_split_searches_reject_k_below_two():
     # level k - 1 = 0 has C(t, 0) = 1 for every t, so the split universe
     # would be infinite; both entries refuse it instead of looping
