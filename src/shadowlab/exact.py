@@ -8,9 +8,14 @@ instead of a silently huge number.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 INT128_MAX = 2**127 - 1
 INT128_MIN = -(2**127)
+# distinct (n, k) arguments ``binom`` memoizes: the split sweeps ask for a few
+# hundred, so the memo fills only on requests such as the decomposition of a
+# large m, which then drop the least recently used
+_BINOM_MEMO = 4096
 
 
 class ExactOverflowError(OverflowError):
@@ -27,11 +32,16 @@ def _checked(value: int) -> int:
     return value
 
 
+@lru_cache(maxsize=_BINOM_MEMO, typed=True)
 def binom(n: int, k: int) -> int:
     """Generalized binomial coefficient over the integers.
 
     Conventions: C(n, k) = 0 for k < 0 and C(0, 0) = 1.  For n < 0 the
     falling-factorial extension applies, e.g. C(-10, 2) = 55.
+
+    Memoized on the last ``_BINOM_MEMO`` arguments, keyed by their types as
+    well, so a float argument still fails as it does uncached; a refused
+    value raises on every call, as errors are never memoized.
     """
     value = _unchecked_binom(n, k)
     if -INT128_MAX <= value <= INT128_MAX:
@@ -134,7 +144,7 @@ EMPTY = Seq((), 0)
 def seq_value(s: Seq, level: int | None = None) -> int:
     """Evaluate C(a_0, level) + C(a_1, level-1) + ...; empty sequence gives 0."""
     level = s.level if level is None else level
-    return _checked(sum(binom(a, level - i) for i, a in enumerate(s.terms)))
+    return _checked(sum(map(binom, s.terms, range(level, level - len(s.terms), -1))))
 
 
 def seq_shift(s: Seq, i: int, j: int, level: int | None = None) -> int:

@@ -1097,12 +1097,13 @@ def min_degree_sweep(n: int, k: int) -> int:
             held = b.terms and lex_cmp(b, seq_minus(decompose(d + rest, k), 1)) >= 0
             verdicts[state] = 1 if held else 2
     checked = 0
+    ceiling, members = _fill(0x7F, block_size), _fields(low_members)
     for start, offset, block in _blocks(layer.size):
-        least = _fill(0x7F, block_size)
+        least = ceiling
         for degrees, composed in elements:
             least = _field_min(least, _fields(degrees.translate(composed[block])), high)
         # the state less the block's popcount, which the shifted map adds back
-        states = _fields(low_members) + (width - 1) * least
+        states = members + (width - 1) * least
         shifted = verdicts[offset:].ljust(256, b"\0")
         table = states.to_bytes(block_size, "little").translate(shifted)
         failed = table.find(2)

@@ -250,10 +250,22 @@ def colex_unrank(rank: int, k: int) -> tuple[int, ...]:
 
 
 def initial_segment(n: int, k: int, m: int) -> KFamily:
-    """First m sets of C([n], k) in colex order."""
+    """First m sets of C([n], k) in colex order.
+
+    Ascending masks are colex order (``_layer_masks``), so the segment is
+    the first m integers with k bits, each one found from the one before by
+    Gosper's successor; ``colex_unrank`` is the tests' oracle for it.
+    """
     if k < 1 or not 0 <= m <= binom(n, k):
         raise ValueError("segment length out of range")
-    return KFamily.from_sets(n, k, (colex_unrank(r, k) for r in range(m)))
+    masks = []
+    mask = (1 << k) - 1
+    for _ in range(m):
+        masks.append(mask)
+        low = mask & -mask
+        carried = mask + low
+        mask = ((carried ^ mask) >> 2) // low | carried
+    return KFamily(n, k, tuple(masks))
 
 
 def join(a: KFamily | Iterable[Iterable[int]], b: KFamily | Iterable[Iterable[int]]) -> KFamily:

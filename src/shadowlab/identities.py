@@ -60,7 +60,10 @@ class BinomialSum:
     def from_seq(cls, s: Seq, level: int | None = None) -> "BinomialSum":
         """Formal expansion C(a_0, level) + C(a_1, level-1) + ... of a sequence."""
         level = s.level if level is None else level
-        return cls(((a, level - i), 1) for i, a in enumerate(s.terms))
+        out = cls.__new__(cls)
+        # the lower indices differ, so every term is a point of its own
+        out._coeffs = {(int(a), level - i): 1 for i, a in enumerate(s.terms)}
+        return out
 
     def items(self) -> list[tuple[Point, int]]:
         return sorted(self._coeffs.items())
@@ -75,16 +78,7 @@ class BinomialSum:
         return isinstance(other, BinomialSum) and self._coeffs == other._coeffs
 
     def __add__(self, other: "BinomialSum") -> "BinomialSum":
-        acc = dict(self._coeffs)
-        for key, c in other._coeffs.items():
-            new = acc.get(key, 0) + c
-            if new:
-                acc[key] = new
-            else:
-                acc.pop(key, None)
-        out = BinomialSum.__new__(BinomialSum)
-        out._coeffs = acc
-        return out
+        return self._copy()._accumulate(other, 1)
 
     def __neg__(self) -> "BinomialSum":
         out = BinomialSum.__new__(BinomialSum)
@@ -92,7 +86,24 @@ class BinomialSum:
         return out
 
     def __sub__(self, other: "BinomialSum") -> "BinomialSum":
-        return self + (-other)
+        return self._copy()._accumulate(other, -1)
+
+    def _copy(self) -> "BinomialSum":
+        out = BinomialSum.__new__(BinomialSum)
+        out._coeffs = dict(self._coeffs)
+        return out
+
+    def _accumulate(self, other: "BinomialSum", sign: int) -> "BinomialSum":
+        """Add sign * other into this sum in place and return it; only for a
+        sum that nothing else holds yet."""
+        acc = self._coeffs
+        for key, c in other._coeffs.items():
+            new = acc.get(key, 0) + sign * c
+            if new:
+                acc[key] = new
+            else:
+                acc.pop(key, None)
+        return self
 
     def __repr__(self) -> str:
         if not self._coeffs:
@@ -209,7 +220,10 @@ class Wall:
         return [(x + self.level - i, x) for i, x in enumerate(self.w)]
 
     def expand(self) -> BinomialSum:
-        return BinomialSum((p, 1) for p in self.points())
+        out = BinomialSum.__new__(BinomialSum)
+        # one point per diagonal, so no two terms share a point
+        out._coeffs = {(int(u), int(l)): 1 for u, l in self.points()}
+        return out
 
 
 @dataclass(frozen=True)
@@ -445,20 +459,18 @@ def recursive_reduce(wall: Wall, b: Seq, c: Seq, k: int) -> ReductionOutcome:
 def _verify_outcome(
     wall: Wall, b: Seq, c: Seq, k: int, outcome: ReductionOutcome
 ) -> None:
-    seq_side = (
-        BinomialSum.from_seq(b, k)
-        + BinomialSum.from_seq(c, k)
-        - BinomialSum.from_seq(outcome.b_out, k)
-        - BinomialSum.from_seq(outcome.c_out, k)
-        - outcome.pavement.to_sum()
-        - outcome.shared
-    )
-    wall_side = (
-        wall.expand()
-        - outcome.wall_out.expand()
-        - outcome.rubble.to_sum()
-        - outcome.shared
-    )
+    # each side is summed in place, in one dict rather than one per + or -
+    seq_side = BinomialSum.from_seq(b, k)._accumulate(BinomialSum.from_seq(c, k), 1)
+    for part in (
+        BinomialSum.from_seq(outcome.b_out, k),
+        BinomialSum.from_seq(outcome.c_out, k),
+        outcome.pavement.to_sum(),
+        outcome.shared,
+    ):
+        seq_side._accumulate(part, -1)
+    wall_side = wall.expand()
+    for part in (outcome.wall_out.expand(), outcome.rubble.to_sum(), outcome.shared):
+        wall_side._accumulate(part, -1)
     if not is_invariantly_zero(seq_side):
         raise RuntimeError("sequence-side reduction identity failed")
     if not is_invariantly_zero(wall_side):

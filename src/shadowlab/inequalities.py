@@ -9,9 +9,10 @@ scale and are the acceptance oracles.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, product, repeat
-from operator import add, gt, le, mul, sub
+from itertools import accumulate, chain, compress, product
+from operator import add, le, mul
 
 from .exact import BudgetError, Seq, binom, lex_cmp, seq_minus, seq_shift, seq_value
 
@@ -210,7 +211,7 @@ def _grouped(entries) -> dict[int, tuple[list, list]]:
 
 
 def _column_minima(rows: list[tuple[int, ...]]) -> tuple[int, ...]:
-    return tuple(min(column) for column in zip(*rows))
+    return tuple(map(min, zip(*rows)))
 
 
 def _suffix_bounds(rows: list[tuple[int, ...]]) -> tuple[list, list]:
@@ -225,6 +226,74 @@ def _suffix_bounds(rows: list[tuple[int, ...]]) -> tuple[list, list]:
         elif rows[j][1] > minima[j + 1][1]:
             tops[j] = tops[j + 1]
     return minima, tops
+
+
+def _column_bounds(rows: list[tuple[int, ...]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The column minima of rows, and the column maxima over the rows at the
+    level-1 minimum: entry 0 of ``_suffix_bounds``."""
+    minima = _column_minima(rows)
+    return minima, tuple(map(max, zip(*[row for row in rows if row[1] == minima[1]])))
+
+
+def _block_certifier(a_rows: list, c_bounds: list, b_bounds: list):
+    """The whole-group certificate of ``lemma_sweep``, on packed fields.
+
+    a_rows holds a's row at every cascade position, c_bounds the
+    ``_column_bounds`` of the c group of every value, and b_bounds those of
+    the b groups.  Returns ``unsettled(v, start, stop, b_bound)``: the
+    positions p in start..stop - 1 whose block, the b group of value v with
+    bounds b_bound against the c group of value p + 1 - v, the bounds leave
+    open.  A block is settled when its floors hold, a's row at most the sum
+    of the b and c column minima at every level and below it at level 1, or
+    when they hold with level 1 tight and the tops, the b and c column
+    maxima at the level-1 minimum, sum to at most a's row at every level
+    from 2.
+
+    Each level's column of a's rows, of the c minima and of the c tops is
+    one int of fixed-width byte fields, entry p in field p, each entry
+    raised by a bias, the largest magnitude present, so that negative rows
+    pack exactly.  The width leaves |c + b - a| <= 3 * bias below a guard
+    bit, the field's top bit, so a sum and a difference of two windows plus
+    guard + bound in every field carries and borrows within each field
+    alone, and a field's guard bit survives exactly where left - right +
+    bound >= 0 (the trick of ``extremal._field_min``).  A few big-int
+    operations per level decide every position of a b value at once, and
+    the open fields are read from the result's bytes.
+    """
+    levels = range(1, len(a_rows[0]))
+    bias = max(map(abs, chain.from_iterable(chain(a_rows, *c_bounds, *b_bounds))))
+    size = ((3 * bias).bit_length() + 8) // 8  # |c + b - a| stays below the guard bit
+    width = 8 * size
+    guard = 0x80 << (width - 8)  # the top bit of a field
+    unit = (1).to_bytes(size, "little")
+
+    def packed(rows: list) -> list[int]:
+        columns = list(zip(*rows))[1:]  # level 0 holds the values, equal in every block
+        fields = ([(x + bias).to_bytes(size, "little") for x in column] for column in columns)
+        return [int.from_bytes(b"".join(column), "little") for column in fields]
+
+    a_columns = packed(a_rows)
+    c_minima, c_tops = (packed(rows) for rows in zip(*c_bounds))
+
+    def unsettled(v: int, start: int, stop: int, b_bound: tuple) -> Iterable[int]:
+        count = stop - start
+        ones = int.from_bytes(unit * count, "little")
+        window = (1 << count * width) - 1
+        a_at, c_at = start * width, (start + 1 - v) * width
+        (b_min, b_top), floors, tops = b_bound, -1, -1
+        for i, a, c_min, c_top in zip(levels, a_columns, c_minima, c_tops):
+            a = a >> a_at & window
+            floor = (c_min >> c_at & window) + (guard + b_min[i]) * ones - a
+            floors &= floor
+            if i == 1:
+                strict = floor - ones  # level 1 must hold strictly
+            else:
+                tops &= a + (guard - b_top[i]) * ones - (c_top >> c_at & window)
+        flagged = guard * ones & ~(floors & (strict | tops))
+        guards = flagged.to_bytes(count * size, "little")[size - 1 :: size]
+        return compress(range(start, stop), guards)
+
+    return unsettled
 
 
 def _violation(arows: tuple, brows: tuple, crows: tuple) -> tuple[str, int] | None:
@@ -249,15 +318,17 @@ def lemma_sweep(k: int, amax: int) -> dict:
     For one a, a block holds the b of one value that are at least a - 1 and
     every c of the complementary value.  If a's row is at most the b's
     column minima plus the c's, every inequality of the block holds, and if
-    it is below them at level 1, no triple is tight there.  As cascades and
-    their a - 1 in tuple order are in value order, a b value's first and
-    last terms cut the cascades into a range where the block is the whole
-    group, certified column by column over value-indexed lists, a lex-
-    boundary range and a range with no block.  Other blocks are checked
-    alone: equality at level 1 needs b and c at their level-1 minima and
-    propagates if those pairs' column maxima sum to at most a's row, and a
-    block whose bounds fail is checked triple by triple.  ``checked`` counts
-    triples; violations are listed by a, then by b's terms and c's.
+    it is below them at level 1, no triple is tight there; equality at
+    level 1 needs b and c at their level-1 minima, and propagates if those
+    pairs' column maxima sum to at most a's row.  As cascades and their
+    a - 1 in tuple order are in value order, a b value's first and last
+    terms cut the cascades into a range where the block is the whole group,
+    a lex-boundary range and a range with no block.  The whole-group range
+    is settled by ``_block_certifier``, every cascade at once; the blocks
+    it leaves open and the lex-boundary blocks are checked alone, only
+    their tight pairs when the floors hold, and triple by triple when they
+    fail.  ``checked`` counts triples; violations are listed by a, then by
+    b's terms and c's.
     """
     if k < 2:
         raise ValueError("the sweep needs k >= 2")
@@ -269,25 +340,22 @@ def lemma_sweep(k: int, amax: int) -> dict:
     bs, c_by_value = _split_universe(k, cap)
     cascades = _cascade_rows(k, cap)  # position p holds the value p + 1
     a1s = [tuple(x - 1 for x in terms) for terms, _row in cascades]
-    a_columns = [[row[i] for _terms, row in cascades] for i in range(k + 1)]
     c_groups = [c_by_value[w] for w in range(cap + 1)]  # each value has a (k-1)-cascade
-    c_bounds = [[bound[0] for bound in _suffix_bounds([r for _t, r in cs])] for cs in c_groups]
-    c_columns = list(zip(*(c_min for c_min, _top in c_bounds)))
+    c_bounds = [_column_bounds([r for _t, r in cs]) for cs in c_groups]
     c_before = list(accumulate(map(len, c_groups), initial=0))
+    b_groups = [
+        (v, terms, rows, *_suffix_bounds(rows)) for v, (terms, rows) in sorted(_grouped(bs).items())
+    ]
+    b_bounds = [(minima[0], tops[0]) for *_group, minima, tops in b_groups]
+    unsettled = _block_certifier([row for _t, row in cascades], c_bounds, b_bounds)
     checked, found = 0, {}  # found: a's position -> its violations
-    for v, (b_terms, b_rows) in sorted(_grouped(bs).items()):
-        b_minima, b_tops = _suffix_bounds(b_rows)
+    for (v, b_terms, b_rows, b_minima, b_tops), b_bound in zip(b_groups, b_bounds):
         start = max(v, 1) - 1
         whole = max(start, bisect_right(a1s, b_terms[0]))
         end = max(whole, bisect_right(a1s, b_terms[-1]))
         w0, w1 = start + 1 - v, whole + 1 - v  # the c values of start and whole
         checked += len(b_terms) * (c_before[w1] - c_before[w0])
-        fails = set()
-        for i in range(1, k + 1):
-            excess = map(sub, a_columns[i][start:whole], c_columns[i][w0:w1])
-            bound = repeat(b_minima[0][i] - (i == 1))  # level 1 must hold strictly
-            fails.update(compress(range(start, whole), map(gt, excess, bound)))
-        blocks = [(p, 0) for p in fails]
+        blocks = [(p, 0) for p in unsettled(v, start, whole, b_bound)]
         for p in range(whole, end):
             blocks.append((p, bisect_left(b_terms, a1s[p])))
             checked += (len(b_terms) - blocks[-1][1]) * len(c_groups[p + 1 - v])
@@ -476,34 +544,45 @@ def brute_force_equality_splits(a: Seq, k: int) -> list[tuple[Seq, Seq]]:
         raise ValueError("the split search needs k >= 2")
     if not (a.terms and a.is_k_binomial(k)):
         raise ValueError("a must be the cascade decomposition of a positive integer")
-    return [
-        (Seq(b_terms, k), Seq(c_terms, k - 1))
-        for (b_terms, _), (c_terms, _) in _equality_splits_in(
-            _split_universe(k, seq_value(a, k)), a, k
-        )
-    ]
+    splits = _equality_splits_in(_split_index(k, seq_value(a, k)), a, k)
+    return [(Seq(b_terms, k), Seq(c_terms, k - 1)) for (b_terms, _), (c_terms, _) in splits]
 
 
-def _equality_splits_in(universe, a: Seq, k: int) -> list[tuple[tuple, tuple]]:
-    """The brute-force search for a's equality splits within a split universe
-    built at any cap of at least the value of a.
+def _split_index(k: int, cap: int) -> tuple[dict, dict]:
+    """The split universe at cap, indexed for the equality search: the b
+    ``_grouped`` by value, and the c entries by their value and level-1
+    value, each list in tuple order."""
+    bs, c_by_value = _split_universe(k, cap)
+    c_index: dict[tuple[int, int], list] = {}
+    for group in c_by_value.values():
+        for entry in group:
+            c_index.setdefault(entry[1][:2], []).append(entry)
+    return _grouped(bs), c_index
 
-    Returns the universe's (terms, rows) entries of b and c for each split,
-    ordered by b's terms, then c's: both sides of the universe are in tuple
-    order.  The rows are the values at every level the inequalities
-    evaluate, so each pair of rows is the split's ``split_profile``.
+
+def _equality_splits_in(index: tuple[dict, dict], a: Seq, k: int) -> list[tuple[tuple, tuple]]:
+    """The brute-force search for a's equality splits within a
+    ``_split_index`` built at any cap of at least the value of a.
+
+    Walks the b values up to a's, and in each the b at least a - 1; the c
+    that complete a b, of the complementary value and with the level-1
+    value that makes the split tight, are one lookup.  Returns the
+    universe's (terms, rows) entries of b and c for each split, ordered by
+    b's terms, then c's, as a walk of both sides in tuple order gives them.
+    The rows are the values at every level the inequalities evaluate, so
+    each pair of rows is the split's ``split_profile``.
     """
     m = seq_value(a, k)
     bound = seq_value(a, k - 1)
     a1 = tuple(x - 1 for x in a.terms)
-    bs, c_by_value = universe
+    b_groups, c_index = index
     out = []
-    for b_terms, brows in bs:
-        if not b_terms or brows[0] > m or b_terms < a1:
-            continue
-        for c_terms, crows in c_by_value.get(m - brows[0], ()):
-            if brows[1] + crows[1] == bound:
-                out.append(((b_terms, brows), (c_terms, crows)))
+    for v in range(m + 1):
+        b_terms, b_rows = b_groups.get(v, ((), ()))
+        for j in range(bisect_left(b_terms, a1), len(b_terms)):
+            for c in c_index.get((m - v, bound - b_rows[j][1]), ()):
+                out.append(((b_terms[j], b_rows[j]), c))
+    out.sort()
     return out
 
 
@@ -523,13 +602,13 @@ def splits_comparison(amax: int, kmax: int) -> dict:
     checked = 0
     for k in range(2, min(kmax, amax) + 1):  # a level past amax holds no cascade
         short = [(t, row[0]) for t, row in _cascade_rows(k, _cascade_cap(k, amax)) if len(t) < k]
-        universe = _split_universe(k, max(value for _t, value in short))
+        index = _split_index(k, max(value for _t, value in short))
         for terms in sorted((t for t, _value in short), key=_listing_order):
             a = Seq(terms, k)
             checked += 1
             formula = {split_profile(b, c, k) for b, c in equality_splits(a, k)}
             brute = {
-                (brows, crows) for (_, brows), (_, crows) in _equality_splits_in(universe, a, k)
+                (brows, crows) for (_, brows), (_, crows) in _equality_splits_in(index, a, k)
             }
             for pair in brute - formula:
                 extras.append((k, a.terms, pair))

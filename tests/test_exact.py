@@ -94,6 +94,31 @@ def test_binom_overflow_checked():
     assert binom(120, 4) == binom_oracle(120, 4)
 
 
+def test_binom_memo_keeps_the_uncached_behaviour():
+    # binom is memoized with a finite size; a cached int argument does not
+    # answer for an equal float, which still fails as math.comb fails, a
+    # bool still counts as the int it is, and a refused value raises on
+    # every call, as an error is never cached
+    assert binom.cache_info().maxsize is not None
+    assert binom(5, 2) == 10
+    for n, k in ((5.0, 2), (5, 2.0)):
+        with pytest.raises(TypeError):
+            binom(n, k)
+        with pytest.raises(TypeError):
+            binom(n, k)
+    assert binom(True, 1) == binom(5, True) - 4 == 1
+    assert binom(1, 1) == 1
+    for n, k in ((200, 100), (256, 128), (2**127, 1)):
+        for _ in range(2):
+            with pytest.raises(ExactOverflowError):
+                binom(n, k)
+    before = binom.cache_info()
+    with pytest.raises(ExactOverflowError):
+        binom(200, 100)
+    after = binom.cache_info()
+    assert (after.misses, after.currsize) == (before.misses + 1, before.currsize)
+
+
 def test_binom_matches_math_comb_at_the_overflow_edge():
     # binom returns C(n, k) exactly when it fits the signed 128-bit range.
     # Two windows per k: around the first n where k * C(n, k) passes

@@ -177,6 +177,24 @@ def test_initial_segment_block_structure():
             assert blocks == set(seg.masks), (n, k, m)
 
 
+def test_initial_segment_by_successor_matches_colex_unrank(monkeypatch):
+    # the segment is listed by Gosper's successor, with colex_unrank as its
+    # oracle at every size of every layer with n <= 9, and it never unranks
+    expected = {
+        (n, k): [colex_unrank(r, k) for r in range(binom(n, k))]
+        for n in range(1, 10)
+        for k in range(1, n + 1)
+    }
+
+    def refused(rank, k):
+        raise AssertionError("initial_segment unranked a set")
+
+    monkeypatch.setattr(families, "colex_unrank", refused)
+    for (n, k), sets in expected.items():
+        for m in range(len(sets) + 1):
+            assert initial_segment(n, k, m).sets() == sets[:m], (n, k, m)
+
+
 def test_join():
     assert join(fam(2, 2, (1, 2)), [(6,)]).sets() == [(1, 2, 6)]
     assert join([[1, 2]], [[6]]).sets() == [(1, 2, 6)]

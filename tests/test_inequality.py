@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from itertools import combinations
 
 import pytest
@@ -348,6 +350,85 @@ def test_lemma_sweep_fallback_matches_triple_loop(monkeypatch):
         assert lemma_sweep(k, amax) == expected
 
 
+def _column_bounds(rows):
+    """Column minima, and column maxima over the rows at the level-1 minimum."""
+    minima = tuple(min(column) for column in zip(*rows))
+    return minima, tuple(max(column) for column in zip(*(r for r in rows if r[1] == minima[1])))
+
+
+def _scalar_unsettled(a_rows, c_bounds, v, b_bound, positions):
+    """The positions whose block lemma_sweep's bounds leave open, decided by
+    the three tests one comparison at a time: the floors (strict at level
+    1), tightness at level 1 and the propagation tops."""
+    b_min, b_top = b_bound
+    out = []
+    for p in positions:
+        a, (c_min, c_top) = a_rows[p], c_bounds[p + 1 - v]
+        floors = all(a[i] <= b_min[i] + c_min[i] for i in range(1, len(a)))
+        below = a[1] < b_min[1] + c_min[1]
+        tops = all(b_top[i] + c_top[i] <= a[i] for i in range(2, len(a)))
+        if not (floors and (below or tops)):
+            out.append(p)
+    return out
+
+
+def test_block_certifier_matches_scalar_tests():
+    # lemma_sweep's packed certificate against the scalar tests at every
+    # (b value, cascade) pair a b value reaches, past its whole-group range
+    # too: on the rows of lemma_sweep(k, 10), and on the same rows scaled
+    # past 2^16 and shifted below 0 (a by twice the shift of b and c, so
+    # every comparison keeps its outcome), then some entries moved by one
+    # so that ties at level 1 and at the last level break both ways; and on
+    # rows of +-M alone, where a field must hold c + b - a = +-3M
+    scale, shift = 2**17 + 3, 2**18
+    for k in range(2, 6):
+        cap = _lemma_cap(k, 10)
+        bs, c_by_value = inequalities._split_universe(k, cap)
+        b_groups = {}
+        for _t, rows in bs:
+            b_groups.setdefault(rows[0], []).append(rows)
+        real = (
+            [rows for _t, rows in inequalities._cascade_rows(k, cap)],
+            [_column_bounds([rows for _t, rows in c_by_value[w]]) for w in range(cap + 1)],
+            {v: _column_bounds(group) for v, group in b_groups.items()},
+        )
+
+        def planted(row, lowered, p, nudges):
+            out = [row[0]] + [scale * x - lowered for x in row[1:]]
+            for i, d in nudges.get(p % 5, ()):
+                out[i] += d
+            return tuple(out)
+
+        a_nudges = {1: [(1, 1)], 2: [(1, -1)], 3: [(k, -1)]}
+        c_nudges = {4: [(1, -1), (k, 1)]}
+        scaled = (
+            [planted(row, 2 * shift, p, a_nudges) for p, row in enumerate(real[0])],
+            [tuple(planted(r, shift, w, c_nudges) for r in two) for w, two in enumerate(real[1])],
+            {v: tuple(planted(b, shift, v, {}) for b in pair) for v, pair in real[2].items()},
+        )
+        assert min(map(min, scaled[0])) < 0 and max(map(max, scaled[0])) > 2**16
+
+        def extreme(row, j):  # every entry past the value at +-(2^22 + 1)
+            signs = (-1 if (j + 2 * i) % 7 == 0 else 1 for i in range(1, k + 1))
+            return (row[0],) + tuple((2**22 + 1) * sign for sign in signs)
+
+        widest = (  # c + b - a reaches +-3 (2^22 + 1), past a field of 3 bytes
+            [extreme(row, p) for p, row in enumerate(real[0])],
+            [tuple(extreme(r, w + 1) for r in two) for w, two in enumerate(real[1])],
+            {v: tuple(extreme(r, v + 2) for r in two) for v, two in real[2].items()},
+        )
+        for a_rows, c_bounds, b_bounds in (real, scaled, widest):
+            unsettled = inequalities._block_certifier(a_rows, c_bounds, list(b_bounds.values()))
+            flagged = 0
+            for v, bound in b_bounds.items():
+                positions = range(max(v, 1) - 1, cap)
+                expected = _scalar_unsettled(a_rows, c_bounds, v, bound, positions)
+                got = list(unsettled(v, positions.start, positions.stop, bound))
+                assert got == expected, (k, v)
+                flagged += len(got)
+            assert 0 < flagged < sum(cap + 1 - max(v, 1) for v in b_bounds), k
+
+
 def test_general_level_sweep_fallback_matches_triple_loop(monkeypatch):
     # planted rows fail the certificate of some blocks, on the value one
     # level down (row[1]) and on the (1, 1)-shifted value (the alternating
@@ -472,6 +553,32 @@ def test_split_sweeps_refuse_an_enumeration_over_budget():
         lemma_sweep(2, 40)
     with pytest.raises(BudgetError, match="split budget"):
         splits_comparison(60, 6)
+
+
+def test_split_sweep_reports_are_pinned():
+    # sha256 of the JSON reports, taken before the packed certificate and
+    # the memoized binomials: lemma_sweep(k, 10) for k = 2..5, the three
+    # general_level_sweep scales of the split-sweeps benchmark, and
+    # splits_comparison(8, 5)
+    def digest(report):
+        return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()[:16]
+
+    lemma = {
+        2: "19f6eeb6e42581cd",
+        3: "842ae7c6bf221490",
+        4: "fc64870cb7b0b758",
+        5: "46047f177f983784",
+    }
+    for k, expected in lemma.items():
+        assert digest(lemma_sweep(k, 10)) == expected, k
+    general = {
+        (2, 10, 3): "7ecae8898cd2c897",
+        (3, 8, 2): "7f2580ebd6ac1553",
+        (5, 8, 1): "d550a30b7423cc3a",
+    }
+    for (k, amax, shift), expected in general.items():
+        assert digest(general_level_sweep(k, amax, kmax_shift=shift)) == expected, (k, amax)
+    assert digest(splits_comparison(8, 5)) == "d3434abb704c656a"
 
 
 def test_split_universe_rows_are_split_profiles():
