@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .exact import binom, decompose, kk_bound, seq_value
+from .exact import BudgetError, binom, decompose, kk_bound, seq_value
 from .families import (
     KFamily,
     _layer_masks,
@@ -19,6 +19,8 @@ from .families import (
     join,
     shadow,
 )
+
+MATERIALIZE_LIMIT = 1_000_000  # k-sets of [n] one forbidden-pair materialization may list
 
 
 @dataclass(frozen=True)
@@ -83,12 +85,14 @@ def regular_family(ground_size: int, k: int, r: int) -> KFamily:
 
 
 def forbidden_pair_family(spec: ForbiddenPairSpec) -> KFamily:
-    """Materialize the k-sets of [n] containing none of the forbidden pairs."""
+    """Materialize the k-sets of [n] containing none of the forbidden pairs.
+
+    The whole layer of C(n, k) sets is listed and filtered, so a layer past
+    ``MATERIALIZE_LIMIT`` is refused with ``BudgetError`` before any set is
+    listed, after the ground size and the deletion's shape are checked.
+    """
     n, k = spec.n, spec.k
     KFamily(n, k, ())  # refuses a ground set past 64 before the layer is listed
-    pair_masks = [_mask_of(pair, n) for pair in spec.pairs]
-    keep = [mask for mask in _layer_masks(n, k) if all(mask & pm != pm for pm in pair_masks)]
-    family = KFamily(n, k, tuple(keep))
     deletion = spec.deletion
     if spec.regular_deletion is not None:
         if deletion is not None:
@@ -101,6 +105,14 @@ def forbidden_pair_family(spec: ForbiddenPairSpec) -> KFamily:
         deletion = KFamily.from_sets(
             n, k, ([e + m for e in s] for s in shifted.sets())
         )
+    if binom(n, k) > MATERIALIZE_LIMIT:
+        raise BudgetError(
+            f"materializing lists all C({n}, {k}) = {binom(n, k)} sets, "
+            f"over the materialize limit of {MATERIALIZE_LIMIT}"
+        )
+    pair_masks = [_mask_of(pair, n) for pair in spec.pairs]
+    keep = [mask for mask in _layer_masks(n, k) if all(mask & pm != pm for pm in pair_masks)]
+    family = KFamily(n, k, tuple(keep))
     if deletion is not None:
         pair_support = 0
         for pm in pair_masks:

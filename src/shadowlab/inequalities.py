@@ -11,8 +11,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, product
-from operator import add, le, mul
+from itertools import accumulate, chain, compress
+from operator import add, mul
 
 from .exact import BudgetError, Seq, binom, lex_cmp, seq_minus, seq_shift, seq_value
 
@@ -210,44 +210,26 @@ def _grouped(entries) -> dict[int, tuple[list, list]]:
     return groups
 
 
-def _column_minima(rows: list[tuple[int, ...]]) -> tuple[int, ...]:
-    return tuple(map(min, zip(*rows)))
-
-
-def _suffix_bounds(rows: list[tuple[int, ...]]) -> tuple[list, list]:
-    """Two exact column bounds for every suffix rows[j:]: the column minima,
-    and the column maxima over the suffix's rows at its level-1 minimum
-    (column 1)."""
-    minima, tops = rows[:], rows[:]
-    for j in range(len(rows) - 2, -1, -1):
-        minima[j] = tuple(map(min, rows[j], minima[j + 1]))
-        if rows[j][1] == minima[j + 1][1]:
-            tops[j] = tuple(map(max, rows[j], tops[j + 1]))
-        elif rows[j][1] > minima[j + 1][1]:
-            tops[j] = tops[j + 1]
-    return minima, tops
-
-
 def _column_bounds(rows: list[tuple[int, ...]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The column minima of rows, and the column maxima over the rows at the
-    level-1 minimum: entry 0 of ``_suffix_bounds``."""
-    minima = _column_minima(rows)
+    level-1 minimum (column 1): the floors and the tops of a group."""
+    minima = tuple(map(min, zip(*rows)))
     return minima, tuple(map(max, zip(*[row for row in rows if row[1] == minima[1]])))
 
 
 def _block_certifier(a_rows: list, c_bounds: list, b_bounds: list):
-    """The whole-group certificate of ``lemma_sweep``, on packed fields.
+    """The one certificate of ``lemma_sweep``, on packed fields.
 
     a_rows holds a's row at every cascade position, c_bounds the
     ``_column_bounds`` of the c group of every value, and b_bounds those of
     the b groups.  Returns ``unsettled(v, start, stop, b_bound)``: the
-    positions p in start..stop - 1 whose block, the b group of value v with
-    bounds b_bound against the c group of value p + 1 - v, the bounds leave
-    open.  A block is settled when its floors hold, a's row at most the sum
-    of the b and c column minima at every level and below it at level 1, or
-    when they hold with level 1 tight and the tops, the b and c column
-    maxima at the level-1 minimum, sum to at most a's row at every level
-    from 2.
+    positions p in start..stop - 1 whose block, the b of value v against
+    the c group of value p + 1 - v, the bounds leave open, b_bound being
+    those of the whole b group.  A block is settled when its floors hold,
+    a's row at most the sum of the b and c column minima at every level and
+    below it at level 1, or when they hold with level 1 tight and the tops,
+    the b and c column maxima at the level-1 minimum, sum to at most a's
+    row at every level from 2.
 
     Each level's column of a's rows, of the c minima and of the c tops is
     one int of fixed-width byte fields, entry p in field p, each entry
@@ -316,19 +298,17 @@ def lemma_sweep(k: int, amax: int) -> dict:
     lex order; records any failed inequality or failed propagation.
 
     For one a, a block holds the b of one value that are at least a - 1 and
-    every c of the complementary value.  If a's row is at most the b's
-    column minima plus the c's, every inequality of the block holds, and if
-    it is below them at level 1, no triple is tight there; equality at
-    level 1 needs b and c at their level-1 minima, and propagates if those
-    pairs' column maxima sum to at most a's row.  As cascades and their
-    a - 1 in tuple order are in value order, a b value's first and last
-    terms cut the cascades into a range where the block is the whole group,
-    a lex-boundary range and a range with no block.  The whole-group range
-    is settled by ``_block_certifier``, every cascade at once; the blocks
-    it leaves open and the lex-boundary blocks are checked alone, only
-    their tight pairs when the floors hold, and triple by triple when they
-    fail.  ``checked`` counts triples; violations are listed by a, then by
-    b's terms and c's.
+    every c of the complementary value.  As cascades and their a - 1 in
+    tuple order are in value order, a b value's first and last terms cut the
+    cascades into a range where the block is the whole group, a range where
+    the group holds a - 1's lex boundary, and a range with no block.
+    ``_block_certifier`` settles the blocks of both ranges, every cascade at
+    once, on the bounds of the whole group.  They hold for a block's part
+    of the group too: its column minima are at least the group's, and a
+    triple tight at level 1 has b at the group's level-1 minimum, where the
+    group's tops bound it.  Each block the certificate leaves open is
+    checked triple by triple.  ``checked`` counts triples; violations are
+    listed by a, then by b's terms and c's.
     """
     if k < 2:
         raise ValueError("the sweep needs k >= 2")
@@ -343,40 +323,25 @@ def lemma_sweep(k: int, amax: int) -> dict:
     c_groups = [c_by_value[w] for w in range(cap + 1)]  # each value has a (k-1)-cascade
     c_bounds = [_column_bounds([r for _t, r in cs]) for cs in c_groups]
     c_before = list(accumulate(map(len, c_groups), initial=0))
-    b_groups = [
-        (v, terms, rows, *_suffix_bounds(rows)) for v, (terms, rows) in sorted(_grouped(bs).items())
-    ]
-    b_bounds = [(minima[0], tops[0]) for *_group, minima, tops in b_groups]
+    b_groups = sorted(_grouped(bs).items())
+    b_bounds = [_column_bounds(rows) for _v, (_terms, rows) in b_groups]
     unsettled = _block_certifier([row for _t, row in cascades], c_bounds, b_bounds)
     checked, found = 0, {}  # found: a's position -> its violations
-    for (v, b_terms, b_rows, b_minima, b_tops), b_bound in zip(b_groups, b_bounds):
+    for (v, (b_terms, b_rows)), b_bound in zip(b_groups, b_bounds):
         start = max(v, 1) - 1
         whole = max(start, bisect_right(a1s, b_terms[0]))
         end = max(whole, bisect_right(a1s, b_terms[-1]))
         w0, w1 = start + 1 - v, whole + 1 - v  # the c values of start and whole
         checked += len(b_terms) * (c_before[w1] - c_before[w0])
-        blocks = [(p, 0) for p in unsettled(v, start, whole, b_bound)]
         for p in range(whole, end):
-            blocks.append((p, bisect_left(b_terms, a1s[p])))
-            checked += (len(b_terms) - blocks[-1][1]) * len(c_groups[p + 1 - v])
-        for p, first in blocks:
+            checked += (len(b_terms) - bisect_left(b_terms, a1s[p])) * len(c_groups[p + 1 - v])
+        for p in unsettled(v, start, end, b_bound):
             arows = cascades[p][1]
-            cs, (c_min, c_top) = c_groups[p + 1 - v], c_bounds[p + 1 - v]
-            floor = tuple(map(add, b_minima[first], c_min))
-            tops = map(add, b_tops[first][2:], c_top[2:])
-            if not all(map(le, arows, floor)):
-                pairs = product(range(first, len(b_terms)), cs)
-            elif arows[1] < floor[1] or all(map(le, tops, arows[2:])):
-                continue
-            else:
-                pairs = product(
-                    [j for j in range(first, len(b_terms)) if b_rows[j][1] == b_minima[first][1]],
-                    [c for c in cs if c[1][1] == c_min[1]],
-                )
-            for j, (c_terms, crows) in pairs:
-                violation = _violation(arows, b_rows[j], crows)
-                if violation:
-                    found.setdefault(p, []).append((b_terms[j], c_terms) + violation)
+            for j in range(bisect_left(b_terms, a1s[p]), len(b_terms)):  # 0 below whole
+                for c_terms, crows in c_groups[p + 1 - v]:
+                    violation = _violation(arows, b_rows[j], crows)
+                    if violation:
+                        found.setdefault(p, []).append((b_terms[j], c_terms) + violation)
     order = sorted(found, key=lambda p: _listing_order(cascades[p][0]))
     violations = [(cascades[p][0],) + violation for p in order for violation in sorted(found[p])]
     return {"k": k, "amax": amax, "checked": checked, "violations": violations}
@@ -391,26 +356,25 @@ def _general_row(row: tuple[int, ...]) -> tuple[int, int, int]:
 def _level_floors(levels: range, cap: int) -> tuple[dict, list]:
     """The groups and the two floors ``general_level_sweep`` certifies with.
 
-    groups[level] maps each value v <= cap to the terms, the general rows
-    and the column minima of the admissible sequences of value v at level;
-    every value has a cascade there, so no value is missing.  There is one
-    floor per left-hand side, the value one level down and the (1,
-    1)-shifted value: entry m is the least sum of that side over every pair
-    of sequences, at any two of the levels, whose values add up to m.  It
-    is the min-plus convolution of the least column minimum of each value
-    over the levels with itself, and as v and m - v give the same sum, v
-    runs up to m / 2.
+    groups[level] maps each value v <= cap to the terms and the general rows
+    of the admissible sequences of value v at level (``_grouped``); every
+    value has a cascade there, so no value is missing.  There is one floor
+    per left-hand side, the value one level down and the (1, 1)-shifted
+    value: entry m is the least sum of that side over every pair of
+    sequences, at any two of the levels, whose values add up to m.  It is
+    the min-plus convolution of the least side of each value over the
+    levels with itself, and as v and m - v give the same sum, v runs up to
+    m / 2.
     """
-    groups = {}
-    for level in levels:
-        entries = [(t, _general_row(row)) for t, row in _admissible(level, cap, level)]
-        groups[level] = {
-            v: (terms, rows, _column_minima(rows))
-            for v, (terms, rows) in _grouped(entries).items()
-        }
+    groups = {
+        level: _grouped((t, _general_row(row)) for t, row in _admissible(level, cap, level))
+        for level in levels
+    }
     floors = []
     for i in (1, 2):
-        low = [min(groups[level][v][2][i] for level in levels) for v in range(cap + 1)]
+        low = [
+            min(row[i] for level in levels for row in groups[level][v][1]) for v in range(cap + 1)
+        ]
         floors.append([min(map(add, low[: m // 2 + 1], low[m::-1])) for m in range(cap + 1)])
     return groups, floors
 
@@ -423,22 +387,18 @@ def general_level_sweep(k: int, amax: int, kmax_shift: int = 2) -> dict:
     row gives both left-hand sides: the value one level down is row[1],
     and the (1, 1)-shifted value is the alternating sum row[1] - row[2] +
     row[3] - ..., since C(x - 1, j) is the sum over i = 0..j of (-1)^i
-    C(x, j - i).  For one a of value m, the b of one value v at level k1
-    and the c of value m - v at level k2 form a block, and every triple of
-    the block holds when a's two left sides are at most the sums of the two
-    groups' column minima.  The floors at m (``_level_floors``) are the
-    least such sums over every v and every pair of levels, so a cascade
-    whose left sides are at most them holds against every block of every
-    level pair: two comparisons per cascade.  A cascade above a floor has
-    its blocks certified one by one at each level pair, and a block whose
-    bounds fail is checked triple by triple, so the violations are the same
-    as from every block alone.  ``checked`` counts triples, in closed form:
-    with n_v sequences of value v over all the levels, the level pairs hold
-    the sum over v of n_v times the sequences of value at most cap - v,
-    less the m = 0 term.  Violations are listed by (k1, k2), a (shorter
-    first, then larger terms first), then b's terms and c's.  Needs k >= 1
-    and kmax_shift >= 0; with amax < k there is no cascade and nothing to
-    check.
+    C(x, j - i).  The floors at m (``_level_floors``) are the least sums of
+    each left side over every pair (b, c), at any two of the levels, whose
+    values add up to m, so a cascade of value m whose left sides are at
+    most them holds against every triple of every level pair: two
+    comparisons per cascade, the one certificate.  A cascade above a floor
+    is checked triple by triple at each level pair.  ``checked`` counts
+    triples, in closed form: with n_v sequences of value v over all the
+    levels, the level pairs hold the sum over v of n_v times the sequences
+    of value at most cap - v, less the m = 0 term.  Violations are listed
+    by (k1, k2), a (shorter first, then larger terms first), then b's terms
+    and c's.  Needs k >= 1 and kmax_shift >= 0; with amax < k there is no
+    cascade and nothing to check.
     """
     if k < 1:
         raise ValueError("the sweep needs k >= 1")
@@ -467,12 +427,10 @@ def general_level_sweep(k: int, amax: int, kmax_shift: int = 2) -> dict:
             c_groups = groups[k2]
             for a_terms, (m, lhs, s_lhs) in above:
                 found = []
-                for v, (b_terms, b_rows, b_min) in groups[k1].items():
+                for v, (b_terms, b_rows) in groups[k1].items():
                     if v > m or m - v not in c_groups:
                         continue
-                    c_terms, c_rows, c_min = c_groups[m - v]
-                    if lhs <= b_min[1] + c_min[1] and s_lhs <= b_min[2] + c_min[2]:
-                        continue
+                    c_terms, c_rows = c_groups[m - v]
                     for bt, (_, b_down, b_shift) in zip(b_terms, b_rows):
                         for ct, (_, c_down, c_shift) in zip(c_terms, c_rows):
                             if lhs > b_down + c_down or s_lhs > b_shift + c_shift:

@@ -335,6 +335,34 @@ def test_materialize_refuses_a_ground_set_past_64_before_listing(capsys, monkeyp
     assert captured.err == "error: need 0 <= k <= n <= 64\n"
 
 
+def test_materialize_refuses_a_layer_past_the_limit_before_listing(capsys, monkeypatch):
+    # C(64, 8) masks would be listed, for no answer in 30 s and past 1.2 GiB;
+    # a malformed regular deletion over the limit is still a usage error,
+    # and the limit admits a layer of exactly its size
+    from shadowlab import constructions
+
+    def no_listing(n, k):
+        raise AssertionError("listed the layer")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(constructions, "_layer_masks", no_listing)
+        assert main(["construct", "forbidden-pairs", "64", "8", "4", "--materialize"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: materializing lists all C(64, 8) = 4426165368 sets, "
+            "over the materialize limit of 1000000\n"
+        )
+        argv = ["construct", "forbidden-pairs", "40", "6", "4", "--t", "5", "--r", "1"]
+        assert main([*argv, "--materialize"]) == 2
+        assert capsys.readouterr().err == "error: regular deletion needs n = t*k + m\n"
+    monkeypatch.setattr(constructions, "MATERIALIZE_LIMIT", 84)  # C(9, 3)
+    code, report = run(capsys, "construct", "forbidden-pairs", "9", "3", "3", "--materialize")
+    assert code == 0 and report["materialized_size"] == 65
+    monkeypatch.setattr(constructions, "MATERIALIZE_LIMIT", 83)
+    assert main(["construct", "forbidden-pairs", "9", "3", "3", "--materialize"]) == 3
+
+
 def test_construct_block_examples(capsys):
     code, report = run(capsys, "construct", "example32", "5", "3", "--variant", "b")
     assert code == 0

@@ -165,6 +165,30 @@ def test_extremal_counts_from_closure_scan():
     assert sum(counts.values()) == 232555 and max(counts.values()) == 85260
 
 
+def test_extremal_counts_at_k_2_in_closed_form():
+    """The (n,2) counts of the closure scan against a closed form.
+
+    A 2-family is a graph on [n], and its shadow is its set of non-isolated
+    vertices.  A graph on s vertices has at most C(s, 2) edges, so the least
+    shadow of m edges is s(m), the least s with C(s, 2) >= m, and the
+    extremal m-families are the m-edge graphs with exactly s(m)
+    non-isolated vertices.  Choose those vertices, C(n, s) ways; the m edges
+    inside them that leave none of the s isolated number, by
+    inclusion-exclusion over the set J of isolated ones, the sum over j of
+    (-1)^j C(s, j) C(C(s - j, 2), m).  No table enters the formula.
+    """
+    from math import comb
+
+    for n in range(3, 22):
+        expected = {}
+        for m in range(1, comb(n, 2) + 1):
+            s = next(s for s in range(n + 1) if comb(s, 2) >= m)
+            inside = sum((-1) ** j * comb(s, j) * comb(comb(s - j, 2), m) for j in range(s + 1))
+            expected[m] = comb(n, s) * inside
+        assert extremal._extremal_counts(n, 2) == expected, n
+    assert expected[3] == comb(21, 3) and extremal._extremal_counts(8, 2)[22] == 376740
+
+
 def reversed_bits(pattern, width):
     """The pattern with its width position bits in reverse order."""
     return int(format(pattern, f"0{width}b")[::-1], 2)

@@ -274,8 +274,10 @@ def _lemma_cap(k, amax):
 
 
 def test_lemma_sweep_matches_triple_loop():
-    # the value-range certification and the per-block path against the plain
-    # triple loop over the real universe: the same triple count, no violation
+    # the one certificate over both ranges of a b value, and the triple loop
+    # on the blocks it leaves open (lex-boundary blocks at every scale here),
+    # against the plain triple loop over the real universe: the same triple
+    # count, no violation
     for k, amax in ((2, 6), (3, 6), (4, 6), (3, 8)):
         universe = inequalities._split_universe(k, _lemma_cap(k, amax))
         expected = _lemma_triple_loop(k, amax, universe)
@@ -309,7 +311,7 @@ def _swapped_values(entries, value_of, with_value):
 
 
 def test_lemma_sweep_fallback_matches_triple_loop(monkeypatch):
-    # no real input fails a block's certificate, so planted rows stand in:
+    # no real triple violates the lemma, so planted rows stand in:
     # some c lose one at level 1 and others at their last level, where only
     # the deepest column shows it (inequality violations), some b gain one
     # at level 2 (propagation violations where level 1 stays tight), and
