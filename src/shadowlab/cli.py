@@ -381,22 +381,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact shadow-minimization toolkit for k-set families",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the shared positionals, declared once and copied into each leaf
+    mk = argparse.ArgumentParser(add_help=False)
+    mk.add_argument("m", type=int)
+    mk.add_argument("k", type=int)
+    nk = argparse.ArgumentParser(add_help=False)
+    nk.add_argument("n", type=int)
+    nk.add_argument("k", type=int)
+    nkm = argparse.ArgumentParser(add_help=False, parents=[nk])
+    nkm.add_argument("m", type=int)
 
-    p = sub.add_parser("decompose", help="cascade decomposition of m at level k")
-    p.add_argument("m", type=int)
-    p.add_argument("k", type=int)
+    p = sub.add_parser("decompose", parents=[mk], help="cascade decomposition of m at level k")
     p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("bound", help="minimum shadow bound for m sets at level k")
-    p.add_argument("m", type=int)
-    p.add_argument("k", type=int)
+    p = sub.add_parser("bound", parents=[mk], help="minimum shadow bound for m sets at level k")
     p.add_argument("--iter", type=int, default=1)
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("shadow", help="iterated or upper shadow of a family file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--iter", type=int, default=1)
-    p.add_argument("--upper", type=int, default=0)
+    steps = p.add_mutually_exclusive_group()
+    steps.add_argument("--iter", type=int, default=1)
+    steps.add_argument("--upper", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_shadow)
 
@@ -410,81 +416,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compact", action="store_true")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("enumerate", help="all extremal families of one size")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("m", type=int)
+    p = sub.add_parser("enumerate", parents=[nkm], help="all extremal families of one size")
     p.add_argument("--up-to-iso", action="store_true")
     p.add_argument("--method", choices=("exhaustive", "recursive"), default="exhaustive")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("oracle", help="brute-force oracles")
-    oracle_sub = p.add_subparsers(dest="oracle", required=True)
-    q = oracle_sub.add_parser("min-shadow")
-    q.add_argument("n", type=int)
-    q.add_argument("k", type=int)
-    q.add_argument("m", type=int)
-    q.set_defaults(func=_cmd_oracle)
+    p.set_defaults(func=_cmd_oracle)
+    p.add_subparsers(dest="oracle", required=True).add_parser("min-shadow", parents=[nkm])
 
     p = sub.add_parser("construct", help="explicit families")
+    p.set_defaults(func=_cmd_construct)
     con = p.add_subparsers(dest="what", required=True)
-    q = con.add_parser("colex")
-    q.add_argument("n", type=int)
-    q.add_argument("k", type=int)
-    q.add_argument("m", type=int)
+    q = con.add_parser("colex", parents=[nkm])
     q.add_argument("--out")
-    q.set_defaults(func=_cmd_construct)
-    q = con.add_parser("forbidden-pairs")
-    q.add_argument("n", type=int)
-    q.add_argument("k", type=int)
-    q.add_argument("m", type=int)
+    q = con.add_parser("forbidden-pairs", parents=[nkm])
     q.add_argument("--t", type=int)
     q.add_argument("--r", type=int)
     q.add_argument("--materialize", action="store_true")
     q.add_argument("--out")
-    q.set_defaults(func=_cmd_construct)
-    q = con.add_parser("example32")
-    q.add_argument("n", type=int)
-    q.add_argument("k", type=int)
+    q = con.add_parser("example32", parents=[nk])
     q.add_argument("--variant", choices=("b", "c"), default="b")
     q.add_argument("--out")
-    q.set_defaults(func=_cmd_construct)
-    q = con.add_parser("example33")
-    q.add_argument("n", type=int)
-    q.add_argument("k", type=int)
-    q.add_argument("--out")
-    q.set_defaults(func=_cmd_construct)
-    q = con.add_parser("perturbed")
-    q.add_argument("n", type=int)
-    q.add_argument("k", type=int)
-    q.add_argument("m", type=int)
-    q.add_argument("--out")
-    q.set_defaults(func=_cmd_construct)
+    con.add_parser("example33", parents=[nk]).add_argument("--out")
+    con.add_parser("perturbed", parents=[nkm]).add_argument("--out")
 
     p = sub.add_parser("verify", help="exhaustive verification sweeps")
+    p.set_defaults(func=_cmd_verify)
     ver = p.add_subparsers(dest="what", required=True)
     q = ver.add_parser("lemma-abc")
     q.add_argument("--amax", type=int, default=10)
     q.add_argument("--kmax", type=int, default=5)
-    q.set_defaults(func=_cmd_verify)
     q = ver.add_parser("splits")
     q.add_argument("--amax", type=int, default=8)
     q.add_argument("--kmax", type=int, default=5)
-    q.set_defaults(func=_cmd_verify)
-    q = ver.add_parser("min-degree")
-    q.add_argument("n", type=int)
-    q.add_argument("k", type=int)
-    q.set_defaults(func=_cmd_verify)
-    q = ver.add_parser("uniqueness")
-    q.add_argument("n", type=int)
-    q.add_argument("k", type=int)
-    q.set_defaults(func=_cmd_verify)
+    ver.add_parser("min-degree", parents=[nk])
+    ver.add_parser("uniqueness", parents=[nk])
     q = ver.add_parser("conjecture")
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--xmax", type=float, default=12.0)
     q.add_argument("--step", type=float, default=0.25)
     q.add_argument("--y-samples", type=int, default=41)
-    q.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("reduce", help="wall reduction of a dominated pair")
     p.add_argument("--wall", required=True, help="w0,w1,..:level")
@@ -494,10 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("identity", help="translation-invariance decision")
+    p.set_defaults(func=_cmd_identity)
     idsub = p.add_subparsers(dest="identity", required=True)
-    q = idsub.add_parser("check")
-    q.add_argument("--sum", required=True)
-    q.set_defaults(func=_cmd_identity)
+    idsub.add_parser("check").add_argument("--sum", required=True)
 
     return parser
 

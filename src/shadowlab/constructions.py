@@ -146,10 +146,10 @@ def _at_most_one_count(n: int, k: int, m: int) -> int:
 def forbidden_pair_cardinalities(spec: ForbiddenPairSpec) -> dict:
     """Closed-form cardinalities, cascades, and extremality verdicts.
 
-    Works at any ground size; requires the all-pairs-inside-[m] shape.  The
-    report covers the undeleted family, the optional regular deletion, and
-    the per-element split into link and deleted star for both element
-    classes (inside and outside [m]).
+    Works at any ground size and k >= 3; requires the all-pairs-inside-[m]
+    shape.  The report covers the undeleted family, the optional regular
+    deletion, and the per-element split into link and deleted star for both
+    element classes (inside and outside [m]).
     """
     n, k = spec.n, spec.k
     m = _pair_support_size(spec)
@@ -157,6 +157,9 @@ def forbidden_pair_cardinalities(spec: ForbiddenPairSpec) -> dict:
         raise ValueError("need m >= 3 and n >= m + 3")
     if spec.deletion is not None:
         raise ValueError("the arithmetic report needs a regular deletion shape")
+    # the link's shadow cascade is taken at level k - 2
+    if k < 3:
+        raise ValueError("the arithmetic report needs k >= 3")
 
     def entry(size: int, shadow_size: int, level: int) -> dict:
         return {

@@ -44,6 +44,7 @@ from .exact import (
     seq_value,
 )
 from .families import (
+    MAX_GROUND,
     SHADOW_BUDGET,
     KFamily,
     _cycled,
@@ -752,7 +753,10 @@ def enumerate_extremal(
     the recursive method's oracle at (7,3).  Patterns come in ascending
     order, classes in the order of their first pattern.  Without up_to_iso,
     a size whose families hold more than 10,000,000 sets in all is refused
-    before any family is built, and past the sweep limit before listing."""
+    before any family is built, and past the sweep limit before listing.
+    A ground set past ``MAX_GROUND`` is refused before any table is built."""
+    if n > MAX_GROUND:  # the families could not be represented
+        raise ValueError(f"need 0 <= k <= n <= {MAX_GROUND}")
     if not 1 <= m <= binom(n, k):
         raise ValueError("family size out of range")
     if method == "exhaustive":

@@ -363,6 +363,36 @@ def test_materialize_refuses_a_layer_past_the_limit_before_listing(capsys, monke
     assert main(["construct", "forbidden-pairs", "9", "3", "3", "--materialize"]) == 3
 
 
+def test_out_of_domain_requests_refused_at_entry(capsys):
+    # enumerate past the 64-element ground set exited 3 or 2 depending on
+    # the path, and forbidden-pairs with k <= 2 leaked the cascade's
+    # "level k must be >= 1"; --iter was ignored next to --upper
+    pairs = ["construct", "forbidden-pairs", "8"]
+    for argv, message in (
+        (["enumerate", "65", "2", "1"], "need 0 <= k <= n <= 64"),
+        (["enumerate", "65", "1", "1"], "need 0 <= k <= n <= 64"),
+        (["enumerate", "65", "65", "1"], "need 0 <= k <= n <= 64"),
+        (["enumerate", "300", "300", "1"], "need 0 <= k <= n <= 64"),
+        *(
+            ([*pairs, k, "3", *more], "the arithmetic report needs k >= 3")
+            for k in ("0", "1", "2")
+            for more in ([], ["--materialize"])
+        ),
+        (
+            ["shadow", "--in", "f.json", "--upper", "2", "--iter", "2"],
+            "argument --iter: not allowed with argument --upper",
+        ),
+        (
+            ["shadow", "--in", "f.json", "--iter", "2", "--upper", "2"],
+            "argument --upper: not allowed with argument --iter",
+        ),
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == f"error: {message}\n", argv
+
+
 def test_construct_block_examples(capsys):
     code, report = run(capsys, "construct", "example32", "5", "3", "--variant", "b")
     assert code == 0

@@ -251,3 +251,77 @@ def test_perturbed_colex_preconditions():
         perturbed_colex(6, 3, 19)  # full-layer-minus-one: r = 0
     with pytest.raises(ValueError):
         perturbed_colex(6, 3, 10)  # cascade shorter than k
+
+
+def test_construction_entry_refusals():
+    # each refusal names its domain, with the type and text the CLI prints
+    triangle = ((1, 2), (1, 3), (2, 3))  # all pairs inside [3]
+    no_sets = KFamily(9, 3, ())
+    cases = [
+        (lambda: ForbiddenPairSpec(6, 3, ((1, 2), (1, 2))), "repeated pair (1, 2)"),
+        (
+            lambda: forbidden_pair_family(ForbiddenPairSpec(9, 3, triangle, no_sets, (2, 1))),
+            "give either an explicit or a regular deletion",
+        ),
+        (
+            lambda: forbidden_pair_family(ForbiddenPairSpec.complete_pairs(10, 3, 3, (2, 1))),
+            "regular deletion needs n = t*k + m",
+        ),
+        (
+            lambda: forbidden_pair_family(
+                ForbiddenPairSpec(6, 3, ((1, 2),), KFamily.from_sets(6, 3, [(1, 3, 4)]))
+            ),
+            "deletion must avoid the forbidden-pair support",
+        ),
+        (  # a set off the pairs' support lies in the family unless its level differs
+            lambda: forbidden_pair_family(
+                ForbiddenPairSpec(6, 3, ((1, 2),), KFamily.from_sets(6, 2, [(5, 6)]))
+            ),
+            "deletion is not inside the family",
+        ),
+        (
+            lambda: forbidden_pair_cardinalities(ForbiddenPairSpec(9, 3, ((1, 2), (3, 4)))),
+            "closed-form cardinalities need all pairs inside [m]",
+        ),
+        (
+            lambda: forbidden_pair_cardinalities(ForbiddenPairSpec(9, 3, triangle, no_sets)),
+            "the arithmetic report needs a regular deletion shape",
+        ),
+        (
+            lambda: forbidden_pair_cardinalities(ForbiddenPairSpec.complete_pairs(9, 3, 3, (2, 4))),
+            "need 1 <= r <= min(k, t)",
+        ),
+        (
+            lambda: forbidden_pair_cardinalities(ForbiddenPairSpec.complete_pairs(9, 3, 3, (2, 0))),
+            "need 1 <= r <= min(k, t)",
+        ),
+        (lambda: example_32_family(33, 3, "b"), "ground set too large"),
+        (lambda: example_32_family(5, 3, "d"), "variant must be 'b' or 'c'"),
+        (lambda: example_33_family(32, 3), "ground set too large"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert info.type is ValueError and str(info.value) == message
+
+
+def test_forbidden_pair_arithmetic_refuses_k_below_3():
+    # the link's shadow cascade is taken at level k - 2; the pair-shape, size
+    # and deletion checks keep their precedence
+    k_domain = "the arithmetic report needs k >= 3"
+    cases = [(ForbiddenPairSpec.complete_pairs(8, k, 3), k_domain) for k in (2, 1, 0, -1)]
+    cases += [
+        (
+            ForbiddenPairSpec(9, 2, ((1, 2), (3, 4))),
+            "closed-form cardinalities need all pairs inside [m]",
+        ),
+        (ForbiddenPairSpec.complete_pairs(5, 2, 3), "need m >= 3 and n >= m + 3"),
+        (
+            ForbiddenPairSpec(9, 2, ((1, 2), (1, 3), (2, 3)), KFamily(9, 2, ())),
+            "the arithmetic report needs a regular deletion shape",
+        ),
+    ]
+    for spec, message in cases:
+        with pytest.raises(ValueError) as info:
+            forbidden_pair_cardinalities(spec)
+        assert info.type is ValueError and str(info.value) == message, spec

@@ -432,6 +432,28 @@ def test_characterize_rejects_support_gap():
         characterize(gappy)
 
 
+def test_certificate_entries_refuse_out_of_domain_families():
+    # the characterization, the witness certificate and the minimum-degree
+    # bound are stated for full-support families with k >= 2
+    stars = KFamily.from_sets(3, 1, [(1,), (2,), (3,)])
+    gappy = KFamily.from_sets(6, 3, [(1, 2, 3), (1, 2, 4)])
+    gap = "support gap: some element of [n] has degree zero"
+    degree_domain = "need |S| > 1 and n > k > 1"
+    cases = [
+        (characterize, (stars,), "characterization requires k >= 2"),
+        (characterize, (KFamily(3, 2, ()),), "characterization requires a nonempty family"),
+        (certify_by_witness, (stars, 1), "characterization requires k >= 2"),
+        (certify_by_witness, (gappy, 1), gap),
+        (min_degree_bound_check, (KFamily.from_sets(4, 2, [(1, 2)]),), degree_domain),
+        (min_degree_bound_check, (stars,), degree_domain),
+        (min_degree_bound_check, (gappy,), gap),
+    ]
+    for func, args, message in cases:
+        with pytest.raises(ValueError) as info:
+            func(*args)
+        assert info.type is ValueError and str(info.value) == message, (func, args)
+
+
 def test_characterize_matches_is_extremal_sampled():
     rng = random.Random(4242)
     pool6 = list(combinations(range(1, 7), 3))
@@ -1007,6 +1029,31 @@ def test_recursive_enumeration_refuses_non_extremal_output(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: internal: RuntimeError: ")
     assert captured.err.count("\n") == 1
+
+
+def test_enumerate_extremal_refuses_at_entry(monkeypatch):
+    # a ground set past 64, a recursive request past n = 10 and an unknown
+    # method are refused before any table is built or any family generated
+    def no_work(*args):
+        raise AssertionError("built a table or generated a family")
+
+    for name in ("_layer", "_extremal_counts", "_extremal_patterns", "_enum_recursive"):
+        monkeypatch.setattr(extremal, name, no_work)
+    bounded = "recursive enumeration bounded"
+    cases = [
+        ((65, 2, 1), {}, ValueError, "need 0 <= k <= n <= 64"),
+        ((65, 1, 1), {}, ValueError, "need 0 <= k <= n <= 64"),
+        ((65, 65, 1), {}, ValueError, "need 0 <= k <= n <= 64"),
+        ((300, 300, 1), {"up_to_iso": True}, ValueError, "need 0 <= k <= n <= 64"),
+        ((65, 2, 0), {"method": "recursive"}, ValueError, "need 0 <= k <= n <= 64"),
+        ((64, 65, 1), {}, ValueError, "family size out of range"),
+        ((11, 2, 3), {"method": "recursive"}, BudgetError, f"{bounded} at n <= 10"),
+        ((4, 2, 3), {"method": "greedy"}, ValueError, "unknown method 'greedy'"),
+    ]
+    for args, options, error, message in cases:
+        with pytest.raises(error) as info:
+            enumerate_extremal(*args, **options)
+        assert info.type is error and str(info.value) == message, (args, options)
 
 
 def test_extremal_iso_classes_reject_out_of_range_sizes():

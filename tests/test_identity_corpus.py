@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import os
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -29,3 +30,24 @@ def test_readme_examples_and_first_difference():
     rows = identity_corpus.compare(parent, changed)
     assert [(row["entries"], row["first"]) for row in rows] == [(2, "b"), (1, "y")]
     assert all(row["sha256"][0] != row["sha256"][1] for row in rows)
+
+
+def test_relative_tree_paths_and_a_failing_child(tmp_path, monkeypatch, capsys):
+    # the children run in a temporary directory, so a tree given relative to
+    # the working directory must still reach them; a child that fails is one
+    # error line naming the tree, the group and the exit code
+    broken = tmp_path / "broken" / "src" / "shadowlab"
+    broken.mkdir(parents=True)
+    (broken / "__init__.py").write_text('raise RuntimeError("broken tree")\n')
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(identity_corpus, "GROUPS", (identity_corpus.help_entries,))
+    tree = os.path.relpath(_ROOT, tmp_path)
+    assert identity_corpus.main(["--parent", tree, "--change", tree]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("cli_help: 23 entries\n") and out.endswith("\nidentical\n")
+    assert identity_corpus.main(["--parent", tree, "--change", "broken"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: broken: the cli_help process exited 1: RuntimeError: broken tree\n"
+    )

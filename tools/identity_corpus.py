@@ -10,6 +10,10 @@ kinds of entry are compared:
   220 scales k 1..5 x amax 0..10 x shift 0..3, and ``splits_comparison``
   at (8,5), (6,4), (3,3) and (10,6); an entry's digest is the sha256 of
   the result's repr;
+- the ``--help`` of every node of the tree's CLI parser, the top-level
+  parser and each subcommand below it, found by walking ``build_parser()``
+  and run through ``shadowlab.cli.main`` in one fresh process per tree; an
+  entry's digest is the sha256 of its exit code, stdout and stderr;
 - the CLI examples of the tree's README (the lines of its first code block
   after "## CLI" that start with ``shadowlab``), run in order in a fresh
   temporary directory per tree, one ``python -m shadowlab.cli`` process
@@ -17,9 +21,12 @@ kinds of entry are compared:
   stderr, and every file the examples leave in the directory is one more
   entry.
 
-It prints one sha256 per group and tree and, where a group differs, the
-first entry that differs; it exits 1 on any difference and 0 otherwise.
-The runs set PYTHONDONTWRITEBYTECODE=1.  Standard library only.
+Tree paths may be relative to the working directory.  It prints one sha256
+per group and tree and, where a group differs, the first entry that
+differs; it exits 1 on any difference and 0 otherwise.  A process of the
+grid or help groups that fails ends the run with one ``error:`` line on
+stderr naming the tree, the group and its exit code, and exit 2.  The runs
+set PYTHONDONTWRITEBYTECODE=1.  Standard library only.
 """
 
 from __future__ import annotations
@@ -54,12 +61,40 @@ for amax, kmax in ((8, 5), (6, 4), (3, 3), (10, 6)):
 """
 
 
+HELP = """
+import argparse, contextlib, hashlib, io
+from shadowlab.cli import build_parser, main
+
+def nodes(parser, path):
+    yield path
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from nodes(child, [*path, name])
+
+for path in nodes(build_parser(), []):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*path, "--help"])
+    outcome = repr((code, out.getvalue(), err.getvalue())).encode()
+    entry = " ".join(["shadowlab", *path, "--help"])
+    print("cli_help", entry, hashlib.sha256(outcome).hexdigest(), sep="\\t")
+"""
+
+
+class ChildError(Exception):
+    """A grid or help process that exited nonzero."""
+
+
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
 def _env(tree: Path) -> dict:
-    return {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    # the children run in a temporary directory, so a relative path would
+    # not lead them to the tree
+    src = tree.resolve() / "src"
+    return {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def readme_examples(readme: str) -> list[str]:
@@ -73,18 +108,32 @@ def readme_examples(readme: str) -> list[str]:
     ]
 
 
-def grid_entries(tree: Path) -> list[tuple[str, str, str]]:
-    """(group, entry, digest) of the split-sweep grid, from one fresh process."""
+def _script_entries(tree: Path, group: str, script: str) -> list[tuple[str, str, str]]:
+    """(group, entry, digest) lines that script prints, from one fresh
+    process in a temporary directory; ChildError if it exits nonzero."""
     with tempfile.TemporaryDirectory() as work:
-        out = subprocess.run(
-            [sys.executable, "-c", GRID],
+        run = subprocess.run(
+            [sys.executable, "-c", script],
             cwd=work,
             env=_env(tree),
             capture_output=True,
             text=True,
-            check=True,
-        ).stdout
-    return [tuple(line.split("\t")) for line in out.splitlines()]
+        )
+    if run.returncode:
+        last = (run.stderr.strip().splitlines() or ["no stderr"])[-1]
+        raise ChildError(f"{tree}: the {group} process exited {run.returncode}: {last}")
+    return [tuple(line.split("\t")) for line in run.stdout.splitlines()]
+
+
+def grid_entries(tree: Path) -> list[tuple[str, str, str]]:
+    """(group, entry, digest) of the split-sweep grid, from one fresh process."""
+    return _script_entries(tree, "split-sweep grid", GRID)
+
+
+def help_entries(tree: Path) -> list[tuple[str, str, str]]:
+    """(group, entry, digest) of every CLI parser node's --help, from one
+    fresh process."""
+    return _script_entries(tree, "cli_help", HELP)
 
 
 def cli_entries(tree: Path) -> list[tuple[str, str, str]]:
@@ -123,12 +172,22 @@ def compare(parent: list[tuple], change: list[tuple]) -> list[dict]:
     return out
 
 
+GROUPS = (grid_entries, help_entries, cli_entries)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     args = parser.parse_args(argv)
-    parent, change = (grid_entries(t) + cli_entries(t) for t in (args.parent, args.change))
+    try:
+        parent, change = (
+            [entry for group in GROUPS for entry in group(tree)]
+            for tree in (args.parent, args.change)
+        )
+    except ChildError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
     differs = False
     for row in compare(parent, change):
         print(f"{row['group']}: {row['entries']} entries")
