@@ -61,10 +61,10 @@ def _cmd_shadow(args) -> int:
     from .families import iterated_shadow, to_dict, upper_shadow
 
     family = _load_family(args.infile)
-    if args.upper:
+    if args.upper is not None:
         result = upper_shadow(family, args.upper)
     else:
-        result = iterated_shadow(family, args.iter)
+        result = iterated_shadow(family, 1 if args.iter is None else args.iter)
     report = {"input_size": len(family), "result": to_dict(result)}
     if args.out:
         _save_family(result, args.out)
@@ -401,8 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shadow", help="iterated or upper shadow of a family file")
     p.add_argument("--in", dest="infile", required=True)
     steps = p.add_mutually_exclusive_group()
-    steps.add_argument("--iter", type=int, default=1)
-    steps.add_argument("--upper", type=int, default=0)
+    # no defaults: argparse takes an exclusive option whose value is its default object as not given
+    steps.add_argument("--iter", type=int)
+    steps.add_argument("--upper", type=int)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_shadow)
 

@@ -16,10 +16,10 @@ family-at-a-time oracle for every element.
 Minimum shadows and extremal families also come from the shadow side: a
 byte table over the families T of (k-1)-sets holds |K(T)|, the number of
 k-sets all of whose (k-1)-subsets lie in T, built by the same plane engine
-from the upper shadows of complements.  Where C(n, k-1) < C(n, k) it is
-the smaller table.  It answers ``brute_force_min_shadow`` there, and one
-zero scan of it counts and lists the extremal m-families, the m-subsets of
-K(T) over the T of least size s(m) with |K(T)| >= m.
+from the upper shadows of complements.  Where it is the smaller table
+(``_served_layer`` holds the rule) it answers ``brute_force_min_shadow``,
+and one zero scan of it counts and lists the extremal m-families, the
+m-subsets of K(T) over the T of least size s(m) with |K(T)| >= m.
 """
 
 from __future__ import annotations
@@ -352,7 +352,8 @@ class _Layer:
     popcounts.  ``closures`` builds the dual table over patterns of the
     (k-1)-sets in ``sub_masks`` from upper shadows with the same planes,
     and ``relabelings`` the action on the patterns of two generators of
-    S_n.  Each table is built on first use, through ``_split``, and kept.
+    S_n.  Each table is built on first use, through ``_split``, and kept,
+    as is the listing of every size that ``_extremal_patterns`` makes.
     """
 
     def __init__(self, n: int, k: int):
@@ -368,6 +369,7 @@ class _Layer:
         self._counts: bytearray | None = None
         self._closures: bytearray | None = None
         self._relabelings: list[list[list[int]]] | None = None
+        self._extremal: dict[int, list[int]] | None = None
 
     def counts(self) -> bytearray:
         """Per-subfamily shadow sizes, one byte each: the sum of the
@@ -444,11 +446,12 @@ def _layer(n: int, k: int) -> _Layer:
 
 
 def _sweep_layer(n: int, k: int) -> _Layer:
-    """The layer C([n], k) for table sweeps, refused before it is built when
-    its 2^C(n, k) tables exceed the sweep limit.  Every read of the k-side
-    tables goes through here, so their counts stay within their fields; the
-    closure table, built by the same engine, is checked in ``_min_shadows``,
-    ``_extremal_patterns`` and ``_Layer.closures``."""
+    """The layer C([n], k) for table sweeps, refused before it is built past
+    ``MAX_GROUND`` or when its 2^C(n, k) tables exceed the sweep limit.
+    Every read of the k-side tables goes through here, so their counts stay
+    within their fields; ``_served_layer`` admits the closure table."""
+    if n > MAX_GROUND:
+        raise ValueError(f"need 0 <= k <= n <= {MAX_GROUND}")
     size = binom(n, k)
     if size > SWEEP_LAYER_LIMIT:
         raise BudgetError(
@@ -458,6 +461,21 @@ def _sweep_layer(n: int, k: int) -> _Layer:
     if binom(n, k - 1) > 255:
         raise BudgetError(f"shadow sizes of C({n}, {k - 1}) sets do not fit one byte")
     return _layer(n, k)
+
+
+def _served_layer(n: int, k: int) -> tuple[_Layer, bool]:
+    """The layer whose exact table serves C([n], k), and whether it is the
+    closure table, which serves iff k >= 2, C(n, k-1) < C(n, k) and C(n, k-1)
+    fits the sweep limit: (n,2) for 4 <= n <= 21, (6,3) and (7,3).  Else the
+    k-side tables serve, ties included, through ``_sweep_layer``, which
+    refuses them before the layer is built.  Past ``MAX_GROUND`` it refuses
+    first."""
+    if n > MAX_GROUND:
+        raise ValueError(f"need 0 <= k <= n <= {MAX_GROUND}")
+    below = binom(n, k - 1)
+    if k >= 2 and below <= SWEEP_LAYER_LIMIT and below < binom(n, k):
+        return _layer(n, k), True
+    return _sweep_layer(n, k), False
 
 
 def _distinct_pairs(values: bytes, positions: int) -> set[tuple[int, int]]:
@@ -502,32 +520,21 @@ def _closure_min_shadows(layer: _Layer) -> list[int]:
 @lru_cache(maxsize=8)
 def _min_shadows(n: int, k: int) -> list[int]:
     """min |shadow| per family size m = 0..C(n, k) over all subfamilies of
-    C([n], k), k >= 2, from the smaller of two exact tables.
-
-    The closure table over C([n], k-1) serves where C(n, k-1) < C(n, k),
-    that is k <= n/2; the k-side tables serve otherwise, ties included.
-    Either side is refused, before the layer is built, when its table
-    exceeds the sweep limit."""
-    shadow_layer = binom(n, k - 1)
-    if shadow_layer >= binom(n, k):
-        return _member_min_shadows(_sweep_layer(n, k))
-    if shadow_layer > SWEEP_LAYER_LIMIT:
-        raise BudgetError(
-            f"shadow layer of {shadow_layer} sets exceeds the sweep limit of "
-            f"{SWEEP_LAYER_LIMIT} sets"
-        )
-    return _closure_min_shadows(_layer(n, k))
+    C([n], k), k >= 2, from the table ``_served_layer`` picks."""
+    layer, closure = _served_layer(n, k)
+    return _closure_min_shadows(layer) if closure else _member_min_shadows(layer)
 
 
 def brute_force_min_shadow(n: int, k: int, m: int) -> int:
     """Minimum shadow size over all m-subsets of C([n], k), exactly.
 
-    Where C(n, k) or C(n, k-1) fits the sweep limit, the smaller of the
-    k-side and closure tables answers (``_min_shadows``); both range over
-    every subfamily and neither assumes the bound.  Otherwise, and where
-    that table has more than 2^16 entries but the C(C(n, k), m)
+    Where C(n, k) or C(n, k-1) fits the sweep limit, the table
+    ``_served_layer`` picks answers (``_min_shadows``); both tables range
+    over every subfamily and neither assumes the bound.  Otherwise, and
+    where that table has more than 2^16 entries but the C(C(n, k), m)
     combinations are at most 2^16, it enumerates the combinations, at most
-    ``COMBINATION_BUDGET``."""
+    ``COMBINATION_BUDGET``; for k >= 2 it refuses a ground set past
+    ``MAX_GROUND``."""
     layer_size = binom(n, k)
     if not 1 <= m <= layer_size:
         raise ValueError("family size out of range")
@@ -543,6 +550,8 @@ def brute_force_min_shadow(n: int, k: int, m: int) -> int:
     # a larger table serves where it fits, unless the combinations are fewer
     if min(layer_size, binom(n, k - 1)) <= SWEEP_LAYER_LIMIT and count > 1 << _BLOCK_POSITIONS:
         return _min_shadows(n, k)[m]
+    if n > MAX_GROUND:
+        raise ValueError(f"need 0 <= k <= n <= {MAX_GROUND}")
     if count > COMBINATION_BUDGET:
         raise BudgetError(
             f"C({layer_size}, {m}) = {count} combinations exceed the "
@@ -626,10 +635,9 @@ def _extremal_counts(n: int, k: int) -> dict[int, int]:
 def _closure_patterns(layer: _Layer, sizes: range) -> dict[int, list[int]]:
     """The extremal m-subsets of C([n], k), k >= 2, for each m in a range
     of sizes, as ascending bit patterns: the m-subsets of K(T) over the T
-    with |T| = s(m) and |K(T)| >= m, with no appeal to Kruskal-Katona.
-    Past the sweep limit ``_extremal_patterns`` lists the sizes asked for
-    through it.  Each size's count is checked against ``COMBINATION_BUDGET``
-    before anything is listed.
+    with |T| = s(m) and |K(T)| >= m, with no appeal to Kruskal-Katona.  Each
+    size's count is checked against ``COMBINATION_BUDGET`` before anything
+    is listed.
 
     One scan finds the T of every size, as in ``_extremal_counts``: with
     c = |K(T)| and top the largest size, T serves some m in the range iff
@@ -665,25 +673,18 @@ def _closure_patterns(layer: _Layer, sizes: range) -> dict[int, list[int]]:
     return out
 
 
-@lru_cache(maxsize=4)
-def _extremal_patterns_by_size(n: int, k: int) -> dict[int, list[int]]:
-    """All extremal subfamilies of a layer within the sweep limit, grouped
-    by size, listed once per process: from the closure table where k >= 2
-    and C(n, k-1) < C(n, k) ((4,2), (5,2), (6,2), (7,2) and (6,3)), as in
-    ``_min_shadows``, else from the k-side sizes (``_member_patterns``)."""
-    layer = _sweep_layer(n, k)
-    if k >= 2 and binom(n, k - 1) < layer.size:
-        return _closure_patterns(layer, range(1, layer.size + 1))
-    return _member_patterns(layer)
-
-
 def _extremal_patterns(n: int, k: int, sizes: range) -> dict[int, list[int]]:
-    """The extremal patterns of C([n], k) by size, at least the sizes given:
-    those alone where the closure table serves past the sweep limit, else
-    the cached listing of every size, which callers must not change."""
-    if k >= 2 and binom(n, k - 1) <= SWEEP_LAYER_LIMIT < binom(n, k):
-        return _closure_patterns(_layer(n, k), sizes)
-    return _extremal_patterns_by_size(n, k)
+    """The extremal patterns of C([n], k) by size from the table
+    ``_served_layer`` picks: past the sweep limit the sizes given alone,
+    within it every size, listed once and kept on the layer, which callers
+    must not change."""
+    layer, closure = _served_layer(n, k)
+    if layer.size > SWEEP_LAYER_LIMIT:
+        return _closure_patterns(layer, sizes)
+    if layer._extremal is None:
+        every = range(1, layer.size + 1)
+        layer._extremal = _closure_patterns(layer, every) if closure else _member_patterns(layer)
+    return layer._extremal
 
 
 @lru_cache(maxsize=None)
@@ -742,31 +743,27 @@ def enumerate_extremal(
 ) -> list[KFamily]:
     """All extremal m-subsets of C([n], k); canonical forms if up_to_iso.
 
-    The exhaustive method reads the smaller exact table through
-    ``_extremal_patterns``.  Where k >= 2 and C(n, k-1) < C(n, k), up to
-    the sweep limit, the closure table lists them: every size at once and
-    cached where C(n, k) fits the limit too, size m alone elsewhere (at
-    (7,3) and (n,2) for 8 <= n <= 21), refused before listing when the
-    count exceeds ``COMBINATION_BUDGET``.  Elsewhere (k = 1, or
-    C(n, k-1) >= C(n, k)) the k-side shadow sizes list them, within it.
-    Each side is the other's oracle where both fit, and the closure side is
-    the recursive method's oracle at (7,3).  Patterns come in ascending
-    order, classes in the order of their first pattern.  Without up_to_iso,
-    a size whose families hold more than 10,000,000 sets in all is refused
-    before any family is built, and past the sweep limit before listing.
-    A ground set past ``MAX_GROUND`` is refused before any table is built."""
+    The exhaustive method lists them through ``_extremal_patterns``: past
+    the sweep limit (the closure table at (7,3) and (n,2), 8 <= n <= 21)
+    size m alone, refused before listing when the count exceeds
+    ``COMBINATION_BUDGET``.  The closure side is the recursive method's
+    oracle at (7,3).  Patterns come in ascending order, classes in the order
+    of their first pattern.  Without up_to_iso, a size whose families hold
+    more than 10,000,000 sets in all is refused before any family is built,
+    and past the sweep limit before listing.  A ground set past
+    ``MAX_GROUND`` is refused before any table is built."""
     if n > MAX_GROUND:  # the families could not be represented
         raise ValueError(f"need 0 <= k <= n <= {MAX_GROUND}")
     if not 1 <= m <= binom(n, k):
         raise ValueError("family size out of range")
     if method == "exhaustive":
+        layer, _ = _served_layer(n, k)
         # within the sweep limit a size holds at most C(21, 11) * 11 sets;
         # past it the closure side counts first, and refuses past the budget
-        if not up_to_iso and k >= 2 and binom(n, k - 1) <= SWEEP_LAYER_LIMIT < binom(n, k):
+        if not up_to_iso and layer.size > SWEEP_LAYER_LIMIT:
             if (count := _extremal_counts(n, k)[m]) <= COMBINATION_BUDGET:
                 _refuse_past_set_limit(n, k, m, count)
         patterns = _extremal_patterns(n, k, range(m, m + 1))[m]
-        layer = _layer(n, k)
         if not up_to_iso:
             return [layer.family(p) for p in patterns]
     elif method == "recursive":
@@ -867,9 +864,9 @@ def extremal_class_counts(n: int, k: int) -> dict[int, int]:
     """The number of isomorphism classes of extremal m-subsets of C([n], k)
     per size m: the orbit roots of every size, listed at once, each size's
     list dropped after its walk, and no canonical form taken."""
-    sizes = range(1, binom(n, k) + 1)
+    layer, _ = _served_layer(n, k)  # refuses n past MAX_GROUND before any binomial
+    sizes = range(1, layer.size + 1)
     listing = dict(_extremal_patterns(n, k, sizes))  # pop frees no cached list
-    layer = _layer(n, k)
     return {m: len(_orbit_roots(layer, listing.pop(m))) for m in sizes}
 
 
@@ -1019,9 +1016,7 @@ def characterization_sweep(n: int, k: int = 3) -> dict:
     whose chain leaves the patterns that pass at n; the rest are accepted.
     The mismatches are the accepted patterns that are not extremal and the
     extremal ones that are not accepted, with the extremal patterns read
-    from ``_extremal_patterns_by_size``, which the isomorphism sweeps share.
-    Where C(n, k-1) < C(n, k), as at (6,3), the closure table lists them
-    and no k-side listing is made; elsewhere ``_member_patterns`` lists them.
+    from the listing of ``_extremal_patterns`` the isomorphism sweeps share.
     ``characterize`` stays the family-at-a-time oracle the tests compare
     each element's table against.
     """
@@ -1045,7 +1040,7 @@ def characterization_sweep(n: int, k: int = 3) -> dict:
     accepted.discard(0)  # the empty pattern
     # accepted ^ extremal in place, a size at a time: no set of every extremal pattern
     extremal = 0
-    for patterns in _extremal_patterns_by_size(n, k).values():
+    for patterns in _extremal_patterns(n, k, range(1, layer.size + 1)).values():
         extremal += len(patterns)
         accepted.symmetric_difference_update(patterns)
     return {

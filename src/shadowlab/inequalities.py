@@ -121,14 +121,13 @@ def check_abck(a: Seq, b: Seq, c: Seq, k: int, k1: int, k2: int) -> AbcReport:
     return _evaluate(a, b, c, k, k1, k2)
 
 
-def _admissible(level: int, cap: int, depth: int = 0, cascades: bool = False) -> list[tuple]:
+def _admissible(level: int, cap: int, depth: int = 0) -> list[tuple]:
     """Every sequence admissible at ``level`` whose value there is at most cap.
 
     Admissible means strictly decreasing and nonnegative with s_j >= level -
     j - 1 and at most level + 1 terms: a term past index ``level`` is
     evaluated at a negative level and contributes zero to every row, so
-    longer tails would be representation noise; ``cascades`` keeps the
-    cascades, s_j >= level - j and at most level terms.  Entries are (terms,
+    longer tails would be representation noise.  Entries are (terms,
     row), the row holding the values at levels level, ..., level - depth,
     summed as the descent adds one precomputed column of binomials per term,
     depth first with ascending terms: tuple order, the empty tuple first;
@@ -148,7 +147,6 @@ def _admissible(level: int, cap: int, depth: int = 0, cascades: bool = False) ->
                 f"level-{level} sequences of value at most {cap} reach {reach} candidates "
                 f"by first term {top}, over the split budget of {SPLIT_BUDGET}"
             )
-    slack = 0 if cascades else 1  # how far below its cascade bound a term may sit
     binoms = [[binom(x, r) for r in range(level, -depth - 1, -1)] for x in range(top + 1)]
     # columns[j][x]: what the term x at index j adds to a row
     columns = [[tuple(b[j : j + depth + 1]) for b in binoms] for j in range(level + 1)]
@@ -156,13 +154,13 @@ def _admissible(level: int, cap: int, depth: int = 0, cascades: bool = False) ->
 
     def rec(prefix: list[int], row: tuple[int, ...]) -> None:
         j = len(prefix)
-        for term in range(max(level - j - slack, 0), prefix[-1] if prefix else top + 1):
+        for term in range(max(level - j - 1, 0), prefix[-1] if prefix else top + 1):
             child = tuple(map(add, row, columns[j][term]))
             if child[0] > cap:
                 break
             prefix.append(term)
             out.append((tuple(prefix), child))
-            if j < level - 1 + slack:
+            if j < level:
                 rec(prefix, child)
             prefix.pop()
 
@@ -182,9 +180,10 @@ def _listing_order(terms: tuple[int, ...]) -> tuple:
     return len(terms), tuple(-x for x in terms)
 
 
-def _cascade_rows(k: int, cap: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The level-k cascades of the values 1..cap with their rows, in tuple order."""
-    out = _admissible(k, cap, k, cascades=True)[1:]  # past the empty tuple
+def _cascade_rows(k: int, cap: int, entries: list[tuple]) -> list[tuple]:
+    """The level-k cascades of the values 1..cap with their rows, in tuple order,
+    from the entries of ``_admissible(k, cap, k)``: 1..k terms, the last > k - len."""
+    out = [(t, row) for t, row in entries if 0 < len(t) <= k and t[-1] > k - len(t)]
     if [row[0] for _t, row in out] != list(range(1, cap + 1)):
         raise RuntimeError(f"the level-{k} cascades in tuple order are not the values 1..{cap}")
     return out
@@ -318,7 +317,7 @@ def lemma_sweep(k: int, amax: int) -> dict:
         return {"k": k, "amax": amax, "checked": 0, "violations": []}
     cap = _cascade_cap(k, amax)
     bs, c_by_value = _split_universe(k, cap)
-    cascades = _cascade_rows(k, cap)  # position p holds the value p + 1
+    cascades = _cascade_rows(k, cap, bs)  # position p holds the value p + 1
     a1s = [tuple(x - 1 for x in terms) for terms, _row in cascades]
     c_groups = [c_by_value[w] for w in range(cap + 1)]  # each value has a (k-1)-cascade
     c_bounds = [_column_bounds([r for _t, r in cs]) for cs in c_groups]
@@ -353,8 +352,9 @@ def _general_row(row: tuple[int, ...]) -> tuple[int, int, int]:
     return row[0], row[1], sum(row[1::2]) - sum(row[2::2])
 
 
-def _level_floors(levels: range, cap: int) -> tuple[dict, list]:
-    """The groups and the two floors ``general_level_sweep`` certifies with.
+def _level_floors(entries: dict[int, list], cap: int) -> tuple[dict, list]:
+    """The groups and the two floors ``general_level_sweep`` certifies with,
+    from the ``_admissible(level, cap, level)`` entries of each level.
 
     groups[level] maps each value v <= cap to the terms and the general rows
     of the admissible sequences of value v at level (``_grouped``); every
@@ -367,13 +367,13 @@ def _level_floors(levels: range, cap: int) -> tuple[dict, list]:
     m / 2.
     """
     groups = {
-        level: _grouped((t, _general_row(row)) for t, row in _admissible(level, cap, level))
-        for level in levels
+        level: _grouped((t, _general_row(row)) for t, row in rows)
+        for level, rows in entries.items()
     }
     floors = []
     for i in (1, 2):
         low = [
-            min(row[i] for level in levels for row in groups[level][v][1]) for v in range(cap + 1)
+            min(row[i] for group in groups.values() for row in group[v][1]) for v in range(cap + 1)
         ]
         floors.append([min(map(add, low[: m // 2 + 1], low[m::-1])) for m in range(cap + 1)])
     return groups, floors
@@ -407,12 +407,13 @@ def general_level_sweep(k: int, amax: int, kmax_shift: int = 2) -> dict:
     if amax < k:
         return {"checked": 0, "violations": []}
     cap = _cascade_cap(k, amax)
+    levels = range(k, k + kmax_shift + 1)
+    entries = {level: _admissible(level, cap, level) for level in levels}
     a_rows = sorted(
-        ((terms, _general_row(row)) for terms, row in _cascade_rows(k, cap)),
+        ((terms, _general_row(row)) for terms, row in _cascade_rows(k, cap, entries[k])),
         key=lambda entry: _listing_order(entry[0]),
     )
-    levels = range(k, k + kmax_shift + 1)
-    groups, (down_floor, shift_floor) = _level_floors(levels, cap)
+    groups, (down_floor, shift_floor) = _level_floors(entries, cap)
     sizes = [sum(len(groups[level][v][0]) for level in levels) for v in range(cap + 1)]
     at_most = list(accumulate(sizes))
     checked = sum(map(mul, sizes, reversed(at_most))) - sizes[0] * at_most[0]
@@ -559,7 +560,8 @@ def splits_comparison(amax: int, kmax: int) -> dict:
     missing: list[tuple] = []
     checked = 0
     for k in range(2, min(kmax, amax) + 1):  # a level past amax holds no cascade
-        short = [(t, row[0]) for t, row in _cascade_rows(k, _cascade_cap(k, amax)) if len(t) < k]
+        cap = _cascade_cap(k, amax)
+        short = [(t, r[0]) for t, r in _cascade_rows(k, cap, _admissible(k, cap, k)) if len(t) < k]
         index = _split_index(k, max(value for _t, value in short))
         for terms in sorted((t for t, _value in short), key=_listing_order):
             a = Seq(terms, k)

@@ -11,7 +11,7 @@ import time
 from shadowlab.exact import EMPTY, Seq, binom, decompose, seq_value
 from shadowlab.families import initial_segment, shadow
 from shadowlab.extremal import (
-    _extremal_patterns_by_size,
+    _extremal_patterns,
     _layer,
     brute_force_min_shadow,
     characterization_sweep,
@@ -168,7 +168,7 @@ def test_criterion_5_uniqueness_at_desk_scale():
 def test_criterion_6_shadow_chain():
     start = time.time()
     layer = _layer(6, 3)
-    patterns = _extremal_patterns_by_size(6, 3)
+    patterns = _extremal_patterns(6, 3, range(1, 21))
     chained = 0
     for m, plist in patterns.items():
         a = decompose(m, 3)

@@ -364,15 +364,25 @@ def test_materialize_refuses_a_layer_past_the_limit_before_listing(capsys, monke
 
 
 def test_out_of_domain_requests_refused_at_entry(capsys):
-    # enumerate past the 64-element ground set exited 3 or 2 depending on
-    # the path, and forbidden-pairs with k <= 2 leaked the cascade's
-    # "level k must be >= 1"; --iter was ignored next to --upper
+    # enumerate, verify and the oracle past the 64-element ground set
+    # exited 0, 2 or 3 depending on the path, and forbidden-pairs with
+    # k <= 2 leaked the cascade's "level k must be >= 1"; --iter was ignored
+    # next to --upper, also as --iter 1 or --upper 0, argparse's defaults
     pairs = ["construct", "forbidden-pairs", "8"]
+    ground = "need 0 <= k <= n <= 64"
     for argv, message in (
-        (["enumerate", "65", "2", "1"], "need 0 <= k <= n <= 64"),
-        (["enumerate", "65", "1", "1"], "need 0 <= k <= n <= 64"),
-        (["enumerate", "65", "65", "1"], "need 0 <= k <= n <= 64"),
-        (["enumerate", "300", "300", "1"], "need 0 <= k <= n <= 64"),
+        (["enumerate", "65", "2", "1"], ground),
+        (["enumerate", "65", "1", "1"], ground),
+        (["enumerate", "65", "65", "1"], ground),
+        (["enumerate", "300", "300", "1"], ground),
+        (["verify", "uniqueness", "65", "65"], ground),
+        (["verify", "uniqueness", "65", "2"], ground),
+        (["verify", "uniqueness", "300", "300"], ground),
+        (["verify", "uniqueness", "200", "100"], ground),
+        (["verify", "min-degree", "65", "2"], ground),
+        (["oracle", "min-shadow", "65", "65", "1"], ground),
+        (["oracle", "min-shadow", "65", "2", "1"], ground),
+        (["oracle", "min-shadow", "65", "2", "3"], ground),
         *(
             ([*pairs, k, "3", *more], "the arithmetic report needs k >= 3")
             for k in ("0", "1", "2")
@@ -385,6 +395,14 @@ def test_out_of_domain_requests_refused_at_entry(capsys):
         (
             ["shadow", "--in", "f.json", "--iter", "2", "--upper", "2"],
             "argument --upper: not allowed with argument --iter",
+        ),
+        (
+            ["shadow", "--in", "f.json", "--iter", "1", "--upper", "2"],
+            "argument --upper: not allowed with argument --iter",
+        ),
+        (
+            ["shadow", "--in", "f.json", "--upper", "0", "--iter", "2"],
+            "argument --iter: not allowed with argument --upper",
         ),
     ):
         assert main(argv) == 2, argv
@@ -412,6 +430,10 @@ def test_shadow_upper(tmp_path, capsys):
     code, report = run(capsys, "shadow", "--in", str(pair), "--upper", "1")
     assert code == 0
     assert report["result"]["sets"] == [[1, 2, 3], [1, 2, 4]]
+    # zero upper steps leave the family itself, not its lower shadow
+    code, report = run(capsys, "shadow", "--in", str(pair), "--upper", "0")
+    assert code == 0
+    assert report["result"] == {"k": 2, "n": 4, "sets": [[1, 2]]}
 
 
 def test_shadow_refuses_an_unbounded_reach(tmp_path, capsys):

@@ -8,6 +8,7 @@ import random
 from collections import Counter
 from dataclasses import astuple
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
@@ -43,6 +44,12 @@ from shadowlab.extremal import (
     uniqueness_predicate,
 )
 from shadowlab.inequalities import equality_splits, split_profile
+
+
+def every_size(n, k):
+    """The extremal patterns of C([n], k) of every size, as the sweeps list
+    them."""
+    return extremal._extremal_patterns(n, k, range(1, binom(n, k) + 1))
 
 
 def full_layer(n, k):
@@ -153,10 +160,8 @@ def test_extremal_counts_from_closure_scan():
     # minimality makes the sizes equal, so F is extremal and shadow(F) = T.
     # So every extremal m-family is counted exactly once, under T = its
     # shadow, by the sum over |T| = s(m) of C(|K(T)|, m)
-    from shadowlab.extremal import _extremal_patterns_by_size
-
     for n, k in ((5, 3), (6, 2), (6, 3), (6, 4)):
-        expected = {m: len(p) for m, p in _extremal_patterns_by_size(n, k).items()}
+        expected = {m: len(p) for m, p in every_size(n, k).items()}
         assert closure_counts(n, k) == expected, (n, k)
     # one layer past the k-side sweeps, against the paper's recursive
     # characterization run forwards
@@ -177,8 +182,6 @@ def test_extremal_counts_at_k_2_in_closed_form():
     inclusion-exclusion over the set J of isolated ones, the sum over j of
     (-1)^j C(s, j) C(C(s - j, 2), m).  No table enters the formula.
     """
-    from math import comb
-
     for n in range(3, 22):
         expected = {}
         for m in range(1, comb(n, 2) + 1):
@@ -232,7 +235,7 @@ def test_closure_patterns_match_k_side_flags():
         flags = extremal._member_patterns(layer)
         sizes = range(1, layer.size + 1)
         assert extremal._closure_patterns(layer, sizes) == flags, (n, k)
-        assert extremal._extremal_patterns_by_size(n, k) == flags, (n, k)
+        assert every_size(n, k) == flags, (n, k)
         for m in sizes:
             assert extremal._closure_patterns(layer, range(m, m + 1)) == {m: flags[m]}, (n, k, m)
         middle = range(layer.size // 3, 2 * layer.size // 3 + 1)
@@ -288,10 +291,39 @@ def test_shadow_chain_through_serving_shadows():
 
 
 def test_extremal_patterns_come_from_the_smaller_table(monkeypatch):
-    # the closure side serves where C(n, k - 1) < C(n, k) and k >= 2; the
-    # k-side flags serve k = 1 and the layers where C(n, k - 1) >= C(n, k)
-    served = []
-    closure, flags = extremal._closure_patterns, extremal._member_patterns
+    # one admission picks the table: the closure side serves where k >= 2
+    # and C(n, k - 1) < C(n, k) within the sweep limit, the k-side elsewhere
+    # within it, and past it the k-side refuses.  Against a table from
+    # math.comb alone, for every layer with n <= 22, with no layer built
+    limit = extremal.SWEEP_LAYER_LIMIT
+    closure_layers = set()
+    with monkeypatch.context() as patch:
+        patch.setattr(extremal, "_layer", lambda n, k: (n, k))
+        for n in range(1, 23):
+            for k in range(1, n + 1):
+                below, size = comb(n, k - 1), comb(n, k)
+                if k >= 2 and below <= limit and below < size:
+                    expected = ((n, k), True)
+                    closure_layers.add((n, k))
+                elif size > limit:
+                    message = f"layer of {size} sets exceeds the sweep limit of {limit} sets"
+                    expected = (BudgetError, message)
+                else:
+                    expected = ((n, k), False)
+                try:
+                    got = extremal._served_layer(n, k)
+                except BudgetError as exc:
+                    got = (type(exc), str(exc))
+                assert got == expected, (n, k)
+    assert closure_layers == {(n, 2) for n in range(4, 22)} | {(6, 3), (7, 3)}
+
+    # the minimum shadows, the listing and enumerate_extremal each read it
+    served, admitted = [], []
+    closure, flags, admission = (
+        extremal._closure_patterns,
+        extremal._member_patterns,
+        extremal._served_layer,
+    )
 
     def by_closure(layer, sizes):
         served.append(("closure", layer.n, layer.k))
@@ -301,10 +333,16 @@ def test_extremal_patterns_come_from_the_smaller_table(monkeypatch):
         served.append(("flags", layer.n, layer.k))
         return flags(layer)
 
+    def counted(n, k):
+        admitted.append((n, k))
+        return admission(n, k)
+
     monkeypatch.setattr(extremal, "_closure_patterns", by_closure)
     monkeypatch.setattr(extremal, "_member_patterns", by_flags)
-    extremal._extremal_patterns_by_size.cache_clear()
-    for n, k in ((4, 2), (6, 3), (7, 3), (8, 2), (3, 2), (5, 3), (6, 4), (7, 5), (5, 1)):
+    monkeypatch.setattr(extremal, "_served_layer", counted)
+    extremal._layer.cache_clear()
+    layers = ((4, 2), (6, 3), (7, 3), (8, 2), (3, 2), (5, 3), (6, 4), (7, 5), (5, 1))
+    for n, k in layers:
         enumerate_extremal(n, k, 2)
     assert served == [
         ("closure", 4, 2),
@@ -317,19 +355,20 @@ def test_extremal_patterns_come_from_the_smaller_table(monkeypatch):
         ("flags", 7, 5),
         ("flags", 5, 1),
     ]
-    extremal._extremal_patterns_by_size.cache_clear()
+    # enumerate_extremal, then the listing it calls
+    assert admitted == [layer for layer in layers for _ in range(2)]
+    admitted.clear()
+    extremal._min_shadows.__wrapped__(6, 3)
+    extremal._extremal_patterns(5, 3, range(1, 11))
+    assert admitted == [(6, 3), (5, 3)]
+    extremal._layer.cache_clear()
 
 
 def test_layer_sweep_builds_each_table_once(monkeypatch):
     # the calls of one benchmark layer-sweep pass, on fresh caches: the
     # (6,3) closure table and its extremal counts are built once, each
     # size's extremal patterns are listed once, and no k-side listing is made
-    for cache in (
-        extremal._layer,
-        extremal._min_shadows,
-        extremal._extremal_counts,
-        extremal._extremal_patterns_by_size,
-    ):
+    for cache in (extremal._layer, extremal._min_shadows, extremal._extremal_counts):
         cache.cache_clear()
     built = Counter()
     listed = Counter()
@@ -597,9 +636,31 @@ def test_sweep_limit_refuses_before_building_the_layer():
         enumerate_extremal(20, 10, 5)
     with pytest.raises(BudgetError, match="layer of 35 sets exceeds the sweep limit"):
         min_degree_sweep(7, 3)
-    # the closure side refuses its own table over C([8], 2) the same way
-    with pytest.raises(BudgetError, match="shadow layer of 28 sets exceeds the sweep limit"):
+    # the closure table over C([8], 2) is past the limit too, so the
+    # admission sends (8,3) to the k-side, which refuses
+    with pytest.raises(BudgetError) as info:
         extremal._min_shadows(8, 3)
+    assert str(info.value) == "layer of 56 sets exceeds the sweep limit of 21 sets"
+    # a ground set past 64 is refused first, on every table path
+    refused = [
+        (extremal._served_layer, (65, 2)),
+        (extremal._served_layer, (65, 65)),
+        (extremal._sweep_layer, (65, 65)),
+        (extremal._sweep_layer, (300, 300)),
+        (extremal._min_shadows, (65, 65)),
+        (brute_force_min_shadow, (65, 65, 1)),
+        (brute_force_min_shadow, (65, 2, 1)),
+        (brute_force_min_shadow, (65, 2, 3)),
+        (extremal_class_counts, (65, 65)),
+        (extremal_class_counts, (65, 2)),
+        (extremal_class_counts, (300, 300)),
+        (min_degree_sweep, (65, 2)),
+        (characterization_sweep, (65, 2)),
+    ]
+    for engine, args in refused:
+        with pytest.raises(ValueError) as info:
+            engine(*args)
+        assert str(info.value) == "need 0 <= k <= n <= 64", (engine.__name__, args)
     assert _layer.cache_info().misses == misses
 
 
@@ -760,10 +821,8 @@ def test_characterization_sweep_reports_mismatches_in_order(monkeypatch):
     # extremal, as relabeling keeps extremality) is a mismatch; the report
     # lists them all, in ascending order
     from shadowlab import extremal
-    from shadowlab.extremal import _extremal_patterns_by_size
-
     layer = _layer(6, 3)
-    by_size = _extremal_patterns_by_size(6, 3)
+    by_size = every_size(6, 3)
     flagged = sorted(p for patterns in by_size.values() for p in patterns)
     failing = {flagged[0], next(p for p in flagged if p >= 9 << 16)}
     raised = next(p for p in range(3 << 16, 4 << 16) if p not in set(flagged))
@@ -788,14 +847,14 @@ def test_characterization_sweep_reports_mismatches_in_order(monkeypatch):
                     bad[p - start] = 1
             yield start, bytes(bad)
 
-    def patterns_changed(n, k):
+    def patterns_changed(n, k, sizes):
         changed = {m: list(patterns) for m, patterns in by_size.items()}
         changed[len(layer.family(raised))].append(raised)
         changed[len(layer.family(cleared))].remove(cleared)
         return changed
 
     monkeypatch.setattr(extremal, "_clause_blocks", blocks_with_failures)
-    monkeypatch.setattr(extremal, "_extremal_patterns_by_size", patterns_changed)
+    monkeypatch.setattr(extremal, "_extremal_patterns", patterns_changed)
     result = characterization_sweep(6, 3)
     assert result["extremal"] == 5532
     assert result["mismatches"] == expected
@@ -806,13 +865,11 @@ def test_extremal_families_realize_equality_splits():
     # an extremal family whose cascade a is shorter than k splits at each
     # strict-branch element into the deleted part and the link; their
     # cascades (b, c) must be one of the closed-form equality splits of a
-    from shadowlab.extremal import _extremal_patterns_by_size
-
     realized = {}
     for n, k in ((5, 2), (6, 2), (5, 3), (6, 3), (6, 4)):
         members = stars(_layer(n, k))
         checked = 0
-        for m, patterns in _extremal_patterns_by_size(n, k).items():
+        for m, patterns in every_size(n, k).items():
             a = decompose(m, k)
             if len(a) >= k:
                 continue
@@ -838,14 +895,13 @@ def test_extremal_families_meet_both_inclusion_clauses():
     # set operations: at each element x the deleted part S - x has at least
     # threshold many sets; on the equality branch its shadow lies inside the
     # link, on the strict branch the link inside its shadow
-    from shadowlab.extremal import _extremal_patterns_by_size
     from shadowlab.families import delete_star, link
 
     branches = {}
     for n, k in ((5, 2), (6, 2), (5, 3), (6, 3), (6, 4)):
         layer = _layer(n, k)
         equality = strict = 0
-        for m, patterns in _extremal_patterns_by_size(n, k).items():
+        for m, patterns in every_size(n, k).items():
             threshold = seq_value(seq_minus(decompose(m, k), 1), k)
             for pattern in patterns:
                 family = layer.family(pattern)
@@ -1067,9 +1123,7 @@ def test_extremal_counts_match_orbit_arithmetic():
     # (15 edges x 6 triple pairs over each); copies of the full (5,3) layer
     # (choose the unused element); the 16-set segment whose stabilizer is
     # S4 x C2 (orbit 720/48); full layer minus one triple; the full layer
-    from shadowlab.extremal import _extremal_patterns_by_size
-
-    counts = {m: len(v) for m, v in _extremal_patterns_by_size(6, 3).items()}
+    counts = {m: len(v) for m, v in every_size(6, 3).items()}
     assert counts[1] == 20
     assert counts[2] == 90
     assert counts[10] == 6
@@ -1106,9 +1160,7 @@ def test_iso_classes_orbit_sum():
     # independent of canonical_form: the orbits of pairwise non-isomorphic
     # extremal representatives under the 720 permutations of [6] must
     # exactly tile the extremal subfamilies of each size
-    from shadowlab.extremal import _extremal_patterns_by_size
-
-    counts = {m: len(v) for m, v in _extremal_patterns_by_size(6, 3).items()}
+    counts = {m: len(v) for m, v in every_size(6, 3).items()}
     per_size = []
     for m in range(1, 21):
         classes = extremal_iso_classes(6, 3, m)
@@ -1256,10 +1308,8 @@ def test_extremal_shadow_is_extremal_small():
             if family.k > 1:
                 assert is_extremal(shadow(family))
     # and over every extremal family of C([6], 3) that the tables flag
-    from shadowlab.extremal import _extremal_patterns_by_size
-
     layer = _layer(6, 3)
-    for m, patterns in _extremal_patterns_by_size(6, 3).items():
+    for m, patterns in every_size(6, 3).items():
         for pattern in patterns:
             edges = shadow(layer.family(pattern))
             assert len(edges) == kk_bound(m, 3, 1)

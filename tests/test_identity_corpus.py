@@ -18,6 +18,7 @@ def test_readme_examples_and_first_difference():
     assert "shadowlab identity check --sum 'C(1,0)-C(0,0)-C(0,-1)'" in examples
     assert len(examples) == 16 and all(line.startswith("shadowlab ") for line in examples)
     compile(identity_corpus.GRID, "grid", "exec")
+    compile(identity_corpus.ENGINES, "engines", "exec")
 
     parent = [("sweep", "a", "1"), ("sweep", "b", "2"), ("cli", "x", "3"), ("cli", "y", "4")]
     same = identity_corpus.compare(parent, list(parent))

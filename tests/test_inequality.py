@@ -317,14 +317,18 @@ def test_lemma_sweep_fallback_matches_triple_loop(monkeypatch):
     # at level 2 (propagation violations where level 1 stays tight), and
     # swapped b values make the blocks' order differ from the universe's.
     # Violations land both where a b value's whole group is at least a - 1
-    # and where the group holds a - 1's lex boundary
-    real = inequalities._split_universe
+    # and where the group holds a - 1's lex boundary.  The cascades a stay
+    # real: lemma_sweep keeps them from its b universe, so they are kept
+    # from the real one before the plant
+    real, real_cascades = inequalities._split_universe, inequalities._cascade_rows
 
     def bump(rows, i, d):
         return rows[:i] + (rows[i] + d,) + rows[i + 1 :]
 
     for k, amax in ((3, 6), (4, 7)):
-        bs, c_by_value = real(k, _lemma_cap(k, amax))
+        cap = _lemma_cap(k, amax)
+        bs, c_by_value = real(k, cap)
+        cascades = real_cascades(k, cap, bs)
         planted_bs = _swapped_values(
             [(t, bump(rows, 2, 1) if j % 7 == 3 else rows) for j, (t, rows) in enumerate(bs)],
             lambda entry: entry[1][0],
@@ -339,6 +343,7 @@ def test_lemma_sweep_fallback_matches_triple_loop(monkeypatch):
         }
         planted = (planted_bs, planted_cs)
         monkeypatch.setattr(inequalities, "_split_universe", lambda kk, cc: planted)
+        monkeypatch.setattr(inequalities, "_cascade_rows", lambda kk, cc, entries: cascades)
         expected = _lemma_triple_loop(k, amax, planted)
         assert {v[3] for v in expected["violations"]} == {"inequality", "propagation"}
         assert {v[4] for v in expected["violations"] if v[3] == "inequality"} >= {1, k}
@@ -390,7 +395,7 @@ def test_block_certifier_matches_scalar_tests():
         for _t, rows in bs:
             b_groups.setdefault(rows[0], []).append(rows)
         real = (
-            [rows for _t, rows in inequalities._cascade_rows(k, cap)],
+            [rows for _t, rows in inequalities._cascade_rows(k, cap, bs)],
             [_column_bounds([rows for _t, rows in c_by_value[w]]) for w in range(cap + 1)],
             {v: _column_bounds(group) for v, group in b_groups.items()},
         )
@@ -462,7 +467,8 @@ def test_general_level_sweep_fallback_matches_triple_loop(monkeypatch):
 
     for k, amax, shift in ((2, 6, 2), (3, 6, 1)):
         cap = _lemma_cap(k, amax)
-        planted_as = [(t, planted_row(t, row)) for t, row in inequalities._cascade_rows(k, cap)]
+        cascades = inequalities._cascade_rows(k, cap, real_admissible(k, cap, k))
+        planted_as = [(t, planted_row(t, row)) for t, row in cascades]
         levels = range(k, k + shift + 1)
         entries = {level: planted_admissible(level, cap, level) for level in levels}
         for level in levels:  # values no longer grow with tuple order
@@ -490,7 +496,7 @@ def test_general_level_sweep_fallback_matches_triple_loop(monkeypatch):
         # some triples fail on the value one level down only, some on the shifted value only
         assert {(True, False), (False, True)} <= failed_sides
         with monkeypatch.context() as patch:
-            patch.setattr(inequalities, "_cascade_rows", lambda kk, cc: planted_as)
+            patch.setattr(inequalities, "_cascade_rows", lambda kk, cc, entries: planted_as)
             patch.setattr(inequalities, "_admissible", planted_admissible)
             got = general_level_sweep(k, amax, kmax_shift=shift)
         assert violations and got == {"checked": checked, "violations": violations}
@@ -541,7 +547,8 @@ def test_level_floors_match_double_loop():
                     down[m] = b_down + c_down
                 if shifted[m] is None or b_shift + c_shift < shifted[m]:
                     shifted[m] = b_shift + c_shift
-        _groups, floors = inequalities._level_floors(levels, cap)
+        entries = {level: inequalities._admissible(level, cap, level) for level in levels}
+        _groups, floors = inequalities._level_floors(entries, cap)
         assert floors == [down, shifted], (k, amax, shift)
 
 
@@ -603,7 +610,8 @@ def test_split_universe_rows_are_split_profiles():
                 for terms, rows in group:
                     assert rows == split_profile(EMPTY, Seq(terms, k - 1), k)[1], (k, cap, terms)
                     assert rows[0] == value
-        cascade_rows = inequalities._cascade_rows(k, _lemma_cap(k, 10))
+        cap = _lemma_cap(k, 10)
+        cascade_rows = inequalities._cascade_rows(k, cap, inequalities._admissible(k, cap, k))
         assert [terms for terms, _ in cascade_rows] == sorted(_cascade_terms(k, 10))
         for terms, rows in cascade_rows:
             assert rows == tuple(seq_value(Seq(terms, k), k - i) for i in range(k + 1)), terms

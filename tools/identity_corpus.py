@@ -10,6 +10,15 @@ kinds of entry are compared:
   220 scales k 1..5 x amax 0..10 x shift 0..3, and ``splits_comparison``
   at (8,5), (6,4), (3,3) and (10,6); an entry's digest is the sha256 of
   the result's repr;
+- the table engines, computed in one fresh process per tree:
+  ``brute_force_min_shadow`` at every size of every layer with n <= 7 and
+  at the edge sizes of (18,2), (21,2) and (21,20); ``enumerate_extremal``,
+  plain and up to isomorphism, at every size with n <= 7 and at six sizes
+  of (n,2) for 8 <= n <= 12; ``extremal_class_counts``,
+  ``characterization_sweep`` and ``min_degree_sweep`` on every layer with
+  2 <= k <= n <= 7; and each engine on layers past the sweep limit, past
+  the 64-element ground set and out of its domain.  An entry's digest is
+  the sha256 of the result's repr, or of the exception's type and message;
 - the ``--help`` of every node of the tree's CLI parser, the top-level
   parser and each subcommand below it, found by walking ``build_parser()``
   and run through ``shadowlab.cli.main`` in one fresh process per tree; an
@@ -21,10 +30,12 @@ kinds of entry are compared:
   stderr, and every file the examples leave in the directory is one more
   entry.
 
-Tree paths may be relative to the working directory.  It prints one sha256
+Tree paths may be relative to the working directory.  The whole corpus
+takes about 37 s for two trees, 13 s per tree of it in the table engines
+(2 cores, Python 3.11.7).  It prints one sha256
 per group and tree and, where a group differs, the first entry that
 differs; it exits 1 on any difference and 0 otherwise.  A process of the
-grid or help groups that fails ends the run with one ``error:`` line on
+grid, engines or help groups that fails ends the run with one ``error:`` line on
 stderr naming the tree, the group and its exit code, and exit 2.  The runs
 set PYTHONDONTWRITEBYTECODE=1.  Standard library only.
 """
@@ -58,6 +69,66 @@ for k in range(1, 6):
             emit("general_level_sweep", f"general_level_sweep({k}, {amax}, {shift})", result)
 for amax, kmax in ((8, 5), (6, 4), (3, 3), (10, 6)):
     emit("splits_comparison", f"splits_comparison({amax}, {kmax})", splits_comparison(amax, kmax))
+"""
+
+
+ENGINES = """
+import hashlib
+from math import comb
+from shadowlab.extremal import (
+    brute_force_min_shadow,
+    characterization_sweep,
+    enumerate_extremal,
+    extremal_class_counts,
+    min_degree_sweep,
+)
+
+def emit(call, *args, **options):
+    try:
+        outcome = repr(call(*args, **options))
+    except Exception as exc:
+        outcome = f"{type(exc).__name__}: {exc}"
+    named = [*map(str, args), *(f"{key}={value}" for key, value in options.items())]
+    entry = f"{call.__name__}({', '.join(named)})"
+    print("engines", entry, hashlib.sha256(outcome.encode()).hexdigest(), sep="\t")
+
+layers = [(n, k) for n in range(1, 8) for k in range(1, n + 1)]
+for n, k in layers:
+    for m in range(1, comb(n, k) + 1):
+        emit(brute_force_min_shadow, n, k, m)
+for n, k in ((18, 2), (21, 2), (21, 20)):
+    for m in (1, 2, 3, comb(n, k) - 2, comb(n, k) - 1, comb(n, k)):
+        emit(brute_force_min_shadow, n, k, m)
+for n, k in layers:
+    for m in range(1, comb(n, k) + 1):
+        emit(enumerate_extremal, n, k, m)
+        emit(enumerate_extremal, n, k, m, up_to_iso=True)
+for n in range(8, 13):
+    for m in (1, 2, 3, 6, comb(n, 2) - 1, comb(n, 2)):
+        emit(enumerate_extremal, n, 2, m)
+        emit(enumerate_extremal, n, 2, m, up_to_iso=True)
+for n, k in layers:
+    if k >= 2:
+        emit(extremal_class_counts, n, k)
+        emit(characterization_sweep, n, k)
+        emit(min_degree_sweep, n, k)
+# past the sweep limit, past the 64-element ground set and the byte fit,
+# and out of each engine's domain
+for n, k in ((8, 3), (7, 4), (22, 2), (9, 4), (64, 63), (65, 2), (65, 65), (300, 300)):
+    for m in (1, 3, 40):
+        emit(brute_force_min_shadow, n, k, m)
+    emit(enumerate_extremal, n, k, 1)
+    emit(enumerate_extremal, n, k, 1, up_to_iso=True)
+    emit(extremal_class_counts, n, k)
+    emit(characterization_sweep, n, k)
+    emit(min_degree_sweep, n, k)
+for n, k, m in ((5, 3, 0), (5, 3, 11), (0, 0, 1), (3, 5, 1), (5, 0, 1), (-1, 2, 1)):
+    emit(brute_force_min_shadow, n, k, m)
+    emit(enumerate_extremal, n, k, m)
+for n, k in ((5, 1), (1, 1), (3, 3), (0, 0), (2, 5), (-1, 2)):
+    emit(extremal_class_counts, n, k)
+    emit(characterization_sweep, n, k)
+    emit(min_degree_sweep, n, k)
 """
 
 
@@ -130,6 +201,11 @@ def grid_entries(tree: Path) -> list[tuple[str, str, str]]:
     return _script_entries(tree, "split-sweep grid", GRID)
 
 
+def engine_entries(tree: Path) -> list[tuple[str, str, str]]:
+    """(group, entry, digest) of the table engines, from one fresh process."""
+    return _script_entries(tree, "engines", ENGINES)
+
+
 def help_entries(tree: Path) -> list[tuple[str, str, str]]:
     """(group, entry, digest) of every CLI parser node's --help, from one
     fresh process."""
@@ -172,7 +248,7 @@ def compare(parent: list[tuple], change: list[tuple]) -> list[dict]:
     return out
 
 
-GROUPS = (grid_entries, help_entries, cli_entries)
+GROUPS = (grid_entries, engine_entries, help_entries, cli_entries)
 
 
 def main(argv: list[str] | None = None) -> int:
