@@ -7,7 +7,9 @@ from itertools import combinations
 
 from .exact import BudgetError, binom, decompose, kk_bound, seq_value
 from .families import (
+    MAX_GROUND,
     KFamily,
+    _check_ground,
     _layer_masks,
     _mask_of,
     _transposed,
@@ -52,7 +54,11 @@ class ForbiddenPairSpec:
     def complete_pairs(
         cls, n: int, k: int, m: int, regular_deletion: tuple[int, int] | None = None
     ) -> "ForbiddenPairSpec":
-        """All pairs inside [m]: the shape with closed-form cardinalities."""
+        """All pairs inside [m]: the shape with closed-form cardinalities.
+        Pairs past [n] are refused before the C(m, 2) pairs are listed, with
+        the first of them in listing order."""
+        if m > max(n, 1):
+            raise ValueError(f"bad pair {(1, max(n, 1) + 1)}")
         return cls(
             n, k, tuple(combinations(range(1, m + 1), 2)), None, regular_deletion
         )
@@ -92,7 +98,7 @@ def forbidden_pair_family(spec: ForbiddenPairSpec) -> KFamily:
     listed, after the ground size and the deletion's shape are checked.
     """
     n, k = spec.n, spec.k
-    KFamily(n, k, ())  # refuses a ground set past 64 before the layer is listed
+    _check_ground(n, k)
     deletion = spec.deletion
     if spec.regular_deletion is not None:
         if deletion is not None:
@@ -230,21 +236,21 @@ def example_32_family(n: int, k: int, variant: str) -> KFamily:
     """
     if k < 3 or n <= k:
         raise ValueError("need k >= 3 and n > k")
+    if variant not in ("b", "c"):
+        raise ValueError("variant must be 'b' or 'c'")
+    if (2 * n if variant == "b" else n + 1) > MAX_GROUND:
+        raise ValueError("ground set too large")
     m2 = binom(n - 2, k - 2)
     if variant == "b":
-        if 2 * n > 64:
-            raise ValueError("ground set too large")
         lower = initial_segment(n, k, binom(n - 1, k))
         interval = list(combinations(range(n + 1, 2 * n - 1), k - 1))
         block = join(interval, [[2 * n]])
         tail = join(initial_segment(n, k - 1, m2), [[n]])
         return compact_support(_built(2 * n, k, binom(n, k), lower, block, tail))
-    if variant == "c":
-        m1 = binom(n - 1, k) + binom(n - 2, k - 1)
-        segment = initial_segment(n, k, m1)
-        block = join(_nonextremal_subfamily(n, k, m1, m2), [[n + 1]])
-        return _built(n + 1, k, binom(n, k), segment, block)
-    raise ValueError("variant must be 'b' or 'c'")
+    m1 = binom(n - 1, k) + binom(n - 2, k - 1)
+    segment = initial_segment(n, k, m1)
+    block = join(_nonextremal_subfamily(n, k, m1, m2), [[n + 1]])
+    return _built(n + 1, k, binom(n, k), segment, block)
 
 
 def _nonextremal_subfamily(n: int, k: int, m1: int, size: int) -> KFamily:
@@ -279,7 +285,7 @@ def example_33_family(n: int, k: int) -> KFamily:
     """
     if k < 3 or n <= k:
         raise ValueError("need k >= 3 and n > k")
-    if 2 * n + 1 > 64:
+    if 2 * n + 1 > MAX_GROUND:
         raise ValueError("ground set too large")
     m1 = binom(n - 1, k) + binom(n - 2, k - 1)
     m2 = binom(n - 2, k - 2)

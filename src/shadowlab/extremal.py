@@ -44,9 +44,9 @@ from .exact import (
     seq_value,
 )
 from .families import (
-    MAX_GROUND,
     SHADOW_BUDGET,
     KFamily,
+    _check_ground,
     _cycled,
     _element_flags,
     _layer_masks,
@@ -446,12 +446,11 @@ def _layer(n: int, k: int) -> _Layer:
 
 
 def _sweep_layer(n: int, k: int) -> _Layer:
-    """The layer C([n], k) for table sweeps, refused before it is built past
-    ``MAX_GROUND`` or when its 2^C(n, k) tables exceed the sweep limit.
+    """The layer C([n], k) for table sweeps, refused before it is built off
+    the ground rule or when its 2^C(n, k) tables exceed the sweep limit.
     Every read of the k-side tables goes through here, so their counts stay
     within their fields; ``_served_layer`` admits the closure table."""
-    if n > MAX_GROUND:
-        raise ValueError(f"need 0 <= k <= n <= {MAX_GROUND}")
+    _check_ground(n, k)
     size = binom(n, k)
     if size > SWEEP_LAYER_LIMIT:
         raise BudgetError(
@@ -468,10 +467,8 @@ def _served_layer(n: int, k: int) -> tuple[_Layer, bool]:
     closure table, which serves iff k >= 2, C(n, k-1) < C(n, k) and C(n, k-1)
     fits the sweep limit: (n,2) for 4 <= n <= 21, (6,3) and (7,3).  Else the
     k-side tables serve, ties included, through ``_sweep_layer``, which
-    refuses them before the layer is built.  Past ``MAX_GROUND`` it refuses
-    first."""
-    if n > MAX_GROUND:
-        raise ValueError(f"need 0 <= k <= n <= {MAX_GROUND}")
+    refuses them before the layer is built."""
+    _check_ground(n, k)
     below = binom(n, k - 1)
     if k >= 2 and below <= SWEEP_LAYER_LIMIT and below < binom(n, k):
         return _layer(n, k), True
@@ -532,11 +529,21 @@ def brute_force_min_shadow(n: int, k: int, m: int) -> int:
     ``_served_layer`` picks answers (``_min_shadows``); both tables range
     over every subfamily and neither assumes the bound.  Otherwise, and
     where that table has more than 2^16 entries but the C(C(n, k), m)
-    combinations are at most 2^16, it enumerates the combinations, at most
-    ``COMBINATION_BUDGET``; for k >= 2 it refuses a ground set past
-    ``MAX_GROUND``."""
-    layer_size = binom(n, k)
+    combinations are at most 2^16, it enumerates the combinations: at most
+    ``COMBINATION_BUDGET`` of them, of rows built first, one per set of the
+    layer, its shadow as C(n, k-1) bits.  Rows and bits are each at most
+    2^16: the count bounds the rows only off m = 1, C(n, k) - 1 and C(n, k)
+    (at any other m a layer within the budget holds at most 2,449 sets),
+    and their width not at all.  The ground rule is checked where C(n, k)
+    overflows or m is out of range, and off k = 1 by ``_served_layer`` on
+    the table paths and before the combinations."""
+    try:
+        layer_size = binom(n, k)
+    except OverflowError:
+        _check_ground(n, k)
+        raise
     if not 1 <= m <= layer_size:
+        _check_ground(n, k)
         raise ValueError("family size out of range")
     if k == 1:
         return 1
@@ -548,16 +555,20 @@ def brute_force_min_shadow(n: int, k: int, m: int) -> int:
     # math.comb: the count is compared, never used, so it may leave 128 bits
     count = comb(layer_size, m)
     # a larger table serves where it fits, unless the combinations are fewer
-    if min(layer_size, binom(n, k - 1)) <= SWEEP_LAYER_LIMIT and count > 1 << _BLOCK_POSITIONS:
+    if min(layer_size, comb(n, k - 1)) <= SWEEP_LAYER_LIMIT and count > 1 << _BLOCK_POSITIONS:
         return _min_shadows(n, k)[m]
-    if n > MAX_GROUND:
-        raise ValueError(f"need 0 <= k <= n <= {MAX_GROUND}")
+    _check_ground(n, k)
     if count > COMBINATION_BUDGET:
         raise BudgetError(
             f"C({layer_size}, {m}) = {count} combinations exceed the "
             f"enumeration budget of {COMBINATION_BUDGET}"
         )
     best = binom(n, k - 1)  # no shadow is larger than the layer below
+    if max(layer_size, best) > 1 << _BLOCK_POSITIONS:
+        raise BudgetError(
+            f"the combinations read C({n}, {k}) = {layer_size} rows of C({n}, {k - 1}) = "
+            f"{best} bits, past the limit of {1 << _BLOCK_POSITIONS} for each"
+        )
     for chosen in combinations(_layer(n, k).shed, m):
         acc = 0
         for bits in chosen:  # a plain loop beats reduce(or_, chosen) here
@@ -750,10 +761,8 @@ def enumerate_extremal(
     oracle at (7,3).  Patterns come in ascending order, classes in the order
     of their first pattern.  Without up_to_iso, a size whose families hold
     more than 10,000,000 sets in all is refused before any family is built,
-    and past the sweep limit before listing.  A ground set past
-    ``MAX_GROUND`` is refused before any table is built."""
-    if n > MAX_GROUND:  # the families could not be represented
-        raise ValueError(f"need 0 <= k <= n <= {MAX_GROUND}")
+    and past the sweep limit before listing."""
+    _check_ground(n, k)
     if not 1 <= m <= binom(n, k):
         raise ValueError("family size out of range")
     if method == "exhaustive":
@@ -864,7 +873,7 @@ def extremal_class_counts(n: int, k: int) -> dict[int, int]:
     """The number of isomorphism classes of extremal m-subsets of C([n], k)
     per size m: the orbit roots of every size, listed at once, each size's
     list dropped after its walk, and no canonical form taken."""
-    layer, _ = _served_layer(n, k)  # refuses n past MAX_GROUND before any binomial
+    layer, _ = _served_layer(n, k)
     sizes = range(1, layer.size + 1)
     listing = dict(_extremal_patterns(n, k, sizes))  # pop frees no cached list
     return {m: len(_orbit_roots(layer, listing.pop(m))) for m in sizes}

@@ -26,6 +26,12 @@ _ISO_BUDGET = 2_000_000
 SHADOW_BUDGET = 2_000_000  # sets one step of an iterated or upper shadow may reach
 
 
+def _check_ground(n: int, k: int) -> None:
+    """The ground rule, which every engine checks before any binomial of C(n, k)."""
+    if not 0 <= k <= n <= MAX_GROUND:
+        raise ValueError(f"need 0 <= k <= n <= {MAX_GROUND}")
+
+
 def _mask_of(elements: Iterable[int], n: int) -> int:
     mask = 0
     for e in elements:
@@ -62,8 +68,7 @@ class KFamily:
     masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.k <= self.n <= MAX_GROUND:
-            raise ValueError(f"need 0 <= k <= n <= {MAX_GROUND}")
+        _check_ground(self.n, self.k)
         if not isinstance(self.masks, tuple):
             object.__setattr__(self, "masks", tuple(self.masks))
         prev = -1
@@ -157,14 +162,15 @@ def shadow(family: KFamily) -> KFamily:
     return KFamily(family.n, family.k - 1, tuple(sorted(_shadow_masks(family.masks))))
 
 
-def _check_reach(family: KFamily, steps: int, choices: int, kind: str) -> None:
+def _check_reach(size: int, steps: int, choices: int, kind: str) -> None:
     """Refuse, before enumerating, shadow steps j <= steps whose bound
-    |F| * C(choices, j) on the sets of step j exceeds ``SHADOW_BUDGET``."""
-    reaches = [(len(family) * binom(choices, j), j) for j in range(1, steps + 1)]
+    size * C(choices, j) on the sets of step j, from a family of size sets,
+    exceeds ``SHADOW_BUDGET``."""
+    reaches = [(size * binom(choices, j), j) for j in range(1, steps + 1)]
     reach, step = max(reaches, default=(0, 0))
     if reach > SHADOW_BUDGET:
         raise BudgetError(
-            f"{kind} step {step} may reach {len(family)} * C({choices}, {step}) = "
+            f"{kind} step {step} may reach {size} * C({choices}, {step}) = "
             f"{reach} sets, over the shadow budget of {SHADOW_BUDGET}"
         )
 
@@ -172,7 +178,7 @@ def _check_reach(family: KFamily, steps: int, choices: int, kind: str) -> None:
 def iterated_shadow(family: KFamily, i: int) -> KFamily:
     if not 0 <= i <= family.k:
         raise ValueError("iteration count out of range")
-    _check_reach(family, i, family.k, "iterated shadow")
+    _check_reach(len(family), i, family.k, "iterated shadow")
     out = family
     for _ in range(i):
         out = shadow(out)
@@ -184,7 +190,7 @@ def upper_shadow(family: KFamily, steps: int = 1) -> KFamily:
     the (n-k-steps)-subsets of the members' complements."""
     if steps < 0 or family.k + steps > family.n:
         raise ValueError("upper shadow out of range")
-    _check_reach(family, steps, family.n - family.k, "upper shadow")
+    _check_reach(len(family), steps, family.n - family.k, "upper shadow")
     full = (1 << family.n) - 1
     current = {full ^ m for m in family.masks}
     for _ in range(steps):
@@ -254,10 +260,14 @@ def initial_segment(n: int, k: int, m: int) -> KFamily:
 
     Ascending masks are colex order (``_layer_masks``), so the segment is
     the first m integers with k bits, each one found from the one before by
-    Gosper's successor; ``colex_unrank`` is the tests' oracle for it.
+    Gosper's successor; ``colex_unrank`` is the tests' oracle for it.  A
+    segment whose shadow may pass ``SHADOW_BUDGET`` sets, m * k of them, is
+    refused before any set is listed.
     """
+    _check_ground(n, k)
     if k < 1 or not 0 <= m <= binom(n, k):
         raise ValueError("segment length out of range")
+    _check_reach(m, 1, k, "colex segment shadow")
     masks = []
     mask = (1 << k) - 1
     for _ in range(m):
@@ -457,7 +467,7 @@ def from_dict(data: dict) -> KFamily:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed family object: {exc}") from None
     if not (_is_int(n) and _is_int(k) and 1 <= k <= n <= MAX_GROUND):
-        raise ValueError("need integers 1 <= k <= n <= 64")
+        raise ValueError(f"need integers 1 <= k <= n <= {MAX_GROUND}")
     if not (isinstance(sets, list) and all(isinstance(x, list) for x in sets)):
         raise ValueError("sets must be a list of lists")
     for x in sets:

@@ -268,6 +268,15 @@ def test_chain_check_sized_before_walked(capsys, monkeypatch, tmp_path):
         "error: shadow chain level 8 would hold 2057432 sets, "
         "over the shadow budget of 2000000\n"
     )
+    # a segment whose shadow may pass the budget is refused before listing:
+    # 300,000 10-sets answered in 2.8 s, and 10^15 32-sets never did
+    assert main(["construct", "colex", "30", "10", "300000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: colex segment shadow step 1 may reach 300000 * C(10, 1) = 3000000 sets, "
+        "over the shadow budget of 2000000\n"
+    )
 
 
 def test_oracle(capsys):
@@ -333,6 +342,18 @@ def test_materialize_refuses_a_ground_set_past_64_before_listing(capsys, monkeyp
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: need 0 <= k <= n <= 64\n"
+    # pairs past [n] are refused before the C(m, 2) pairs are listed: 3,000
+    # took 1.6 s and 331 MiB, 20,000 ran out of memory; the text names the
+    # first pair listed past [n]
+    def no_pairs(*args):
+        raise AssertionError("listed the pairs")
+
+    monkeypatch.setattr(constructions, "combinations", no_pairs)
+    for n, pair in (("10", "(1, 11)"), ("1", "(1, 2)"), ("0", "(1, 2)"), ("-3", "(1, 2)")):
+        assert main(["construct", "forbidden-pairs", n, "4", "3000"]) == 2, n
+        captured = capsys.readouterr()
+        assert captured.out == "", n
+        assert captured.err == f"error: bad pair {pair}\n", n
 
 
 def test_materialize_refuses_a_layer_past_the_limit_before_listing(capsys, monkeypatch):
@@ -365,7 +386,8 @@ def test_materialize_refuses_a_layer_past_the_limit_before_listing(capsys, monke
 
 def test_out_of_domain_requests_refused_at_entry(capsys):
     # enumerate, verify and the oracle past the 64-element ground set
-    # exited 0, 2 or 3 depending on the path, and forbidden-pairs with
+    # exited 0, 2 or 3 depending on the path, and the oracle, colex and
+    # example32 exited 3 where C(n, k) passes 128 bits; forbidden-pairs with
     # k <= 2 leaked the cascade's "level k must be >= 1"; --iter was ignored
     # next to --upper, also as --iter 1 or --upper 0, argparse's defaults
     pairs = ["construct", "forbidden-pairs", "8"]
@@ -383,6 +405,9 @@ def test_out_of_domain_requests_refused_at_entry(capsys):
         (["oracle", "min-shadow", "65", "65", "1"], ground),
         (["oracle", "min-shadow", "65", "2", "1"], ground),
         (["oracle", "min-shadow", "65", "2", "3"], ground),
+        (["oracle", "min-shadow", "200", "100", "1"], ground),
+        (["construct", "colex", "200", "100", "1"], ground),
+        (["construct", "example32", "200", "100"], "ground set too large"),
         *(
             ([*pairs, k, "3", *more], "the arithmetic report needs k >= 3")
             for k in ("0", "1", "2")
@@ -678,7 +703,7 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert captured.err == "error: internal: RuntimeError: table out of step\n"
 
 
-def test_usage_and_overflow_exit_codes(tmp_path, capsys):
+def test_usage_and_overflow_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["decompose", "-3", "2"]) == 2
     capsys.readouterr()
     # argparse usage errors take the same one-line form, subparsers included
@@ -707,6 +732,23 @@ def test_usage_and_overflow_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: layer of 184756 sets exceeds the sweep limit of 21 sets\n"
     )
+    # within the combination budget, but refused before the layer's rows are
+    # built: C(21, 10) rows took 38 s and 7.4 GiB, C(64, 32) no end in sight,
+    # and C(36, 32) rows of C(36, 31) bits 26 s and 1.8 GiB
+    from math import comb
+
+    from shadowlab import extremal
+
+    def no_layer(n, k):
+        raise AssertionError("built the layer")
+
+    monkeypatch.setattr(extremal, "_layer", no_layer)
+    for n, k, m in ((21, 10, 1), (64, 32, comb(64, 32)), (36, 32, 1)):
+        assert main(["oracle", "min-shadow", str(n), str(k), str(m)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: the combinations read C({n}, {k}) = {comb(n, k)} rows of "
+            f"C({n}, {k - 1}) = {comb(n, k - 1)} bits, past the limit of 65536 for each\n"
+        )
     assert main(["check", "--in", "/nonexistent/family.json"]) == 2
     capsys.readouterr()
     assert main(["construct", "perturbed", "6", "3", "19"]) == 2  # precondition

@@ -1088,8 +1088,9 @@ def test_recursive_enumeration_refuses_non_extremal_output(monkeypatch, capsys):
 
 
 def test_enumerate_extremal_refuses_at_entry(monkeypatch):
-    # a ground set past 64, a recursive request past n = 10 and an unknown
-    # method are refused before any table is built or any family generated
+    # a request off the ground rule 0 <= k <= n <= 64, a recursive request
+    # past n = 10 and an unknown method are refused before any table is
+    # built or any family generated
     def no_work(*args):
         raise AssertionError("built a table or generated a family")
 
@@ -1102,7 +1103,7 @@ def test_enumerate_extremal_refuses_at_entry(monkeypatch):
         ((65, 65, 1), {}, ValueError, "need 0 <= k <= n <= 64"),
         ((300, 300, 1), {"up_to_iso": True}, ValueError, "need 0 <= k <= n <= 64"),
         ((65, 2, 0), {"method": "recursive"}, ValueError, "need 0 <= k <= n <= 64"),
-        ((64, 65, 1), {}, ValueError, "family size out of range"),
+        ((64, 65, 1), {}, ValueError, "need 0 <= k <= n <= 64"),
         ((11, 2, 3), {"method": "recursive"}, BudgetError, f"{bounded} at n <= 10"),
         ((4, 2, 3), {"method": "greedy"}, ValueError, "unknown method 'greedy'"),
     ]

@@ -103,6 +103,10 @@ def test_shadow_steps_refused_over_budget():
     assert len(upper_shadow(single, 3)) == binom(39, 3)
     with pytest.raises(BudgetError, match="over the shadow budget of 2000000$"):
         upper_shadow(single, 10)
+    # a colex segment's shadow holds at most m * k sets, checked before listing
+    assert len(initial_segment(64, 50, 40_000)) == 40_000
+    with pytest.raises(BudgetError, match=r"may reach 40001 \* C\(50, 1\) = 2000050 sets"):
+        initial_segment(64, 50, 40_001)
 
 
 def test_link_and_delete_star():

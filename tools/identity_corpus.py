@@ -2,8 +2,8 @@
 
     python3 tools/identity_corpus.py --parent ../parent --change .
 
-Each tree is a source checkout holding src/shadowlab and README.md.  Two
-kinds of entry are compared:
+Each tree is a source checkout holding src/shadowlab and README.md.  These
+groups of entries are compared:
 
 - the split-sweep grid, computed in one fresh process per tree:
   ``lemma_sweep`` for k 2..6 x amax 2..11, ``general_level_sweep`` on the
@@ -23,6 +23,14 @@ kinds of entry are compared:
   parser and each subcommand below it, found by walking ``build_parser()``
   and run through ``shadowlab.cli.main`` in one fresh process per tree; an
   entry's digest is the sha256 of its exit code, stdout and stderr;
+- the domain of every CLI leaf that takes n (``oracle min-shadow``,
+  ``enumerate``, ``verify uniqueness`` and ``min-degree``, and
+  ``construct`` ``colex``, ``forbidden-pairs`` with and without
+  ``--materialize``, ``example32`` b and c, ``example33`` and
+  ``perturbed``), at (n, k) from -1 to 300 inside, on the edge of and past
+  the 64-element ground set, with m 0, 1 and 3, run through
+  ``shadowlab.cli.main`` in one fresh process per tree and hashed as the
+  help group is;
 - the CLI examples of the tree's README (the lines of its first code block
   after "## CLI" that start with ``shadowlab``), run in order in a fresh
   temporary directory per tree, one ``python -m shadowlab.cli`` process
@@ -31,13 +39,14 @@ kinds of entry are compared:
   entry.
 
 Tree paths may be relative to the working directory.  The whole corpus
-takes about 37 s for two trees, 13 s per tree of it in the table engines
-(2 cores, Python 3.11.7).  It prints one sha256
-per group and tree and, where a group differs, the first entry that
-differs; it exits 1 on any difference and 0 otherwise.  A process of the
-grid, engines or help groups that fails ends the run with one ``error:`` line on
-stderr naming the tree, the group and its exit code, and exit 2.  The runs
-set PYTHONDONTWRITEBYTECODE=1.  Standard library only.
+takes 30-40 s for two trees, 13 s per tree of it in the table engines
+and 1.8 s in the domain group's 253 requests (2 cores, Python 3.11.7).  It
+prints one sha256 per group and tree and, where a group differs, the
+first entry that differs; it exits 1 on any difference and 0 otherwise.
+A process of the grid, engines, help or domain groups that fails ends
+the run with one ``error:`` line on stderr naming the tree, the group and
+its exit code, and exit 2.  The runs set PYTHONDONTWRITEBYTECODE=1.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -153,6 +162,38 @@ for path in nodes(build_parser(), []):
 """
 
 
+DOMAIN = """
+import contextlib, hashlib, io
+from shadowlab.cli import main
+
+grounds = [(-1, 2), (0, 0), (3, 5), (5, 0), (7, 3), (64, 2), (64, 63), (65, 2), (65, 65),
+           (200, 100), (300, 300)]
+leaves = [
+    "oracle min-shadow {n} {k} {m}",
+    "enumerate {n} {k} {m}",
+    "verify uniqueness {n} {k}",
+    "verify min-degree {n} {k}",
+    "construct colex {n} {k} {m}",
+    "construct forbidden-pairs {n} {k} {m}",
+    "construct forbidden-pairs {n} {k} {m} --materialize",
+    "construct example32 {n} {k} --variant b",
+    "construct example32 {n} {k} --variant c",
+    "construct example33 {n} {k}",
+    "construct perturbed {n} {k} {m}",
+]
+# a leaf that takes no m is one request per (n, k)
+requests = dict.fromkeys(
+    leaf.format(n=n, k=k, m=m) for n, k in grounds for m in (0, 1, 3) for leaf in leaves
+)
+for request in requests:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(request.split())
+    outcome = repr((code, out.getvalue(), err.getvalue())).encode()
+    print("domain", f"shadowlab {request}", hashlib.sha256(outcome).hexdigest(), sep="\\t")
+"""
+
+
 class ChildError(Exception):
     """A grid or help process that exited nonzero."""
 
@@ -212,6 +253,12 @@ def help_entries(tree: Path) -> list[tuple[str, str, str]]:
     return _script_entries(tree, "cli_help", HELP)
 
 
+def domain_entries(tree: Path) -> list[tuple[str, str, str]]:
+    """(group, entry, digest) of the CLI leaves that take n across the
+    ground-set grid, from one fresh process."""
+    return _script_entries(tree, "domain", DOMAIN)
+
+
 def cli_entries(tree: Path) -> list[tuple[str, str, str]]:
     """(group, entry, digest) of the README's CLI examples, then of the
     files they leave, run in one temporary directory."""
@@ -248,7 +295,7 @@ def compare(parent: list[tuple], change: list[tuple]) -> list[dict]:
     return out
 
 
-GROUPS = (grid_entries, engine_entries, help_entries, cli_entries)
+GROUPS = (grid_entries, engine_entries, help_entries, domain_entries, cli_entries)
 
 
 def main(argv: list[str] | None = None) -> int:
